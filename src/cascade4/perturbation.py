@@ -1,19 +1,22 @@
 """Perturbative Laplace-domain solutions of the cascade master equation.
 
 Two regimes: the rf drive treated to all orders with the optical drives kept
-to second order (strong rf), and the converse (weak rf).  Each regime splits
-the variables by parity in the perturbative drive:
+to second order (strong rf), and the converse (weak rf).  Both are read off
+the exact packed generator dx/dt = A x + b.  Switching the regime's
+perturbative drives off (omega1 and omega3 in strong rf, omega_rf in weak rf)
+leaves A0, b0; the remainder A1 = A - A0, b1 = b - b0 is linear in those
+drives.  With R0 = (s - A0)^-1 the transform of x expands as the Dyson chain
 
-  * even sector: populations plus the coherences that survive at zeroth
-    order; solved once with the initial conditions only (order 0) and once
-    more with the first-order sources added (orders 0+2 combined);
-  * odd sector: the remaining coherences, driven by the zeroth-order
-    solution (order 1).
+    y0 = R0 (x0 + b0/s),   y1 = R0 (A1 y0 + b1/s),   y2 = R0 A1 y1,
 
-Complex conjugate partners (psi_i* transforms) are carried as independent
-unknowns so every "Im psi" coupling stays linear and analytic in s; the
-whole chain can therefore be evaluated at any complex s, which is what the
-Talbot inversion and the contour residue extraction need.
+and term k is exactly order k in the perturbative drives.  On resonance A0
+splits into small connected blocks (the real and imaginary parts of the
+coherences separate), so an evaluation factors each block a term reaches
+once and reuses the factors for all three terms.  Every step is analytic in
+s, so the chain can be evaluated at any complex or mpmath s, which is what
+the Talbot inversion and the contour residue extraction need.  The pole
+inventory comes from the same split: the population block of A0 acts at
+order 0 and again around the loop, the blocks that A1 couples to it once.
 
 The population rates entering these systems are the ones of the exact master
 equation.  The published versions of the same systems halve the population
@@ -23,14 +26,35 @@ converge to the exact dynamics and are kept only as documented cross-checks
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
 
 from .correlations import CorrelationSeries
+from .dynamics import steady_state
 from .errors import NearPole, NonzeroDetuning, NotCatalogued, ZeroSteadyState
-from .model import SystemParams
+from .model import (
+    DIM,
+    IM_R12,
+    IM_R13,
+    IM_R14,
+    IM_R23,
+    IM_R24,
+    IM_R34,
+    P22,
+    P33,
+    P44,
+    RE_R12,
+    RE_R13,
+    RE_R14,
+    RE_R23,
+    RE_R24,
+    RE_R34,
+    SystemParams,
+    build_generator,
+    prepare_state,
+)
 from .ratfunc import (
     ExponentialSum,
     RationalFunction,
@@ -67,6 +91,12 @@ PSI_NAMES = ("psi1", "psi2", "psi3", "psi4", "psi5", "psi6",
              "psi7", "psi8", "psi9")
 OBSERVABLE_TO_PSI = {"rho22": "psi7", "rho33": "psi8", "rho44": "psi9"}
 
+# Packed components of each psi = L[Re rho] + i L[Im rho]: the coherences
+# rho12, rho23, rho34, rho13, rho14, rho24, then the populations.
+_PSI_INDEX = dict(zip(PSI_NAMES, (
+    (RE_R12, IM_R12), (RE_R23, IM_R23), (RE_R34, IM_R34), (RE_R13, IM_R13),
+    (RE_R14, IM_R14), (RE_R24, IM_R24), (P22,), (P33,), (P44,))))
+
 
 def _require_resonant(params):
     if params.detuned:
@@ -78,224 +108,125 @@ def _bars(params):
     return params.gamma2 / 2.0, params.gamma3 / 2.0, params.gamma4 / 2.0
 
 
-def _inits(init_level):
-    """(psi7(0), psi8(0), psi9(0)) for a diagonal preparation."""
-    if init_level not in (1, 2, 3, 4):
-        raise ValueError("init level must be 1..4")
-    return (1.0 if init_level == 2 else 0.0,
-            1.0 if init_level == 3 else 0.0,
-            1.0 if init_level == 4 else 0.0)
-
-
-def _solve(rows, rhs, s_is_mp):
-    """Dense solve dispatch: numpy for machine complex, elimination for mpc."""
-    if not s_is_mp:
-        a = np.array(rows, dtype=complex)
-        cond = np.linalg.cond(a)
-        if cond > COND_LIMIT:
-            raise NearPole(f"hierarchy system condition {cond:.2e} exceeds 1e12")
-        return list(np.linalg.solve(a, np.array(rhs, dtype=complex)))
-    n = len(rows)
-    a = [[mpmath.mpc(x) for x in row] + [mpmath.mpc(v)]
-         for row, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        a[col], a[piv] = a[piv], a[col]
-        if a[col][col] == 0:
-            raise NearPole("singular hierarchy system at this s")
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f != 0:
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    x = [mpmath.mpc(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
-
-
 def _is_mp(s):
     return isinstance(s, (mpmath.mpc, mpmath.mpf))
 
 
 # ---------------------------------------------------------------------------
-# Strong-rf hierarchy.  Even sector: (p7, p8, p9, c2, c2~); odd sector:
-# (c1, c4) (+ conjugates) and (c3, c6) (+ conjugates).
+# The Dyson chain on the split generator.
 # ---------------------------------------------------------------------------
 
-def _strong_even(params, s, sources=None, with_inits=True, init_level=1):
-    p = params
-    b2, b3, _b4 = _bars(p)
-    orf = p.omega_rf
-    i7, i8, i9 = _inits(init_level) if with_inits else (0.0, 0.0, 0.0)
-    src = sources or {}
-    rows = [
-        # p7, p8, p9, c2, c2t
-        [s + p.gamma2, -p.gamma23, -p.gamma24, -1j * orf, 1j * orf],
-        [0.0, s + p.gamma3, -p.gamma34, 1j * orf, -1j * orf],
-        [0.0, 0.0, s + p.gamma4, 0.0, 0.0],
-        [-1j * orf, 1j * orf, 0.0, s + b2 + b3, 0.0],
-        [1j * orf, -1j * orf, 0.0, 0.0, s + b2 + b3],
-    ]
-    rhs = [
-        i7 + src.get("p7", 0.0),
-        i8 + src.get("p8", 0.0),
-        i9 + src.get("p9", 0.0),
-        src.get("c2", 0.0),
-        src.get("c2t", 0.0),
-    ]
-    sol = _solve(rows, rhs, _is_mp(s))
-    return dict(zip(("p7", "p8", "p9", "c2", "c2t"), sol))
+def _split(params, regime):
+    """(A0, A1, b0, b1): the generator without its perturbative drives, and
+    the part those drives add."""
+    off = ({"omega1": 0.0, "omega3": 0.0} if regime is Regime.STRONG_RF
+           else {"omega_rf": 0.0})
+    full = build_generator(params)
+    base = build_generator(replace(params, **off))
+    return base.A, full.A - base.A, base.b, full.b - base.b
 
 
-def _strong_odd(params, s, even0, init_level):
-    p = params
-    b2, b3, b4 = _bars(p)
-    orf = p.omega_rf
-    pop_sum = 2 * even0["p7"] + even0["p8"] + even0["p9"] - 1.0 / s
+def _structure(regime):
+    """(link, masks, blocks): the connected blocks of A0 and the support of
+    each Dyson term, from a probe with every drive and transfer rate on.
 
-    rows14 = [
-        # c1, c4, c1t, c4t
-        [s + b2, -1j * orf, 0.0, 0.0],
-        [-1j * orf, s + b3, 0.0, 0.0],
-        [0.0, 0.0, s + b2, 1j * orf],
-        [0.0, 0.0, 1j * orf, s + b3],
-    ]
-    rhs14 = [
-        -1j * p.omega1 * pop_sum,
-        -1j * p.omega1 * even0["c2"],
-        1j * p.omega1 * pop_sum,
-        1j * p.omega1 * even0["c2t"],
-    ]
-    c1, c4, c1t, c4t = _solve(rows14, rhs14, _is_mp(s))
-
-    rows36 = [
-        # c3, c6, c3t, c6t
-        [s + b3 + b4, 1j * orf, 0.0, 0.0],
-        [1j * orf, s + b2 + b4, 0.0, 0.0],
-        [0.0, 0.0, s + b3 + b4, -1j * orf],
-        [0.0, 0.0, -1j * orf, s + b2 + b4],
-    ]
-    pop_diff = even0["p9"] - even0["p8"]
-    rhs36 = [
-        -1j * p.omega3 * pop_diff,
-        1j * p.omega3 * even0["c2"],
-        1j * p.omega3 * pop_diff,
-        -1j * p.omega3 * even0["c2t"],
-    ]
-    c3, c6, c3t, c6t = _solve(rows36, rhs36, _is_mp(s))
-
-    c5 = (-1j * p.omega1 * c6 + 1j * p.omega3 * c4) / (s + b4)
-    c5t = (1j * p.omega1 * c6t - 1j * p.omega3 * c4t) / (s + b4)
-    return dict(c1=c1, c4=c4, c1t=c1t, c4t=c4t,
-                c3=c3, c6=c6, c3t=c3t, c6t=c6t, c5=c5, c5t=c5t)
+    link[i, j] says components i and j share a block; masks[k] marks the
+    blocks term k can reach from a population preparation and the drive
+    constant.  A drive that is zero in the actual parameters only leaves
+    exact zeros in these supports.
+    """
+    probe = SystemParams(omega1=1.0, omega_rf=1.0, omega3=1.0, gamma24=1.0)
+    a0, a1, b0, b1 = _split(probe, regime)
+    link = (a0 != 0) | (a0 != 0).T | np.eye(DIM, dtype=bool)
+    for _ in range(4):      # paths of up to 16 > DIM steps
+        link = (link.astype(int) @ link) > 0
+    m0 = link[np.isin(np.arange(DIM), (P22, P33, P44)) | (b0 != 0)].any(axis=0)
+    m1 = link[(a1[:, m0] != 0).any(axis=1) | (b1 != 0)].any(axis=0)
+    m2 = link[(a1[:, m1] != 0).any(axis=1)].any(axis=0)
+    blocks = sorted({tuple(np.flatnonzero(row)) for row in link})
+    return link, (m0, m1, m2), blocks
 
 
-def _strong_even_sources(params, odd):
-    o1, o3 = params.omega1, params.omega3
-    return {
-        "p7": -1j * o1 * (odd["c1"] - odd["c1t"]),
-        "p8": 1j * o3 * (odd["c3"] - odd["c3t"]),
-        "p9": -1j * o3 * (odd["c3"] - odd["c3t"]),
-        "c2": -1j * o1 * odd["c4"] + 1j * o3 * odd["c6"],
-        "c2t": 1j * o1 * odd["c4t"] - 1j * o3 * odd["c6t"],
-    }
+def _factor(s, m):
+    """Solver for (s - m) y = r at machine precision."""
+    a = s * np.eye(len(m)) - m
+    sv = np.linalg.svd(a, compute_uv=False)
+    cond = sv[0] / sv[-1] if sv[-1] else np.inf
+    if not cond <= COND_LIMIT:
+        raise NearPole(f"hierarchy block condition {cond:.2e} exceeds 1e12")
+    return np.linalg.inv(a).dot
 
 
-# ---------------------------------------------------------------------------
-# Weak-rf hierarchy.  Even sector: (p7, p8, p9, c1, c1~, c3, c3~); odd
-# sector: (c2, c4, c6, c5) plus conjugates.
-# ---------------------------------------------------------------------------
+def _factor_mp(s, m):
+    """Solver for (s - m) y = r at mpmath precision (pivoted LU)."""
+    n = len(m)
+    lu = [[s - v if i == j else mpmath.mpc(-v) for j, v in enumerate(row)]
+          for i, row in enumerate(m.tolist())]
+    perm = list(range(n))
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(lu[r][col]))
+        if lu[piv][col] == 0:
+            raise NearPole("singular hierarchy block at this s")
+        lu[col], lu[piv] = lu[piv], lu[col]
+        perm[col], perm[piv] = perm[piv], perm[col]
+        for r in range(col + 1, n):
+            f = lu[r][col] = lu[r][col] / lu[col][col]
+            if f != 0:
+                for c in range(col + 1, n):
+                    lu[r][c] -= f * lu[col][c]
 
-def _weak_even(params, s, sources=None, with_inits=True, init_level=1):
-    p = params
-    b2, b3, b4 = _bars(p)
-    o1, o3 = params.omega1, params.omega3
-    i7, i8, i9 = _inits(init_level) if with_inits else (0.0, 0.0, 0.0)
-    src = sources or {}
-    rows = [
-        # p7, p8, p9, c1, c1t, c3, c3t
-        [s + p.gamma2, -p.gamma23, -p.gamma24, 1j * o1, -1j * o1, 0.0, 0.0],
-        [0.0, s + p.gamma3, -p.gamma34, 0.0, 0.0, -1j * o3, 1j * o3],
-        [0.0, 0.0, s + p.gamma4, 0.0, 0.0, 1j * o3, -1j * o3],
-        [2j * o1, 1j * o1, 1j * o1, s + b2, 0.0, 0.0, 0.0],
-        [-2j * o1, -1j * o1, -1j * o1, 0.0, s + b2, 0.0, 0.0],
-        [0.0, -1j * o3, 1j * o3, 0.0, 0.0, s + b3 + b4, 0.0],
-        [0.0, 1j * o3, -1j * o3, 0.0, 0.0, 0.0, s + b3 + b4],
-    ]
-    rhs = [
-        i7 + src.get("p7", 0.0),
-        i8 + src.get("p8", 0.0),
-        i9 + src.get("p9", 0.0),
-        1j * o1 / s + src.get("c1", 0.0),
-        -1j * o1 / s + src.get("c1t", 0.0),
-        src.get("c3", 0.0),
-        src.get("c3t", 0.0),
-    ]
-    sol = _solve(rows, rhs, _is_mp(s))
-    return dict(zip(("p7", "p8", "p9", "c1", "c1t", "c3", "c3t"), sol))
+    def solve(rhs):
+        x = [rhs[p] for p in perm]
+        for r in range(n):
+            for c in range(r):
+                x[r] -= lu[r][c] * x[c]
+        for r in range(n - 1, -1, -1):
+            for c in range(r + 1, n):
+                x[r] -= lu[r][c] * x[c]
+            x[r] /= lu[r][r]
+        return x
+
+    return solve
 
 
-def _weak_odd(params, s, even0):
-    p = params
-    b2, b3, b4 = _bars(p)
-    o1, o3, orf = p.omega1, p.omega3, p.omega_rf
-    rows = [
-        # c2, c4, c6, c5
-        [s + b2 + b3, 1j * o1, -1j * o3, 0.0],
-        [1j * o1, s + b3, 0.0, -1j * o3],
-        [-1j * o3, 0.0, s + b2 + b4, 1j * o1],
-        [0.0, -1j * o3, 1j * o1, s + b4],
-    ]
-    pop_diff = even0["p8"] - even0["p7"]
-    rhs = [
-        -1j * orf * pop_diff,
-        1j * orf * even0["c1"],
-        -1j * orf * even0["c3"],
-        0.0,
-    ]
-    c2, c4, c6, c5 = _solve(rows, rhs, _is_mp(s))
+class _Dyson:
+    """The terms y0, y1, y2 of one parameter set, evaluated at any s.
 
-    rows_t = [
-        [s + b2 + b3, -1j * o1, 1j * o3, 0.0],
-        [-1j * o1, s + b3, 0.0, 1j * o3],
-        [1j * o3, 0.0, s + b2 + b4, -1j * o1],
-        [0.0, 1j * o3, -1j * o1, s + b4],
-    ]
-    rhs_t = [
-        1j * orf * pop_diff,
-        -1j * orf * even0["c1t"],
-        1j * orf * even0["c3t"],
-        0.0,
-    ]
-    c2t, c4t, c6t, c5t = _solve(rows_t, rhs_t, _is_mp(s))
-    return dict(c2=c2, c4=c4, c6=c6, c5=c5,
-                c2t=c2t, c4t=c4t, c6t=c6t, c5t=c5t)
+    `masks[k]` selects which of the `blocks` of A0 to solve for in term k.
+    """
 
+    def __init__(self, params, regime, blocks, masks):
+        a0, a1, self.b0, self.b1 = _split(params, regime)
+        blocks = [b for b in blocks if any(mask[b[0]] for mask in masks)]
+        self.blocks = {b[0]: a0[np.ix_(b, b)] for b in blocks}
+        self.terms = [[np.array(b) for b in blocks if mask[b[0]]]
+                      for mask in masks]
+        self.supports = [np.flatnonzero(mask) for mask in masks]
+        self.couplings = [a1[np.ix_(self.supports[k + 1], self.supports[k])]
+                          for k in (0, 1)]
 
-def _weak_even_sources(params, odd):
-    orf = params.omega_rf
-    return {
-        "p7": 1j * orf * (odd["c2"] - odd["c2t"]),
-        "p8": -1j * orf * (odd["c2"] - odd["c2t"]),
-        "c1": 1j * orf * odd["c4"],
-        "c1t": -1j * orf * odd["c4t"],
-        "c3": -1j * orf * odd["c6"],
-        "c3t": 1j * orf * odd["c6t"],
-    }
+    def __call__(self, s, x0):
+        mp = _is_mp(s)
+        factor = _factor_mp if mp else _factor
+        solvers = {key: factor(s, m) for key, m in self.blocks.items()}
+        dtype = object if mp else complex
 
+        def resolve(k, rhs):     # R0 rhs on the blocks of term k
+            y = np.zeros(DIM, dtype=dtype)
+            for idx in self.terms[k]:
+                y[idx] = solvers[idx[0]](rhs[idx])
+            return y
 
-# ---------------------------------------------------------------------------
-# Chained solve and its exposed forms.
-# ---------------------------------------------------------------------------
+        def couple(k, y):        # A1 y, kept on the support of term k
+            rhs = np.zeros(DIM, dtype=dtype)
+            sup, prev = self.supports[k], self.supports[k - 1]
+            rhs[sup] = self.couplings[k - 1] @ y[prev]
+            return rhs
 
-_EVEN_VARS = {
-    Regime.STRONG_RF: ("psi7", "psi8", "psi9", "psi2"),
-    Regime.WEAK_RF: ("psi7", "psi8", "psi9", "psi1", "psi3"),
-}
+        y0 = resolve(0, x0 + self.b0 / s)
+        y1 = resolve(1, couple(1, y0) + self.b1 / s)
+        y2 = resolve(2, couple(2, y1))
+        return y0, y1, y2
 
 
 @dataclass(frozen=True)
@@ -309,53 +240,25 @@ class HierarchySolution:
     totals: dict  # name -> value
 
 
-def _chain(params, regime, init_level, s):
-    """Run the three perturbative stages at one (complex) s."""
-    if regime is Regime.STRONG_RF:
-        even0 = _strong_even(params, s, init_level=init_level)
-        odd = _strong_odd(params, s, even0, init_level)
-        even2 = _strong_even(params, s, sources=_strong_even_sources(params, odd),
-                             init_level=init_level)
-        return even0, odd, even2
-    even0 = _weak_even(params, s, init_level=init_level)
-    odd = _weak_odd(params, s, even0)
-    even2 = _weak_even(params, s, sources=_weak_even_sources(params, odd),
-                       init_level=init_level)
-    return even0, odd, even2
-
-
-_KEY_TO_PSI = {"p7": "psi7", "p8": "psi8", "p9": "psi9",
-               "c1": "psi1", "c2": "psi2", "c3": "psi3",
-               "c4": "psi4", "c5": "psi5", "c6": "psi6"}
-
-
 def laplace_solve(params: SystemParams, regime, init_level, s) -> HierarchySolution:
     """Solve the perturbative hierarchy at one Laplace variable s.
 
     Returns every transformed component psi1..psi9 with its perturbative
-    order decomposition and the sum through second order.
+    order decomposition (the Dyson terms it appears in) and the sum through
+    second order.
     """
     regime = Regime.coerce(regime)
     _require_resonant(params)
-    even0, odd, even2 = _chain(params, regime, init_level, s)
-
+    _link, masks, blocks = _structure(regime)
+    ys = _Dyson(params, regime, blocks, masks)(s, prepare_state(init_level))
     orders = {}
     totals = {}
-    even_names = _EVEN_VARS[regime]
-    for key, val in even2.items():
-        name = _KEY_TO_PSI.get(key)
-        if name is None or name not in even_names:
-            continue
-        zeroth = even0[key]
-        orders[name] = {0: zeroth, 2: val - zeroth}
-        totals[name] = val
-    for key, val in odd.items():
-        name = _KEY_TO_PSI.get(key)
-        if name is None:
-            continue
-        order = 2 if name == "psi5" else 1
-        orders[name] = {order: val}
-        totals[name] = val
+    for name, idx in _PSI_INDEX.items():
+        parts = {k: y[idx[0]] + 1j * y[idx[1]] if len(idx) == 2 else y[idx[0]]
+                 for k, (y, mask) in enumerate(zip(ys, masks))
+                 if mask[list(idx)].any()}
+        orders[name] = parts
+        totals[name] = sum(parts.values())
     return HierarchySolution(regime=regime, init_level=init_level, s=s,
                              orders=orders, totals=totals)
 
@@ -366,10 +269,14 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
     _require_resonant(params)
     if observable not in OBSERVABLE_TO_PSI:
         raise ValueError(f"observable must be one of {sorted(OBSERVABLE_TO_PSI)}")
-    key = {"rho22": "p7", "rho33": "p8", "rho44": "p9"}[observable]
+    (idx,) = _PSI_INDEX[OBSERVABLE_TO_PSI[observable]]
+    link, (m0, m1, _m2), blocks = _structure(regime)
+    dyson = _Dyson(params, regime, blocks, (m0, m1, link[idx]))
+    x0 = prepare_state(init_level)
 
     def F(s):
-        return _chain(params, regime, init_level, s)[2][key]
+        y0, _y1, y2 = dyson(s, x0)   # populations have no first-order part
+        return y0[idx] + y2[idx]
 
     return F
 
@@ -520,46 +427,20 @@ def root_set(params: SystemParams, regime) -> RootSet:
 def hierarchy_poles(params: SystemParams, regime):
     """(pole, multiplicity) inventory of the chained solution.
 
-    Stage blocks contribute their eigenvalues; the even block appears both
-    at order zero and around the full loop, so its poles can be double
-    (secular t e^{pt} terms).  The drive constant adds the pole at 0.
+    The population block of A0 acts at order zero and again around the loop
+    R0 A1 R0 A1 R0, so its eigenvalues can be double poles (secular t e^{pt}
+    terms); the blocks that A1 couples it to act once; the drive constant
+    b/s adds the pole at 0.
     """
     regime = Regime.coerce(regime)
-    p = params
-    b2, b3, b4 = _bars(p)
+    _require_resonant(params)
+    a0 = _split(params, regime)[0]
+    link, (_m0, m1, _m2), blocks = _structure(regime)
+    pop = link[P22]
     poles = [(0.0 + 0.0j, 1)]
-    if regime is Regime.STRONG_RF:
-        even = np.concatenate([
-            _population_cubic_roots(p.gamma3, p.gamma2, p.gamma23,
-                                    p.omega_rf, b2 + b3),
-            [-p.gamma4 + 0.0j, -(b2 + b3) + 0.0j],
-        ])
-        q2 = np.roots([1.0, b2 + b3, b2 * b3 + p.omega_rf ** 2]).astype(complex)
-        q36 = np.roots([1.0, b2 + b3 + 2 * b4,
-                        (b3 + b4) * (b2 + b4) + p.omega_rf ** 2]).astype(complex)
-        poles += [(z, 2) for z in even]
-        poles += [(z, 1) for z in np.concatenate([q2, q36])]
-        return poles
-    o1, o3 = p.omega1, p.omega3
-    meven = np.array([
-        [-p.gamma2, p.gamma23, p.gamma24, -1j * o1, 1j * o1, 0.0, 0.0],
-        [0.0, -p.gamma3, p.gamma34, 0.0, 0.0, 1j * o3, -1j * o3],
-        [0.0, 0.0, -p.gamma4, 0.0, 0.0, -1j * o3, 1j * o3],
-        [-2j * o1, -1j * o1, -1j * o1, -b2, 0.0, 0.0, 0.0],
-        [2j * o1, 1j * o1, 1j * o1, 0.0, -b2, 0.0, 0.0],
-        [0.0, 1j * o3, -1j * o3, 0.0, 0.0, -(b3 + b4), 0.0],
-        [0.0, -1j * o3, 1j * o3, 0.0, 0.0, 0.0, -(b3 + b4)],
-    ])
-    even = np.linalg.eigvals(meven)
-    modd = np.array([
-        [-(b2 + b3), -1j * o1, 1j * o3, 0.0],
-        [-1j * o1, -b3, 0.0, 1j * o3],
-        [1j * o3, 0.0, -(b2 + b4), -1j * o1],
-        [0.0, 1j * o3, -1j * o1, -b4],
-    ])
-    odd = np.linalg.eigvals(modd)
-    poles += [(z, 2) for z in even]
-    poles += [(z, 1) for z in np.concatenate([odd, odd.conj()])]
+    poles += [(z, 2) for z in np.linalg.eigvals(a0[np.ix_(pop, pop)])]
+    poles += [(z, 1) for b in blocks if m1[b[0]]
+              for z in np.linalg.eigvals(a0[np.ix_(b, b)])]
     return poles
 
 
@@ -594,6 +475,25 @@ ANALYTIC_PAIRS = {
 }
 
 
+def _g2_source(params, pair, ss=None):
+    """(init level, observable, denominator) of one analytic g2 pair.
+
+    The denominator is the observable's steady state under the full
+    generator, unless one is passed in.
+    """
+    pair = tuple(pair)
+    if pair not in ANALYTIC_PAIRS:
+        raise ValueError(f"analytic form available for {sorted(ANALYTIC_PAIRS)}")
+    init_level, observable = ANALYTIC_PAIRS[pair]
+    if ss is None:
+        (idx,) = _PSI_INDEX[OBSERVABLE_TO_PSI[observable]]
+        ss = float(steady_state(build_generator(params))[idx])
+        if ss < 1e-12:
+            raise ZeroSteadyState(
+                f"steady-state population {observable} is {ss:.2e}")
+    return init_level, observable, ss
+
+
 def analytic_g2_sum(params: SystemParams, regime, pair):
     """Exponential sum for g2, scaled by the correlation denominator.
 
@@ -604,20 +504,9 @@ def analytic_g2_sum(params: SystemParams, regime, pair):
     from the hierarchy entirely), so the denominator of the correlation
     definition is the one quantity the analytic form must import.
     """
-    from .dynamics import steady_state
-    from .model import P22, P33, P44, build_generator
-
-    pair = tuple(pair)
-    if pair not in ANALYTIC_PAIRS:
-        raise ValueError(f"analytic form available for {sorted(ANALYTIC_PAIRS)}")
-    init_level, observable = ANALYTIC_PAIRS[pair]
+    init_level, observable, ss = _g2_source(params, pair)
     es = assembled_exponential_sum(params, Regime.coerce(regime), init_level,
                                    observable)
-    idx = {"rho22": P22, "rho33": P33, "rho44": P44}[observable]
-    ss = float(steady_state(build_generator(params))[idx])
-    if ss < 1e-12:
-        raise ZeroSteadyState(
-            f"steady-state population {observable} is {ss:.2e}")
     return es.scaled(1.0 / ss), ss
 
 
@@ -638,11 +527,8 @@ def coefficient_identities(es: ExponentialSum) -> float:
 def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None,
                     nodes=None):
     """g2 at one delay via Talbot inversion of the hierarchy (no residues)."""
-    pair = tuple(pair)
-    init_level, observable = ANALYTIC_PAIRS[pair]
+    init_level, observable, ss = _g2_source(params, pair, ss)
     regime = Regime.coerce(regime)
-    if ss is None:
-        _es, ss = analytic_g2_sum(params, regime, pair)
     if nodes is None:
         max_im = max(abs(z.imag) for z, _m in hierarchy_poles(params, regime))
         nodes = talbot_nodes_required(tau, max_im)

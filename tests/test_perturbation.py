@@ -63,6 +63,30 @@ def test_strong_no_optical_drive_kills_sources():
     assert abs(sol3.totals["psi9"]) == 0.0  # 2nd-order source needs omega3
 
 
+def test_orders_scale_with_perturbative_drive(strong_weakdrive,
+                                              weak_rf_point):
+    # term k of the Dyson chain is exactly order k in the perturbative
+    # drives: halving them scales it by 2^-k
+    from dataclasses import replace
+    s = 0.7 + 0.3j
+    for params, regime, half in (
+            (strong_weakdrive, "strong",
+             dict(omega1=strong_weakdrive.omega1 / 2,
+                  omega3=strong_weakdrive.omega3 / 2)),
+            (weak_rf_point, "weak",
+             dict(omega_rf=weak_rf_point.omega_rf / 2))):
+        for init in (1, 2, 3):
+            full = laplace_solve(params, regime, init, s)
+            halved = laplace_solve(replace(params, **half), regime, init, s)
+            for name, parts in full.orders.items():
+                assert set(halved.orders[name]) == set(parts)
+                for k, value in parts.items():
+                    want = value * 0.5 ** k
+                    assert abs(halved.orders[name][k] - want) <= 1e-9 * abs(value)
+                total = full.totals[name]
+                assert abs(sum(parts.values()) - total) <= 1e-14 * abs(total)
+
+
 def test_nonzero_detuning_rejected(strong_weakdrive):
     from dataclasses import replace
     p = replace(strong_weakdrive, delta1=0.5)
@@ -70,6 +94,8 @@ def test_nonzero_detuning_rejected(strong_weakdrive):
         laplace_solve(p, "strong", 1, 1.0 + 0.0j)
     with pytest.raises(NonzeroDetuning):
         root_set(p, "strong")
+    with pytest.raises(NonzeroDetuning):
+        hierarchy_poles(p, "strong")
 
 
 def test_near_pole_rejected(strong_weakdrive):
@@ -251,9 +277,15 @@ def test_regime_validity_error_growth():
 
 
 def test_coefficient_identities(strong_weakdrive):
-    for pair in ((1, 1), (3, 3), (3, 1)):
-        es, _ss = analytic_g2_sum(strong_weakdrive, "strong", pair)
-        assert coefficient_identities(es) < 1e-8
+    # weak rf with omega1 ~ omega3 clusters the odd-block poles; both
+    # gamma presets
+    points = [(strong_weakdrive, "strong")] + [
+        (closed_cascade(omega1=4.0, omega_rf=0.12, omega3=o3, gammas=g), "weak")
+        for g in ("unit", "physical") for o3 in (4.0, 4.01)]
+    for params, regime in points:
+        for pair in ((1, 1), (3, 3), (3, 1)):
+            es, _ss = analytic_g2_sum(params, regime, pair)
+            assert coefficient_identities(es) < 1e-8
 
 
 def test_talbot_g2_matches_residue_path(strong_weakdrive):
@@ -262,6 +294,15 @@ def test_talbot_g2_matches_residue_path(strong_weakdrive):
         a = es(np.array([t]))[0]
         b = talbot_g2_value(strong_weakdrive, "strong", (3, 1), t, ss=ss)
         assert abs(a - b) < 1e-6 * abs(a)
+
+
+def test_talbot_g2_value_own_denominator(strong_weakdrive):
+    p = strong_weakdrive
+    _es, ss = analytic_g2_sum(p, "strong", (3, 1))
+    assert (talbot_g2_value(p, "strong", (3, 1), 0.5)
+            == talbot_g2_value(p, "strong", (3, 1), 0.5, ss=ss))
+    with pytest.raises(ValueError):
+        talbot_g2_value(p, "strong", (2, 1), 0.5)
 
 
 def test_assembled_transform_consistency(strong_weakdrive):
