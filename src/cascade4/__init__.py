@@ -17,7 +17,7 @@ from .correlations import (
     scan_tau_d,
     tau_delay,
 )
-from .dynamics import Trajectory, evolve, matrix_exponential, steady_state
+from .dynamics import Trajectory, evolve, steady_state
 from .errors import (
     Cascade4Error,
     ConfigError,
@@ -34,6 +34,7 @@ from .errors import (
     SingularGenerator,
     StepFailure,
     UnknownKey,
+    UnstableGenerator,
     ZeroSteadyState,
 )
 from .model import (

@@ -17,6 +17,11 @@ class SingularGenerator(Cascade4Error):
     """The drift matrix is numerically singular; no unique steady state."""
 
 
+class UnstableGenerator(Cascade4Error):
+    """The drift matrix has an eigenvalue with positive real part; its fixed
+    point repels, so there is no steady state to relax to."""
+
+
 class StepFailure(Cascade4Error):
     """Adaptive integrator could not reach the requested accuracy."""
 

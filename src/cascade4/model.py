@@ -11,10 +11,12 @@ dx/dt = A x + b.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from .errors import InvalidLevel, InvalidParams
+from .errors import InvalidLevel, InvalidParams, SingularGenerator
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,6 +30,11 @@ RE_R24, IM_R24 = 10, 11
 P22, P33, P44 = 12, 13, 14
 
 DIM = 15
+
+# Steady-state solve: refuse A above this 2-norm condition number, and
+# require this residual max|A x + b| after refinement.
+COND_LIMIT = 1e14
+RESIDUAL_TOL = 1e-12
 
 STATE_LABELS = (
     "re_rho12", "im_rho12", "re_rho23", "im_rho23", "re_rho34", "im_rho34",
@@ -124,8 +131,30 @@ def preset(drives="fig2", gammas="unit"):
 
 
 @dataclass(frozen=True)
+class Eigensystem:
+    """A = V diag(lam) V^-1 from one np.linalg.eig (unit-norm columns of V).
+
+    cond is the 2-norm condition number of V: near 1 for a well-separated
+    spectrum, unbounded as A approaches a defective matrix.
+    """
+
+    lam: np.ndarray
+    V: np.ndarray
+    cond: float
+
+    @property
+    def abscissa(self):
+        """Spectral abscissa max Re lam."""
+        return float(np.max(self.lam.real))
+
+
+@dataclass(frozen=True)
 class AffineGenerator:
-    """The packed master equation dx/dt = A x + b."""
+    """The packed master equation dx/dt = A x + b.
+
+    The fixed point and the eigensystem of A are computed on first use and
+    kept with the generator; the cached arrays are read-only.
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -133,6 +162,37 @@ class AffineGenerator:
 
     def rhs(self, x):
         return self.A @ x + self.b
+
+    @cached_property
+    def eigensystem(self) -> Eigensystem:
+        """Eigendecomposition of A, the basis of the spectral propagator."""
+        lam, V = np.linalg.eig(self.A)
+        lam.setflags(write=False)
+        V.setflags(write=False)
+        return Eigensystem(lam=lam, V=V, cond=float(np.linalg.cond(V)))
+
+    @cached_property
+    def fixed_point(self) -> np.ndarray:
+        """Solution of A x = -b by LU with partial pivoting plus iterative
+        refinement; raises SingularGenerator when A is numerically singular."""
+        if np.linalg.cond(self.A) > COND_LIMIT:
+            raise SingularGenerator(
+                f"generator condition number exceeds {COND_LIMIT:g}")
+        lu, piv = scipy.linalg.lu_factor(self.A)
+        x = scipy.linalg.lu_solve((lu, piv), -self.b)
+        # Refinement keeps the residual at rounding level even when
+        # omega_rf >> Gamma inflates the condition number.
+        for _ in range(2):
+            r = -self.b - self.A @ x
+            if np.max(np.abs(r)) < RESIDUAL_TOL:
+                break
+            x = x + scipy.linalg.lu_solve((lu, piv), r)
+        residual = np.max(np.abs(self.A @ x + self.b))
+        if residual > RESIDUAL_TOL:
+            raise SingularGenerator(
+                f"steady-state residual {residual:.2e} above {RESIDUAL_TOL:g}")
+        x.setflags(write=False)
+        return x
 
 
 def build_generator(params: SystemParams) -> AffineGenerator:

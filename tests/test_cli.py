@@ -215,3 +215,14 @@ def test_evolve_csv(tmp_path):
                                        "rho44"]
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[4 - 1]) == 1.0
+
+
+def test_cs_drives_only_config_refused(tmp_path, capsys):
+    # Drives without rates keep the literal transfer rates of 1, which
+    # make the generator unstable at these drives.
+    cfg = _write_cfg(tmp_path, "[system]\nomega1 = 4\nomega3 = 4\n"
+                               "omega_rf = 20\n")
+    out = tmp_path / "cs.csv"
+    assert run(["--config", cfg, "cs", "--out", str(out)]) == 1
+    assert "UnstableGenerator" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,7 +11,7 @@ from cascade4.correlations import (
     tau_delay,
 )
 from cascade4.errors import GridMismatch, NoPeak, ZeroSteadyState
-from cascade4.model import build_generator
+from cascade4.model import build_generator, preset
 
 from conftest import closed_cascade, random_stable_params
 
@@ -206,3 +206,12 @@ def test_g2_backend_consistency(fig2_unit):
         a = g2(gen, pair, taus, backend="expm").values
         b = g2(gen, pair, taus, backend="rk").values
         assert np.max(np.abs(a - b)) < 1e-7
+
+
+def test_zero_delay_antibunching_exact():
+    for gammas in ("unit", "physical"):
+        p = preset("fig2", gammas)
+        gen = build_generator(p)
+        taus = default_tau_grid(p)
+        for pair in ((1, 1), (3, 3), (3, 1)):
+            assert g2(gen, pair, taus).values[0] == 0.0

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cascade4.dynamics import Trajectory, evolve, matrix_exponential, steady_state
-from cascade4.errors import SingularGenerator
+import cascade4
+from cascade4.correlations import default_tau_grid, g2
+from cascade4.dynamics import SPECTRAL_COND_LIMIT, Trajectory, evolve, steady_state
+from cascade4.errors import SingularGenerator, UnstableGenerator
 from cascade4.model import (
     DIM,
     P22,
@@ -13,52 +21,9 @@ from cascade4.model import (
     prepare_state,
     preset,
 )
+from cascade4.validation import brute_force_evolve
 
 from conftest import closed_cascade
-
-
-def taylor_expm_oracle(M, squarings=None):
-    """Independent exp(M): plain Taylor series with exact binary scaling."""
-    M = np.asarray(M, dtype=float)
-    norm = np.linalg.norm(M, 1)
-    s = squarings if squarings is not None else max(0, int(np.ceil(np.log2(max(norm, 1e-16)))) + 3)
-    T = M / 2.0 ** s
-    E = np.eye(M.shape[0])
-    term = np.eye(M.shape[0])
-    for k in range(1, 40):
-        term = term @ T / k
-        E = E + term
-        if np.max(np.abs(term)) < 1e-20:
-            break
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
-def test_matrix_exponential_trivials():
-    assert np.array_equal(matrix_exponential(np.zeros((3, 3))), np.eye(3))
-    E = matrix_exponential(np.diag([-1.0, -2.0]))
-    assert np.max(np.abs(E - np.diag([np.exp(-1.0), np.exp(-2.0)]))) < 1e-15
-
-
-def test_matrix_exponential_vs_taylor_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        M = rng.standard_normal((15, 15))
-        M *= 4.5 / max(np.abs(np.linalg.eigvals(M)))  # spectral radius < 5
-        E = matrix_exponential(M)
-        ref = taylor_expm_oracle(M)
-        assert np.max(np.abs(E - ref)) / np.max(np.abs(ref)) < 1e-11
-
-
-def test_matrix_exponential_large_norm():
-    rng = np.random.default_rng(6)
-    M = rng.standard_normal((12, 12))
-    M *= 800.0 / np.linalg.norm(M, 1)
-    # compare against the exponential of M/2 squared once
-    E = matrix_exponential(M)
-    H = matrix_exponential(M / 2.0)
-    assert np.max(np.abs(E - H @ H)) / np.max(np.abs(E)) < 1e-10
 
 
 def test_steady_state_no_optical_pumping():
@@ -167,3 +132,104 @@ def test_evolve_grid_validation(fig2_unit):
         evolve(gen, prepare_state(1), np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         evolve(gen, prepare_state(1), np.array([-1.0, 0.5]))
+
+
+def test_evolve_zero_time_is_exact():
+    # exp(0) = I, so the t = 0 row is x0 itself, not x0 - x_ss + x_ss.
+    for gammas in ("unit", "physical"):
+        p = preset("fig2", gammas)
+        gen = build_generator(p)
+        taus = default_tau_grid(p, n=100)
+        for level in (1, 2, 3, 4):
+            x0 = prepare_state(level)
+            for backend in ("expm", "rk"):
+                tr = evolve(gen, x0, taus, backend=backend)
+                assert np.array_equal(tr.states[0], x0)
+
+
+def test_steady_state_cached_read_only(fig2_unit):
+    gen = build_generator(fig2_unit)
+    x = steady_state(gen)
+    assert steady_state(gen) is x
+    assert not x.flags.writeable
+    assert not gen.eigensystem.V.flags.writeable
+
+
+def _max_error_vs_taylor(gen, level, n=120):
+    taus = default_tau_grid(gen.params, n=n)
+    x0 = prepare_state(level)
+    tr = evolve(gen, x0, taus)
+    ref = np.array([brute_force_evolve(gen, x0, t) for t in taus])
+    return np.max(np.abs(tr.states - ref))
+
+
+def test_evolve_defective_zero_drive_takes_fallback():
+    # Gamma2 = Gamma3 with gamma23 != 0 and no drive: the rho22/rho33 block
+    # is a Jordan block, so the eigen-expansion alone is off by O(0.1).
+    gen = build_generator(closed_cascade())
+    assert gen.eigensystem.cond > SPECTRAL_COND_LIMIT
+    for level in (3, 4):
+        assert _max_error_vs_taylor(gen, level) < 1e-10
+
+
+def test_evolve_weak_drive_spectral():
+    gen = build_generator(closed_cascade(omega1=1e-6, omega_rf=1e-6,
+                                         omega3=1e-6))
+    assert 1e3 < gen.eigensystem.cond < SPECTRAL_COND_LIMIT
+    for level in (1, 3, 4):
+        assert _max_error_vs_taylor(gen, level) < 1e-10
+
+
+@st.composite
+def stable_params(draw):
+    """Closed-branching rates; drives strong, weak (near-defective when
+    Gamma2 = Gamma3) or absent."""
+    scale = draw(st.sampled_from(("strong", "weak", "zero")))
+
+    def drive():
+        if scale == "strong":
+            return draw(st.floats(0.1, 30.0))
+        if scale == "weak":
+            return 10.0 ** draw(st.floats(-10.0, -5.0))
+        return 0.0
+
+    g2v = draw(st.floats(0.1, 3.0))
+    g3v = g2v if draw(st.booleans()) else draw(st.floats(0.1, 3.0))
+    g4v = draw(st.floats(0.1, 3.0))
+    return SystemParams(omega1=drive(), omega_rf=drive(), omega3=drive(),
+                        gamma2=g2v, gamma3=g3v, gamma4=g4v,
+                        gamma23=g3v, gamma34=g4v, gamma24=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(p=stable_params(), level=st.sampled_from((1, 2, 3, 4)))
+def test_backends_agree_property(p, level):
+    gen = build_generator(p)
+    ts = np.array([0.0, 0.3, 2.0])
+    x0 = prepare_state(level)
+    a = evolve(gen, x0, ts, backend="expm").states
+    b = evolve(gen, x0, ts, backend="rk").states
+    ref = np.array([brute_force_evolve(gen, x0, t) for t in ts])
+    assert np.max(np.abs(a - ref)) < 1e-7
+    assert np.max(np.abs(b - ref)) < 1e-7
+
+
+def test_unstable_generator_refused():
+    # Literal unit transfer rates with Gamma4 = 0.16 at fig-2 drives: the
+    # spectral abscissa is about +0.029.
+    gen = build_generator(SystemParams(omega1=4.0, omega3=4.0, omega_rf=20.0))
+    assert gen.eigensystem.abscissa > 0.0
+    with pytest.raises(UnstableGenerator):
+        steady_state(gen)
+    with pytest.raises(UnstableGenerator):
+        g2(gen, (3, 1), np.array([0.0, 1.0]))
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(cascade4.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cascade4; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
