@@ -124,6 +124,9 @@ def parse_config(text: str) -> RunConfig:
             else:
                 raise UnknownKey(f"line {lineno}: unknown [options] key {key!r}")
 
+    for key, value in [*system_kw.items(), ("tau_max", cfg.tau_max)]:
+        if not np.isfinite(value):
+            raise RangeError(f"{key} must be finite, got {value}")
     for key in ("gamma2", "gamma3", "gamma4"):
         if key in system_kw and system_kw[key] <= 0.0:
             raise RangeError(f"{key} must be positive, got {system_kw[key]}")

@@ -10,7 +10,8 @@ the trace, which turns the master equation into the affine system
 dx/dt = A x + b.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,6 +67,9 @@ class SystemParams:
     gamma24: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise InvalidParams(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("omega1", "omega_rf", "omega3",
                      "gamma23", "gamma34", "gamma24"):
             if getattr(self, name) < 0.0:

@@ -148,20 +148,29 @@ def _structure(regime):
 
 
 def _factor(s, m):
-    """Solver for (s - m) y = r at machine precision."""
-    a = s * np.eye(len(m)) - m
+    """Solver for (s - m) y = r at machine precision, at every s of an array.
+
+    The condition check applies at each sample; the worst one is reported.
+    """
+    a = s[..., None, None] * np.eye(len(m)) - m
     sv = np.linalg.svd(a, compute_uv=False)
-    cond = sv[0] / sv[-1] if sv[-1] else np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.max(sv[..., 0] / sv[..., -1])
     if not cond <= COND_LIMIT:
         raise NearPole(f"hierarchy block condition {cond:.2e} exceeds 1e12")
-    return np.linalg.inv(a).dot
+    inv = np.linalg.inv(a)
+    return lambda rhs: (inv @ rhs[..., None])[..., 0]
 
 
 def _factor_mp(s, m):
-    """Solver for (s - m) y = r at mpmath precision (pivoted LU)."""
+    """Solver for (s - m) y = r at mpmath precision (pivoted LU).
+
+    `m` is a list of rows of mpf entries, with exact zeros as int 0 so that
+    products with them can be skipped.
+    """
     n = len(m)
-    lu = [[s - v if i == j else mpmath.mpc(-v) for j, v in enumerate(row)]
-          for i, row in enumerate(m.tolist())]
+    lu = [[s - v if i == j else -v for j, v in enumerate(row)]
+          for i, row in enumerate(m)]
     perm = list(range(n))
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(lu[r][col]))
@@ -170,20 +179,24 @@ def _factor_mp(s, m):
         lu[col], lu[piv] = lu[piv], lu[col]
         perm[col], perm[piv] = perm[piv], perm[col]
         for r in range(col + 1, n):
-            f = lu[r][col] = lu[r][col] / lu[col][col]
-            if f != 0:
+            if lu[r][col]:
+                f = lu[r][col] = lu[r][col] / lu[col][col]
                 for c in range(col + 1, n):
-                    lu[r][c] -= f * lu[col][c]
+                    if lu[col][c]:
+                        lu[r][c] -= f * lu[col][c]
 
     def solve(rhs):
         x = [rhs[p] for p in perm]
         for r in range(n):
             for c in range(r):
-                x[r] -= lu[r][c] * x[c]
+                if lu[r][c] and x[c]:
+                    x[r] -= lu[r][c] * x[c]
         for r in range(n - 1, -1, -1):
             for c in range(r + 1, n):
-                x[r] -= lu[r][c] * x[c]
-            x[r] /= lu[r][r]
+                if lu[r][c] and x[c]:
+                    x[r] -= lu[r][c] * x[c]
+            if x[r]:
+                x[r] /= lu[r][r]
         return x
 
     return solve
@@ -193,6 +206,9 @@ class _Dyson:
     """The terms y0, y1, y2 of one parameter set, evaluated at any s.
 
     `masks[k]` selects which of the `blocks` of A0 to solve for in term k.
+    At complex128 s may be an array: each term then has shape s.shape + (DIM,).
+    At mpmath s the chain runs on plain lists of mpf/mpc and each term comes
+    back as a length-DIM object array.
     """
 
     def __init__(self, params, regime, blocks, masks):
@@ -204,29 +220,70 @@ class _Dyson:
         self.supports = [np.flatnonzero(mask) for mask in masks]
         self.couplings = [a1[np.ix_(self.supports[k + 1], self.supports[k])]
                           for k in (0, 1)]
+        # The same data for the mpmath chain, converted once.  A double is
+        # exact at 53 bits, so these values serve every working precision.
+        with mpmath.workprec(53):
+            self.mp_blocks = {key: [[mpmath.mpf(v) if v else 0 for v in row]
+                                    for row in m.tolist()]
+                              for key, m in self.blocks.items()}
+            self.mp_couplings = [
+                [(int(sup[i]), int(prev[j]), mpmath.mpf(a[i, j]))
+                 for i, j in zip(*np.nonzero(a))]
+                for a, sup, prev in zip(self.couplings, self.supports[1:],
+                                        self.supports)]
+            self.mp_b = [[(int(i), mpmath.mpf(b[i])) for i in np.flatnonzero(b)]
+                         for b in (self.b0, self.b1)]
 
     def __call__(self, s, x0):
-        mp = _is_mp(s)
-        factor = _factor_mp if mp else _factor
-        solvers = {key: factor(s, m) for key, m in self.blocks.items()}
-        dtype = object if mp else complex
+        if _is_mp(s):
+            return self._call_mp(s, x0)
+        s = np.asarray(s, dtype=complex)
+        solvers = {key: _factor(s, m) for key, m in self.blocks.items()}
 
         def resolve(k, rhs):     # R0 rhs on the blocks of term k
-            y = np.zeros(DIM, dtype=dtype)
+            y = np.zeros(rhs.shape, dtype=complex)
             for idx in self.terms[k]:
-                y[idx] = solvers[idx[0]](rhs[idx])
+                y[..., idx] = solvers[idx[0]](rhs[..., idx])
             return y
 
         def couple(k, y):        # A1 y, kept on the support of term k
-            rhs = np.zeros(DIM, dtype=dtype)
+            rhs = np.zeros(y.shape, dtype=complex)
             sup, prev = self.supports[k], self.supports[k - 1]
-            rhs[sup] = self.couplings[k - 1] @ y[prev]
+            rhs[..., sup] = y[..., prev] @ self.couplings[k - 1].T
             return rhs
 
+        s = s[..., None]
         y0 = resolve(0, x0 + self.b0 / s)
         y1 = resolve(1, couple(1, y0) + self.b1 / s)
         y2 = resolve(2, couple(2, y1))
         return y0, y1, y2
+
+    def _call_mp(self, s, x0):
+        solvers = {key: _factor_mp(s, m) for key, m in self.mp_blocks.items()}
+
+        def resolve(k, rhs):
+            y = [0] * DIM
+            for idx in self.terms[k]:
+                for i, v in zip(idx, solvers[idx[0]]([rhs[i] for i in idx])):
+                    y[i] = v
+            return y
+
+        def couple(k, y):
+            rhs = [0] * DIM
+            for i, j, a in self.mp_couplings[k - 1]:
+                if y[j]:
+                    rhs[i] += a * y[j]
+            return rhs
+
+        def drive(rhs, k):       # rhs + b_k / s
+            for i, b in self.mp_b[k]:
+                rhs[i] += b / s
+            return rhs
+
+        y0 = resolve(0, drive(x0.tolist(), 0))
+        y1 = resolve(1, drive(couple(1, y0), 1))
+        y2 = resolve(2, couple(2, y1))
+        return tuple(np.array(y, dtype=object) for y in (y0, y1, y2))
 
 
 @dataclass(frozen=True)
@@ -264,7 +321,11 @@ def laplace_solve(params: SystemParams, regime, init_level, s) -> HierarchySolut
 
 
 def laplace_observable(params: SystemParams, regime, init_level, observable):
-    """Closure F(s) for one population transform; usable at mpc s (Talbot)."""
+    """Closure F(s) for one population transform.
+
+    F accepts a complex scalar, a complex array (one value per element, as
+    the contour residues use it) or an mpmath mpc (the Talbot path).
+    """
     regime = Regime.coerce(regime)
     _require_resonant(params)
     if observable not in OBSERVABLE_TO_PSI:
@@ -276,7 +337,7 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
 
     def F(s):
         y0, _y1, y2 = dyson(s, x0)   # populations have no first-order part
-        return y0[idx] + y2[idx]
+        return y0[..., idx] + y2[..., idx]
 
     return F
 

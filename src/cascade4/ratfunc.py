@@ -4,6 +4,8 @@ independent inversion engines (partial fractions and fixed-Talbot quadrature).
 Polynomial coefficient arrays are ascending (c[0] + c[1] s + ...).
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -211,7 +213,9 @@ class ExponentialSum:
 
     def __call__(self, ts):
         vals = self.eval_complex(ts)
-        scale = max(1.0, np.max(np.abs(vals)) if vals.size else 1.0)
+        if not vals.size:
+            return vals.real
+        scale = max(1.0, np.max(np.abs(vals)))
         if np.max(np.abs(vals.imag)) > self.IMAG_TOL * scale:
             raise ArithmeticError(
                 "exponential sum is not real on t >= 0 "
@@ -230,7 +234,7 @@ class ExponentialSum:
         return sum(c for c, r, p in self.terms if p == 0 and abs(r) < 1e-12)
 
     def significant_rates(self, rel=1e-9):
-        scale = max(abs(c) for c, _r, _p in self.terms)
+        scale = max((abs(c) for c, _r, _p in self.terms), default=0.0)
         return sorted({(round(r.real, 9), round(abs(r.imag), 9))
                        for c, r, _p in self.terms if abs(c) > rel * scale})
 
@@ -239,11 +243,13 @@ def laurent_coefficients(F, pole, order, radius, points=64):
     """Principal-part coefficients a_{-1} .. a_{-order} of F about `pole`.
 
     Trapezoid rule on a circle of `radius`; spectrally accurate while the
-    nearest other singularity stays well outside the contour.
+    nearest other singularity stays well outside the contour.  F must accept
+    a complex array and return its values elementwise: the whole ring is
+    sampled in one call.
     """
     theta = 2.0 * np.pi * np.arange(points) / points
     ring = np.exp(1j * theta)
-    samples = np.array([F(pole + radius * z) for z in ring], dtype=complex)
+    samples = np.asarray(F(pole + radius * ring), dtype=complex)
     coeffs = []
     for l in range(1, order + 1):
         coeffs.append(radius ** l * np.mean(samples * ring ** l))
@@ -256,7 +262,10 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     Denominator roots come from the companion matrix (or the stored factor
     list); roots within 1e-8 relative distance are treated as one pole of
     higher multiplicity, and the inverse transform of 1/(s-p)^m contributes
-    t^{m-1} e^{pt} / (m-1)!.
+    t^{m-1} e^{pt} / (m-1)!.  An isolated simple pole p takes the residue
+    N(p) / prod_j (p - r_j)^{m_j} over the other roots: the product form of
+    D'(p), which keeps the digits that expanding D and differentiating it
+    loses when poles sit far off the real axis.
     """
     if rf.den_factors is not None:
         raw = [r for r, _m in rf.den_factors]
@@ -266,13 +275,14 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
         mult = [1] * len(raw)
     clusters = cluster_poles(raw, mult)
 
-    dprime = np.polynomial.polynomial.polyder(rf.denominator)
     terms = []
     for centroid, order, spread in clusters:
         others = [c for c, _o, _s in clusters if c is not centroid and c != centroid]
         dist = min((abs(centroid - c) for c in others), default=1.0)
         if order == 1 and spread == 0.0:
-            res = poly_eval(rf.numerator, centroid) / poly_eval(dprime, centroid)
+            dprime = math.prod((centroid - r) ** m for r, m in zip(raw, mult)
+                               if r != centroid)
+            res = poly_eval(rf.numerator, centroid) / dprime
             terms.append((res, centroid, 0))
             continue
         radius = 0.3 * dist
@@ -301,6 +311,30 @@ def talbot_nodes_required(t, max_imag, base=32):
     return max(base, needed)
 
 
+@functools.lru_cache(maxsize=4)
+def _talbot_rule(nodes, dps):
+    """The t-independent part of the fixed-Talbot rule at `dps` digits.
+
+    Returns (z, w): the nodes z_k = s_k t of the upper contour half, with
+    r = 2*nodes/5, theta_k = pi k/nodes and z_k = r theta_k (cot theta_k + i)
+    (z_0 = r), and their weights w_k = e^{z_k} (1 + i(theta_k (1 + cot^2
+    theta_k) - cot theta_k)) (w_0 = e^r / 2).  A few tables are kept, since
+    the callers evaluate many transforms at the same handful of times.
+    """
+    with mpmath.workdps(dps):
+        r = mpmath.mpf(2 * nodes) / 5
+        z = [mpmath.mpc(r)]
+        w = [mpmath.exp(r) / 2]
+        for k in range(1, nodes):
+            theta = mpmath.pi * k / nodes
+            cos, sin = mpmath.cos_sin(theta)
+            cot = cos / sin
+            zk = r * theta * mpmath.mpc(cot, 1)
+            z.append(zk)
+            w.append(mpmath.exp(zk) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot))
+        return tuple(z), tuple(w)
+
+
 def talbot_invert(F, t, nodes=32, dps=None):
     """Inverse Laplace transform at a single t > 0 by the fixed-Talbot rule.
 
@@ -312,25 +346,21 @@ def talbot_invert(F, t, nodes=32, dps=None):
     transforms with poles far off the real axis the node count must grow
     (see talbot_nodes_required), both to keep the contour outside the poles
     and to resolve the oscillation they imprint.
+
+    The nodes z_k = s_k t and weights w_k do not depend on t; they come from
+    a small table cached per (nodes, dps), so a call costs one division
+    z_k / t, one F evaluation and one product per node.
     """
     if t <= 0:
         raise ValueError("talbot_invert requires t > 0")
     if dps is None:
         dps = 20 + int(np.ceil(0.19 * nodes))
+    z, w = _talbot_rule(nodes, dps)
     with mpmath.workdps(dps):
         tmp = mpmath.mpf(t)
-        M = nodes
-        r = mpmath.mpf(2 * M) / 5
         total = mpmath.mpf(0)
-        # k = 0 node sits on the real axis.
-        p0 = r / tmp
-        total += (mpmath.exp(p0 * tmp) / 2 * F(mpmath.mpc(p0))).real
-        for k in range(1, M):
-            theta = mpmath.pi * k / M
-            cot = mpmath.cos(theta) / mpmath.sin(theta)
-            pk = r / tmp * theta * mpmath.mpc(cot, 1)
-            gamma = mpmath.exp(pk * tmp) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot)
-            total += (gamma * F(pk)).real
+        for zk, wk in zip(z, w):
+            total += (wk * F(zk / tmp)).real
         return float(2 * total / (5 * tmp))
 
 
@@ -338,8 +368,9 @@ def talbot_invert_rf(rf: RationalFunction, t, nodes=None):
     """Talbot inversion of a rational function, choosing nodes from its poles."""
     if nodes is None:
         nodes = talbot_nodes_required(t, rf.max_imag_pole())
-    num = [complex(c) for c in rf.numerator]
-    den = [complex(c) for c in rf.denominator]
+    with mpmath.workprec(53):     # exact for double coefficients
+        num = [mpmath.mpc(c) for c in rf.numerator]
+        den = [mpmath.mpc(c) for c in rf.denominator]
 
     def F(s):
         acc_n = 0

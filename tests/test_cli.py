@@ -226,3 +226,20 @@ def test_cs_drives_only_config_refused(tmp_path, capsys):
     assert run(["--config", cfg, "cs", "--out", str(out)]) == 1
     assert "UnstableGenerator" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("omega1 = 4", "omega1 = nan"),
+    ("omega1 = 4", "omega1 = inf"),
+    ("tau_max = 40", "tau_max = nan"),
+])
+def test_non_finite_config_refused(tmp_path, capsys, old, new):
+    # nan passes every sign check: a nan drive crashed `cs` inside LAPACK,
+    # an inf one ended in SingularGenerator, and a nan tau_max was accepted.
+    cfg = _write_cfg(tmp_path, FIG2_CFG.replace(old, new))
+    out = tmp_path / "cs.csv"
+    assert run(["--config", cfg, "cs", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    key = new.split(" = ")[0]
+    assert "config error" in err and f"{key} must be finite" in err
+    assert not out.exists()

@@ -95,6 +95,15 @@ def test_invalid_params_rejected():
         SystemParams(omega1=-1.0)
 
 
+@pytest.mark.parametrize("name", ["omega1", "omega_rf", "delta2", "gamma2",
+                                  "gamma24"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_params_rejected(name, value):
+    # nan passes every sign check (nan < 0 is False), so it needs its own
+    with pytest.raises(InvalidParams, match=f"{name} must be finite"):
+        SystemParams(**{name: value})
+
+
 def test_prepare_state():
     assert np.array_equal(prepare_state(1), np.zeros(DIM))
     x3 = prepare_state(3)

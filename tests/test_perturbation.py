@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cascade4.dynamics import evolve
 from cascade4.errors import NearPole, NonzeroDetuning, NotCatalogued
 from cascade4.model import P22, build_generator, prepare_state
 from cascade4.perturbation import (
+    _PSI_INDEX,
     APPENDIX_CATALOGUE,
     Regime,
     analytic_g2,
@@ -67,7 +70,6 @@ def test_orders_scale_with_perturbative_drive(strong_weakdrive,
                                               weak_rf_point):
     # term k of the Dyson chain is exactly order k in the perturbative
     # drives: halving them scales it by 2^-k
-    from dataclasses import replace
     s = 0.7 + 0.3j
     for params, regime, half in (
             (strong_weakdrive, "strong",
@@ -88,7 +90,6 @@ def test_orders_scale_with_perturbative_drive(strong_weakdrive,
 
 
 def test_nonzero_detuning_rejected(strong_weakdrive):
-    from dataclasses import replace
     p = replace(strong_weakdrive, delta1=0.5)
     with pytest.raises(NonzeroDetuning):
         laplace_solve(p, "strong", 1, 1.0 + 0.0j)
@@ -100,9 +101,67 @@ def test_nonzero_detuning_rejected(strong_weakdrive):
 
 def test_near_pole_rejected(strong_weakdrive):
     rs = root_set(strong_weakdrive, "strong")
-    pole = rs.cubic[np.argmin(np.abs(rs.cubic.imag))]  # real cubic root
+    pole = complex(rs.cubic[np.argmin(np.abs(rs.cubic.imag))])  # real root
     with pytest.raises(NearPole):
-        laplace_solve(strong_weakdrive, "strong", 3, complex(pole))
+        laplace_solve(strong_weakdrive, "strong", 3, pole)
+    # one point of a contour ring on the pole spoils the whole batch
+    F = laplace_observable(strong_weakdrive, "strong", 3, "rho22")
+    ring = pole + 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
+    assert np.all(np.isfinite(F(ring)))
+    ring[5] = pole
+    with pytest.raises(NearPole):
+        F(ring)
+
+
+def dyson_reference(params, regime, init, s):
+    """The Dyson terms y0, y1, y2 on the full 15x15 matrices, without the
+    block structure."""
+    off = ({"omega1": 0.0, "omega3": 0.0} if regime == "strong"
+           else {"omega_rf": 0.0})
+    full = build_generator(params)
+    base = build_generator(replace(params, **off))
+    a1, b1 = full.A - base.A, full.b - base.b
+
+    def r0(rhs):
+        return np.linalg.solve(s * np.eye(15) - base.A, rhs)
+
+    y0 = r0(prepare_state(init) + base.b / s)
+    y1 = r0(a1 @ y0 + b1 / s)
+    return y0, y1, r0(a1 @ y1)
+
+
+@pytest.mark.parametrize("gammas", ["unit", "physical"])
+def test_laplace_solve_scalar_matches_full_dyson(gammas):
+    points = ((closed_cascade(0.2, 20.0, 0.2, gammas), "strong"),
+              (closed_cascade(4.0, 0.2, 4.0, gammas), "weak"))
+    for params, regime in points:
+        for init in (1, 2, 3):
+            for s in (0.7 + 0.3j, 2.0 + 0.0j, -0.2 + 3.7j, 1e-3 + 0.01j):
+                sol = laplace_solve(params, regime, init, s)
+                ys = dyson_reference(params, regime, init, s)
+                for name, parts in sol.orders.items():
+                    re, *im = _PSI_INDEX[name]
+                    for k, value in parts.items():
+                        want = ys[k][re] + (1j * ys[k][im[0]] if im else 0.0)
+                        assert np.ndim(value) == 0
+                        assert abs(value - want) <= 1e-13 * abs(sol.totals[name])
+
+
+@pytest.mark.parametrize("gammas", ["unit", "physical"])
+def test_observable_closure_broadcasts(gammas):
+    # one call on an array of s equals the scalar calls elementwise
+    points = ((closed_cascade(0.2, 20.0, 0.2, gammas), "strong"),
+              (closed_cascade(4.0, 0.2, 4.0, gammas), "weak"))
+    s = np.concatenate([0.3 + 0.2 * np.exp(2j * np.pi * np.arange(16) / 16),
+                        [2.0, 0.05 + 1.0j, -0.2 + 3.7j, 1e-3 + 0.01j]])
+    for params, regime in points:
+        for init, observable in ((1, "rho22"), (2, "rho33"), (3, "rho22"),
+                                 (3, "rho33"), (3, "rho44")):
+            F = laplace_observable(params, regime, init, observable)
+            batch = F(s)
+            assert batch.shape == s.shape
+            for z, value in zip(s, batch):
+                assert abs(value - F(z)) <= 1e-13 * abs(F(z))
 
 
 def test_talbot_inversion_of_hierarchy_matches_exact(strong_weakdrive):
@@ -237,6 +296,7 @@ def test_analytic_g2_zero_delay(strong_weakdrive, weak_rf_point):
     assert abs(s31.values[0]) < 1e-8 * np.max(np.abs(s31.values))
     w11 = analytic_g2(weak_rf_point, "weak", (1, 1), taus)
     assert abs(w11.values[0]) < 1e-8 * max(np.max(np.abs(w11.values)), 1.0)
+    assert analytic_g2(weak_rf_point, "weak", (1, 1), []).values.shape == (0,)
 
 
 def test_analytic_g31_matches_exact(strong_weakdrive):

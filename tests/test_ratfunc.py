@@ -1,8 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 from cascade4.errors import IllConditionedPoles
 from cascade4.ratfunc import (
+    _talbot_rule,
     ExponentialSum,
     RationalFunction,
     cluster_poles,
@@ -11,7 +13,25 @@ from cascade4.ratfunc import (
     poly_from_roots,
     talbot_invert,
     talbot_invert_rf,
+    talbot_nodes_required,
 )
+
+
+def talbot_direct(F, t, nodes):
+    """Reference: the fixed-Talbot sum with every node computed directly."""
+    with mpmath.workdps(20 + int(np.ceil(0.19 * nodes))):
+        tmp = mpmath.mpf(t)
+        r = mpmath.mpf(2 * nodes) / 5
+        p0 = r / tmp
+        total = (mpmath.exp(p0 * tmp) / 2 * F(mpmath.mpc(p0))).real
+        for k in range(1, nodes):
+            theta = mpmath.pi * k / nodes
+            cot = mpmath.cos(theta) / mpmath.sin(theta)
+            pk = r / tmp * theta * mpmath.mpc(cot, 1)
+            gamma = (mpmath.exp(pk * tmp)
+                     * mpmath.mpc(1, theta * (1 + cot ** 2) - cot))
+            total += (gamma * F(pk)).real
+        return float(2 * total / (5 * tmp))
 
 
 def test_talbot_simple_pole():
@@ -40,6 +60,21 @@ def test_talbot_oscillatory_rational():
         assert abs(talbot_invert_rf(rf, t) - truth) < 1e-9 * max(abs(truth), 1e-3)
 
 
+def test_talbot_cached_rule_matches_direct_sum():
+    def F(s):
+        return 1 / (s + 1)
+    for t, nodes in ((0.3, 32), (1.0, 32), (4.0, 57)):
+        want = talbot_direct(F, t, nodes)
+        assert abs(talbot_invert(F, t, nodes=nodes) - want) <= 1e-15 * abs(want)
+    rf = RationalFunction.from_factors(
+        np.array([8.0]), [(-0.5 + 8j, 1), (-0.5 - 8j, 1)])
+    for t in (0.3, 2.0, 10.0):
+        want = talbot_direct(rf, t, talbot_nodes_required(t, 8.0))
+        assert abs(talbot_invert_rf(rf, t) - want) <= 1e-15 * abs(want)
+    # a few tables only: one for 284 nodes holds about 0.3 MB
+    assert _talbot_rule.cache_info().maxsize <= 4
+
+
 def test_invert_two_simple_poles():
     rf = RationalFunction.make(np.array([1.0]),
                                poly_from_roots([-1.0, -2.0]))
@@ -47,6 +82,27 @@ def test_invert_two_simple_poles():
     ts = np.linspace(0.0, 5.0, 21)
     truth = np.exp(-ts) - np.exp(-2 * ts)
     assert np.max(np.abs(es(ts) - truth)) < 1e-12
+
+
+def test_invert_residues_keep_digits_under_cancellation():
+    # poles near -1 +- 50.6i (a strong-rf catalogue entry): at small t the
+    # terms, ~5e-3 each, cancel to ~3e-8; residues taken from the expanded
+    # D'(p) were off by 2e-8 relative there
+    roots = [0.0, -1.0 - 50.6j, -1.0 + 50.6j, -1.25 - 50.6022j,
+             -1.25 + 50.6022j, -0.5]
+    num = [349.37227459, 233.30894276, 0.72755637, 0.36377818]
+    rf = RationalFunction.from_factors(np.array(num), [(r, 1) for r in roots])
+    es = invert_rational(rf)
+    with mpmath.workdps(50):
+        for t in (0.07, 0.5):
+            exact = 0
+            for i, p in enumerate(roots):
+                d = mpmath.fprod(mpmath.mpc(p) - q for j, q in enumerate(roots)
+                                 if j != i)
+                exact += (mpmath.polyval(num[::-1], mpmath.mpc(p)) / d
+                          * mpmath.exp(p * mpmath.mpf(t)))
+            want = float(exact.real)
+            assert abs(es(np.array([t]))[0] - want) < 1e-9 * abs(want)
 
 
 def test_invert_double_pole():
@@ -134,6 +190,13 @@ def test_exponential_sum_realness_guard():
     es = ExponentialSum(terms=((1.0 + 0j, -1.0 + 2j, 0),))  # unpaired
     with pytest.raises(ArithmeticError):
         es(np.array([1.0]))
+
+
+def test_exponential_sum_empty_inputs():
+    es = ExponentialSum(terms=((1.0 + 0j, -1.0 + 2j, 0), (1.0 - 0j, -1.0 - 2j, 0)))
+    out = es(np.array([]))
+    assert out.shape == (0,) and out.dtype == float
+    assert ExponentialSum(terms=()).significant_rates() == []
 
 
 def test_exponential_sum_value_at_zero():
