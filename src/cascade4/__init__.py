@@ -27,8 +27,10 @@ from .errors import (
     InvalidParams,
     NearPole,
     NoPeak,
+    NonFiniteTransform,
     NonzeroDetuning,
     NotCatalogued,
+    OutputError,
     ParseError,
     RangeError,
     SingularGenerator,

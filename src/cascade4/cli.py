@@ -14,7 +14,14 @@ import numpy as np
 from . import perturbation
 from .correlations import cs_ratio, default_tau_grid, g2, scan_tau_d
 from .dynamics import evolve, steady_state
-from .errors import Cascade4Error, ConfigError, ParseError, RangeError, UnknownKey
+from .errors import (
+    Cascade4Error,
+    ConfigError,
+    OutputError,
+    ParseError,
+    RangeError,
+    UnknownKey,
+)
 from .model import (
     GAMMA_PRESETS,
     STATE_LABELS,
@@ -33,7 +40,11 @@ SYSTEM_ALIASES = {"delta_rf": "delta2"}
 
 @dataclass
 class RunConfig:
-    system: SystemParams = field(default_factory=SystemParams)
+    """Run settings.  Without a config file the system is the published fig2
+    drive set on unit gammas, the point `run_validation` also defaults to;
+    a config file's [system] section starts from a bare SystemParams."""
+
+    system: SystemParams = field(default_factory=lambda: preset("fig2", "unit"))
     tau_max: float = 10.0
     tau_points: int = 2000
     spacing: str = "log_linear"
@@ -157,8 +168,11 @@ def _write_csv(path, header, rows, comments, precision):
         lines.append(",".join(
             cell if isinstance(cell, str) else _fmt(cell, precision)
             for cell in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
 
 
 def _param_comment(p: SystemParams):
@@ -274,7 +288,10 @@ def _figures_dir(cfg):
     path = cfg.path
     if path.endswith(".csv"):
         path = os.path.dirname(path) or "."
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
     return path
 
 
@@ -415,6 +432,9 @@ def run(argv) -> int:
 
     try:
         return COMMANDS[args.command](cfg, args)
+    except OutputError as exc:
+        print(f"cascade4: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except Cascade4Error as exc:
         print(f"cascade4: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

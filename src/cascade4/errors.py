@@ -50,6 +50,10 @@ class NotCatalogued(Cascade4Error):
     """No transcribed Laplace-space expression for this combination."""
 
 
+class NonFiniteTransform(Cascade4Error):
+    """A Laplace transform evaluated to inf or nan on an inversion contour."""
+
+
 class IllConditionedPoles(Cascade4Error):
     """Pole clustering is ambiguous within the tolerance band."""
 
@@ -72,3 +76,7 @@ class UnknownKey(ConfigError):
 
 class RangeError(ConfigError):
     """Config value outside its allowed range."""
+
+
+class OutputError(Cascade4Error):
+    """An output file or directory cannot be written (exit code 2 in the CLI)."""

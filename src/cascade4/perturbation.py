@@ -324,7 +324,8 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
     """Closure F(s) for one population transform.
 
     F accepts a complex scalar, a complex array (one value per element, as
-    the contour residues use it) or an mpmath mpc (the Talbot path).
+    the contour residues and the light fixed-Talbot nodes use it) or an
+    mpmath mpc (the heavy fixed-Talbot nodes).
     """
     regime = Regime.coerce(regime)
     _require_resonant(params)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .errors import IllConditionedPoles
+from .errors import IllConditionedPoles, NonFiniteTransform
 
 CLUSTER_TOL = 1e-8
 CLUSTER_TOL_UPPER = 1e-6
@@ -265,7 +265,9 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     t^{m-1} e^{pt} / (m-1)!.  An isolated simple pole p takes the residue
     N(p) / prod_j (p - r_j)^{m_j} over the other roots: the product form of
     D'(p), which keeps the digits that expanding D and differentiating it
-    loses when poles sit far off the real axis.
+    loses when poles sit far off the real axis.  N(p) is evaluated at 106
+    bits from the same double coefficients, since a pole next to a root of
+    N makes double-precision Horner cancel (1.6e-8 relative was seen).
     """
     if rf.den_factors is not None:
         raw = [r for r, _m in rf.den_factors]
@@ -274,6 +276,8 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
         raw = list(companion_roots(rf.denominator))
         mult = [1] * len(raw)
     clusters = cluster_poles(raw, mult)
+    with mpmath.workprec(53):     # exact for double coefficients
+        num_mp = [mpmath.mpc(c) for c in rf.numerator[::-1]]
 
     terms = []
     for centroid, order, spread in clusters:
@@ -282,7 +286,9 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
         if order == 1 and spread == 0.0:
             dprime = math.prod((centroid - r) ** m for r, m in zip(raw, mult)
                                if r != centroid)
-            res = poly_eval(rf.numerator, centroid) / dprime
+            with mpmath.workprec(106):
+                num = complex(mpmath.polyval(num_mp, centroid))
+            res = num / dprime
             terms.append((res, centroid, 0))
             continue
         radius = 0.3 * dist
@@ -311,28 +317,65 @@ def talbot_nodes_required(t, max_imag, base=32):
     return max(base, needed)
 
 
+# Fixed-Talbot nodes whose weight |w_k| is at most this are evaluated in one
+# complex128 call instead of at mpmath precision.  Each such term is below
+# 1e-3 |F(z_k/t)|, and double arithmetic puts a few ulps on it (the weight
+# picks up ~|Re z_k| ulps through e^{z_k}), so the light half adds an
+# absolute error near 1e-18 of |F| on the contour.  That is below the last
+# bit of f(t) unless f(t) is itself many orders smaller than F there; the
+# all-mpmath sum is exact to ~1e-20 |F| or better.  At 32-250 nodes,
+# 37-48 % of the nodes leave the mpmath half.
+DOUBLE_WEIGHT = 1e-3
+
+
 @functools.lru_cache(maxsize=4)
 def _talbot_rule(nodes, dps):
     """The t-independent part of the fixed-Talbot rule at `dps` digits.
 
-    Returns (z, w): the nodes z_k = s_k t of the upper contour half, with
-    r = 2*nodes/5, theta_k = pi k/nodes and z_k = r theta_k (cot theta_k + i)
-    (z_0 = r), and their weights w_k = e^{z_k} (1 + i(theta_k (1 + cot^2
-    theta_k) - cot theta_k)) (w_0 = e^r / 2).  A few tables are kept, since
-    the callers evaluate many transforms at the same handful of times.
+    With r = 2*nodes/5 and theta_k = pi k/nodes, the nodes z_k = s_k t of the
+    upper contour half are z_k = r theta_k (cot theta_k + i) (z_0 = r), with
+    weights w_k = e^{z_k} (1 + i(theta_k (1 + cot^2 theta_k) - cot theta_k))
+    (w_0 = e^r / 2).  All weights are first computed in double precision to
+    split the rule: returns (z, w, zd, wd), the nodes with |w_k| >
+    DOUBLE_WEIGHT as mpmath tuples and the rest as read-only complex128
+    arrays.  Double nodes whose weight underflows to 0 are dropped.  A few
+    tables are kept, since the callers evaluate many transforms at the same
+    handful of times.
     """
+    k = np.arange(1, nodes)
+    theta = np.pi * k / nodes
+    # cot theta_k from a well-conditioned tangent: tan(pi/2 - theta_k) in
+    # the middle quarters, 1/tan of theta_k or of theta_k - pi near the ends.
+    # Rounding theta_k itself would put |Im z_k| ulps into e^{z_k}.
+    cot = np.where(2 * np.abs(nodes - 2 * k) <= nodes,
+                   np.tan(np.pi * (nodes - 2 * k) / (2 * nodes)),
+                   1 / np.tan(np.pi * np.where(2 * k < nodes, k, k - nodes) / nodes))
+    shape = theta * (1 + cot ** 2) - cot
+    # Im z_k = r theta_k = 2 pi k / 5, so e^{i Im z_k} is taken from the
+    # reduced angle: rounding Im z_k itself (up to ~1e3) would cost the
+    # weight ~1e-13 of its phase.
+    im = 2 * np.pi * k / 5
+    zd = im * cot + 1j * im
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        mag = np.exp(zd.real) * np.hypot(1.0, shape)
+        wd = np.exp(zd.real) * np.exp(2j * np.pi * (k % 5) / 5) * (1 + 1j * shape)
+    double = mag <= DOUBLE_WEIGHT
+    live = double & (wd != 0)
+    zd, wd = zd[live], wd[live]
+    zd.setflags(write=False)
+    wd.setflags(write=False)
     with mpmath.workdps(dps):
         r = mpmath.mpf(2 * nodes) / 5
         z = [mpmath.mpc(r)]
         w = [mpmath.exp(r) / 2]
-        for k in range(1, nodes):
-            theta = mpmath.pi * k / nodes
+        for k in np.flatnonzero(~double) + 1:
+            theta = mpmath.pi * int(k) / nodes
             cos, sin = mpmath.cos_sin(theta)
             cot = cos / sin
             zk = r * theta * mpmath.mpc(cot, 1)
             z.append(zk)
             w.append(mpmath.exp(zk) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot))
-        return tuple(z), tuple(w)
+        return tuple(z), tuple(w), zd, wd
 
 
 def talbot_invert(F, t, nodes=32, dps=None):
@@ -340,32 +383,53 @@ def talbot_invert(F, t, nodes=32, dps=None):
 
     The contour parameter is r = 2*nodes/5; rounding amplification grows
     like exp(r), so the working precision is raised with the node count
-    (mpmath).  F is called with an mpmath.mpc argument and may return any
-    scalar mpmath/complex type.  The original f(t) is assumed real, i.e.
-    F(conj s) = conj F(s): only the upper contour half is sampled.  For
-    transforms with poles far off the real axis the node count must grow
-    (see talbot_nodes_required), both to keep the contour outside the poles
-    and to resolve the oscillation they imprint.
+    (mpmath).  The original f(t) is assumed real, i.e. F(conj s) = conj
+    F(s): only the upper contour half is sampled.  For transforms with poles
+    far off the real axis the node count must grow (see
+    talbot_nodes_required), both to keep the contour outside the poles and
+    to resolve the oscillation they imprint.
+
+    F is called in two ways and must support both: with an mpmath.mpc
+    scalar (returning any scalar mpmath/complex type), once per node whose
+    weight exceeds DOUBLE_WEIGHT, and once with a complex128 array holding
+    every other node (returning one value per element).  The light nodes lie
+    far into the left half-plane, where each weighted term is below 1e-3
+    |F|; summing them in double adds an absolute error near 1e-18 of |F| on
+    the contour, which does not shrink with f(t) (see DOUBLE_WEIGHT).  A
+    non-finite value from the array call raises NonFiniteTransform rather
+    than being summed.
 
     The nodes z_k = s_k t and weights w_k do not depend on t; they come from
     a small table cached per (nodes, dps), so a call costs one division
-    z_k / t, one F evaluation and one product per node.
+    z_k / t, one F evaluation and one product per mp node, and one array
+    call for the rest.
     """
     if t <= 0:
         raise ValueError("talbot_invert requires t > 0")
     if dps is None:
         dps = 20 + int(np.ceil(0.19 * nodes))
-    z, w = _talbot_rule(nodes, dps)
+    z, w, zd, wd = _talbot_rule(nodes, dps)
     with mpmath.workdps(dps):
         tmp = mpmath.mpf(t)
         total = mpmath.mpf(0)
         for zk, wk in zip(z, w):
             total += (wk * F(zk / tmp)).real
+        if len(zd):
+            values = np.asarray(F(zd / float(t)), dtype=complex)
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteTransform(
+                    f"transform is not finite at {np.sum(~np.isfinite(values))} "
+                    f"of {len(zd)} double-precision Talbot nodes (t = {t:g})")
+            total += float(np.sum((wd * values).real))
         return float(2 * total / (5 * tmp))
 
 
 def talbot_invert_rf(rf: RationalFunction, t, nodes=None):
-    """Talbot inversion of a rational function, choosing nodes from its poles."""
+    """Talbot inversion of a rational function, choosing nodes from its poles.
+
+    The mp nodes use Horner on the coefficients converted to mpc; the array
+    of light nodes goes through RationalFunction.__call__ at complex128.
+    """
     if nodes is None:
         nodes = talbot_nodes_required(t, rf.max_imag_pole())
     with mpmath.workprec(53):     # exact for double coefficients
@@ -373,6 +437,8 @@ def talbot_invert_rf(rf: RationalFunction, t, nodes=None):
         den = [mpmath.mpc(c) for c in rf.denominator]
 
     def F(s):
+        if isinstance(s, np.ndarray):
+            return rf(s)
         acc_n = 0
         for c in reversed(num):
             acc_n = acc_n * s + c

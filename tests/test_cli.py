@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cascade4
 from cascade4.cli import parse_config, run
 from cascade4.errors import ParseError, RangeError, UnknownKey
 from cascade4.model import preset
@@ -103,9 +108,13 @@ def test_run_g2_first_row_zero(tmp_path):
     assert data[1] == "0,0"
 
 
+ZERO_DRIVES_CFG = "[system]\nomega1 = 0\nomega_rf = 0\nomega3 = 0\n"
+
+
 def test_run_steady_zero_drives(tmp_path):
+    cfg = _write_cfg(tmp_path, ZERO_DRIVES_CFG)
     out = tmp_path / "steady.csv"
-    code = run(["steady", "--out", str(out)])
+    code = run(["--config", cfg, "steady", "--out", str(out)])
     assert code == 0
     lines = [ln for ln in out.read_text().splitlines()
              if not ln.startswith("#")]
@@ -165,7 +174,40 @@ def test_exit_codes(tmp_path):
     assert missing == 2
     # computation error: no optical drives -> correlation undefined
     out = tmp_path / "x.csv"
-    assert run(["g2", "--pair", "11", "--out", str(out)]) == 1
+    zero = _write_cfg(tmp_path, ZERO_DRIVES_CFG, name="zero.cfg")
+    assert run(["--config", zero, "g2", "--pair", "11", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "cs"])
+def test_no_config_runs_fig2(tmp_path, capsys, command):
+    # without --config the system is preset("fig2", "unit")
+    out = tmp_path / "out.csv"
+    assert run([command, "--out", str(out)]) == 0
+    params = [ln for ln in out.read_text().splitlines()
+              if ln.startswith("# params:")]
+    assert params == ["# params: omega1=4, omega_rf=20, omega3=4, delta1=0, "
+                      "delta2=0, delta3=0, gamma2=1, gamma3=1, gamma4=0.16, "
+                      "gamma23=1, gamma34=0.16, gamma24=0"]
+
+
+@pytest.mark.parametrize("command", ["steady", "cs"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    assert run([command, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascade4: cannot write output: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_python_m_cascade4(tmp_path):
+    src = os.path.dirname(os.path.dirname(cascade4.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "v.csv"
+    done = subprocess.run([sys.executable, "-m", "cascade4", "--out", str(out),
+                           "validate"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "validation report" in done.stdout
+    assert out.read_text().splitlines()[-1].count(",") == 4
 
 
 def test_validate_writes_report(tmp_path, capsys):

@@ -1,10 +1,19 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cascade4.errors import IllConditionedPoles
+from cascade4.errors import IllConditionedPoles, NonFiniteTransform
+from cascade4.perturbation import (
+    appendix_rational,
+    hierarchy_poles,
+    laplace_observable,
+    talbot_g2_value,
+)
 from cascade4.ratfunc import (
     _talbot_rule,
+    DOUBLE_WEIGHT,
     ExponentialSum,
     RationalFunction,
     cluster_poles,
@@ -16,21 +25,31 @@ from cascade4.ratfunc import (
     talbot_nodes_required,
 )
 
+from conftest import closed_cascade
 
-def talbot_direct(F, t, nodes):
-    """Reference: the fixed-Talbot sum with every node computed directly."""
-    with mpmath.workdps(20 + int(np.ceil(0.19 * nodes))):
+
+def talbot_node(nodes, k):
+    """z_k and w_k of the fixed-Talbot rule at the current mpmath precision."""
+    r = mpmath.mpf(2 * nodes) / 5
+    if k == 0:
+        return mpmath.mpc(r), mpmath.exp(r) / 2
+    theta = mpmath.pi * k / nodes
+    cot = mpmath.cos(theta) / mpmath.sin(theta)
+    z = r * theta * mpmath.mpc(cot, 1)
+    return z, mpmath.exp(z) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot)
+
+
+def talbot_direct(F, t, nodes, dps=None):
+    """Reference: the fixed-Talbot sum with every node computed directly at
+    mpmath precision (talbot_invert's precision unless `dps` is given)."""
+    if dps is None:
+        dps = 20 + int(np.ceil(0.19 * nodes))
+    with mpmath.workdps(dps):
         tmp = mpmath.mpf(t)
-        r = mpmath.mpf(2 * nodes) / 5
-        p0 = r / tmp
-        total = (mpmath.exp(p0 * tmp) / 2 * F(mpmath.mpc(p0))).real
-        for k in range(1, nodes):
-            theta = mpmath.pi * k / nodes
-            cot = mpmath.cos(theta) / mpmath.sin(theta)
-            pk = r / tmp * theta * mpmath.mpc(cot, 1)
-            gamma = (mpmath.exp(pk * tmp)
-                     * mpmath.mpc(1, theta * (1 + cot ** 2) - cot))
-            total += (gamma * F(pk)).real
+        total = 0
+        for k in range(nodes):
+            z, w = talbot_node(nodes, k)
+            total += (w * F(z / tmp)).real
         return float(2 * total / (5 * tmp))
 
 
@@ -75,6 +94,97 @@ def test_talbot_cached_rule_matches_direct_sum():
     assert _talbot_rule.cache_info().maxsize <= 4
 
 
+def test_talbot_rule_splits_every_node_once():
+    for nodes in (32, 61, 176, 390):
+        dps = 20 + int(np.ceil(0.19 * nodes))
+        z, w, zd, wd = _talbot_rule(nodes, dps)
+        assert not zd.flags.writeable and not wd.flags.writeable
+        # Im z_k = 2 pi k / 5 identifies the node
+        k_mp = [int(round(float(zk.imag) * 5 / (2 * np.pi))) for zk in z]
+        k_d = np.rint(zd.imag * 5 / (2 * np.pi)).astype(int).tolist()
+        assert len(set(k_mp)) == len(k_mp) and len(set(k_d)) == len(k_d)
+        assert not set(k_mp) & set(k_d)
+        with mpmath.workdps(dps):
+            for k in range(nodes):
+                zk, wk = talbot_node(nodes, k)
+                if k in k_mp:
+                    i = k_mp.index(k)
+                    assert abs(wk) > DOUBLE_WEIGHT
+                    assert abs(z[i] - zk) <= 1e-40 * abs(zk)
+                    assert abs(w[i] - wk) <= 1e-40 * abs(wk)
+                elif k in k_d:
+                    i = k_d.index(k)
+                    assert 0 < abs(wd[i]) <= DOUBLE_WEIGHT
+                    assert abs(zd[i] - complex(zk)) <= 1e-15 * abs(zk)
+                    # e^{z_k} turns the rounding of Re z_k into |Re z_k| ulps
+                    # (subnormal weights keep only absolute accuracy)
+                    tol = 1e-15 * (1 + abs(zk.real)) * abs(wk) + 1e-320
+                    assert abs(wd[i] - complex(wk)) <= tol
+                else:       # dropped: the weight underflows in double
+                    assert abs(wk) < 1e-300
+
+
+@pytest.mark.parametrize("gammas", ["unit", "physical"])
+@pytest.mark.parametrize("regime,drives", [
+    ("strong", {"omega1": 0.2, "omega_rf": 20.0, "omega3": 0.2}),
+    ("weak", {"omega1": 4.0, "omega_rf": 0.2, "omega3": 4.0}),
+])
+def test_talbot_g2_value_matches_all_mp_sum(gammas, regime, drives):
+    p = closed_cascade(gammas=gammas, **drives)
+    F = laplace_observable(p, regime, 3, "rho22")
+    max_im = max(abs(q.imag) for q, _m in hierarchy_poles(p, regime))
+    ss = 0.25
+    for tau in (0.3, 1.5):
+        nodes = talbot_nodes_required(tau, max_im)
+        want = talbot_direct(F, tau, nodes,
+                             dps=30 + int(np.ceil(0.19 * nodes))) / ss
+        got = talbot_g2_value(p, regime, (3, 1), tau, ss=ss)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@st.composite
+def stable_rational(draw):
+    """Real-valued transforms with poles in Re s < 0, some repeated."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        re = -draw(st.floats(0.01, 5.0))
+        m = draw(st.sampled_from((1, 1, 2)))
+        if draw(st.booleans()):
+            im = draw(st.floats(0.1, 20.0))
+            factors += [(complex(re, im), m), (complex(re, -im), m)]
+        else:
+            factors.append((complex(re, 0.0), m))
+    degree = sum(m for _p, m in factors)
+    num = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=degree))
+    return RationalFunction.from_factors(np.array(num), factors)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rf=stable_rational(), t=st.floats(0.05, 10.0))
+def test_talbot_mixed_precision_property(rf, t):
+    nodes = talbot_nodes_required(t, rf.max_imag_pole())
+    want = talbot_direct(rf, t, nodes)
+    got = talbot_invert_rf(rf, t)
+    # The light half is summed in double.  Each of its terms (below 1e-3 |F|)
+    # carries ~|Re z_k| ulps from e^{z_k} and a few from F, so that part of
+    # the error is absolute: it does not shrink with f(t).
+    _z, _w, zd, wd = _talbot_rule(nodes, 20 + int(np.ceil(0.19 * nodes)))
+    light = 2 / (5 * t) * np.sum(np.abs(wd * rf(zd / t)) * (1 + np.abs(zd.real)))
+    assert abs(got - want) <= 1e-15 * max(abs(want), 1e-9) + 1e-14 * light
+
+
+def test_talbot_non_finite_transform_raises():
+    # e^{-s}/(s+1), a decay delayed by 1: e^{-s} overflows in double at the
+    # light nodes, which lie far into the left half-plane
+    def F(s):
+        if isinstance(s, np.ndarray):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.exp(-s) / (s + 1)
+        return mpmath.exp(-s) / (s + 1)
+    with pytest.raises(NonFiniteTransform):
+        talbot_invert(F, 0.25)
+
+
 def test_invert_two_simple_poles():
     rf = RationalFunction.make(np.array([1.0]),
                                poly_from_roots([-1.0, -2.0]))
@@ -82,6 +192,20 @@ def test_invert_two_simple_poles():
     ts = np.linspace(0.0, 5.0, 21)
     truth = np.exp(-ts) - np.exp(-2 * ts)
     assert np.max(np.abs(es(ts) - truth)) < 1e-12
+
+
+def residue_sum_mp(num, roots, t):
+    """sum_p N(p) e^{pt} / prod_{q != p} (p - q) over simple poles, at 50
+    digits from the given double coefficients and roots."""
+    with mpmath.workdps(50):
+        num = [mpmath.mpc(c) for c in num]
+        exact = 0
+        for i, p in enumerate(roots):
+            d = mpmath.fprod(mpmath.mpc(p) - q for j, q in enumerate(roots)
+                             if j != i)
+            exact += (mpmath.polyval(num[::-1], mpmath.mpc(p)) / d
+                      * mpmath.exp(p * mpmath.mpf(t)))
+        return float(exact.real)
 
 
 def test_invert_residues_keep_digits_under_cancellation():
@@ -93,16 +217,21 @@ def test_invert_residues_keep_digits_under_cancellation():
     num = [349.37227459, 233.30894276, 0.72755637, 0.36377818]
     rf = RationalFunction.from_factors(np.array(num), [(r, 1) for r in roots])
     es = invert_rational(rf)
-    with mpmath.workdps(50):
-        for t in (0.07, 0.5):
-            exact = 0
-            for i, p in enumerate(roots):
-                d = mpmath.fprod(mpmath.mpc(p) - q for j, q in enumerate(roots)
-                                 if j != i)
-                exact += (mpmath.polyval(num[::-1], mpmath.mpc(p)) / d
-                          * mpmath.exp(p * mpmath.mpf(t)))
-            want = float(exact.real)
-            assert abs(es(np.array([t]))[0] - want) < 1e-9 * abs(want)
+    for t in (0.07, 0.5):
+        want = residue_sum_mp(num, roots, t)
+        assert abs(es(np.array([t]))[0] - want) < 1e-9 * abs(want)
+
+
+def test_invert_residues_keep_digits_next_to_numerator_root(weak_rf_point):
+    # weak-rf (3, rho22) at the validation point: N nearly vanishes at the
+    # pole -0.49979, where double-precision Horner lost 1.6e-8
+    rf = appendix_rational(weak_rf_point, "weak", 3, "rho22")
+    assert all(m == 1 for _r, m in rf.den_factors)
+    roots = [r for r, _m in rf.den_factors]
+    es = invert_rational(rf)
+    for t in (0.07, 0.5, 1.8):
+        want = residue_sum_mp(rf.numerator, roots, t)
+        assert abs(es(np.array([t]))[0] - want) <= 1e-12 * abs(want)
 
 
 def test_invert_double_pole():
