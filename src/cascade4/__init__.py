@@ -15,7 +15,6 @@ from .correlations import (
     default_tau_grid,
     g2,
     scan_tau_d,
-    tau_delay,
 )
 from .dynamics import Trajectory, evolve, steady_state
 from .errors import (

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .dynamics import evolve, steady_state
+from .dynamics import _derivative_evaluator, evolve, steady_state
 from .errors import GridMismatch, NoPeak, ZeroSteadyState
 from .model import AffineGenerator, SystemParams, build_generator, prepare_state
 
@@ -96,13 +96,7 @@ def g2(gen: AffineGenerator, pair, taus, backend="expm") -> CorrelationSeries:
     level, obs = PAIR_TABLE[pair]
     taus = np.asarray(taus, dtype=float)
 
-    x_ss = steady_state(gen)
-    norm = x_ss[obs]
-    if norm < DENOMINATOR_FLOOR:
-        raise ZeroSteadyState(
-            f"steady-state population for pair {pair} is {norm:.2e}; "
-            "the correlation is undefined for these drives")
-
+    norm = _steady_norm(gen, pair)
     traj = evolve(gen, prepare_state(level), taus, backend=backend)
     values = traj.states[:, obs] / norm
     # Populations can undershoot by rounding; clip only within tolerance.
@@ -111,6 +105,16 @@ def g2(gen: AffineGenerator, pair, taus, backend="expm") -> CorrelationSeries:
         values = values.copy()
         values[tiny] = 0.0
     return CorrelationSeries(pair=pair, taus=taus, values=values, norm=norm)
+
+
+def _steady_norm(gen, pair):
+    # The steady-state population that normalizes g2 for this pair.
+    norm = steady_state(gen)[PAIR_TABLE[pair][1]]
+    if norm < DENOMINATOR_FLOOR:
+        raise ZeroSteadyState(
+            f"steady-state population for pair {pair} is {norm:.2e}; "
+            "the correlation is undefined for these drives")
+    return norm
 
 
 def cs_ratio(g31: CorrelationSeries, g11: CorrelationSeries,
@@ -138,51 +142,86 @@ def cs_ratio(g31: CorrelationSeries, g11: CorrelationSeries,
                          tau_at_max=float(g31.taus[k]), definition=definition)
 
 
-def tau_delay(series: CorrelationSeries) -> float:
-    """Delay of the first interior local maximum, parabolically refined.
-
-    The first local maximum (not the global one) is used deliberately:
-    strong rf drives superimpose fast oscillations, and the emission delay
-    is set by the first crest.
-    """
-    v, t = series.values, series.taus
-    if len(v) < 3:
-        raise NoPeak("need at least 3 points")
-    for k in range(1, len(v) - 1):
-        if v[k] > v[k - 1] and v[k] > v[k + 1]:
-            return _parabolic_vertex(t[k - 1:k + 2], v[k - 1:k + 2])
-    raise NoPeak("series has no interior local maximum on this grid")
-
-
-def _parabolic_vertex(ts, vs):
-    # Exact vertex of the parabola through three (possibly nonuniform) points.
-    t0, t1, t2 = ts
-    f0, f1, f2 = vs
-    denom = (t1 - t0) * (f1 - f2) - (t1 - t2) * (f1 - f0)
-    if denom == 0.0:
-        return float(t1)
-    num = (t1 - t0) ** 2 * (f1 - f2) - (t1 - t2) ** 2 * (f1 - f0)
-    return float(t1 - 0.5 * num / denom)
-
-
 SWEEPABLE = {"omega1", "omega2", "omega_rf", "omega3"}
 
+# The slope search evaluates the grid in chunks of doubling length, starting
+# here.  On the fig3 sweeps the first crest lies 241-340 points into the
+# 1600-point grid, so fewer than 400 of its points are evaluated.
+FIRST_CHUNK = 128
+# Newton stops once a step falls below this fraction of tau_d; bisection
+# bounds the iteration count if it never does.
+ROOT_RTOL = 4.0 * np.finfo(float).eps
+ROOT_MAX_STEPS = 100
 
-def g31_peak_delay(params: SystemParams, coarse_n=1600, refine=10):
-    """tau_d for one parameter set: coarse pass, then a 10x local refinement."""
+
+def g31_peak_delay(params: SystemParams, coarse_n=1600):
+    """tau_d for one parameter set: the delay of the first crest of g31.
+
+    tau_d is the first + to - sign change of the slope d rho22/d tau after
+    preparation in |3>.  The sign change is bracketed between two adjacent
+    points of default_tau_grid(n=coarse_n) up to min(6/min Gamma, 40),
+    searched from tau = 0 in chunks; a crest between two points whose slopes
+    are both positive is not seen.  The root is then found by Newton steps on
+    the closed-form second derivative, with a bisection whenever a step
+    would leave the bracket.  The first crest (not the global maximum) is
+    deliberate: strong rf drives superimpose fast oscillations, and the
+    emission delay is set by the first one.
+
+    The slope and curvature come from the generator's eigen-expansion, in
+    which the n-th derivative weights mode k by lam_k^n V[rho22, k] c_k; at
+    an eigenbasis condition number above SPECTRAL_COND_LIMIT the same
+    functionals are read from scipy.linalg.expm propagation, as in
+    dynamics.evolve.  Raises ZeroSteadyState when rho22 vanishes in the
+    steady state and NoPeak when the slope never changes sign on the grid.
+    """
     gen = build_generator(params)
+    level, obs = PAIR_TABLE[(3, 1)]
+    _steady_norm(gen, (3, 1))      # ZeroSteadyState before any search
     taus = default_tau_grid(params, tau_max=min(6.0 / params.min_gamma, 40.0),
                             n=coarse_n)
-    series = g2(gen, (3, 1), taus)
-    td = tau_delay(series)
-    k = np.searchsorted(taus, td)
-    lo = taus[max(k - 2, 0)]
-    hi = taus[min(k + 2, len(taus) - 1)]
-    step = (hi - lo) / 4.0
-    fine = np.linspace(max(lo - step, 0.0), hi + step, 4 * refine + 1)
-    if fine[0] == 0.0:
-        fine = fine[1:]
-    return tau_delay(g2(gen, (3, 1), fine))
+    derivatives = _derivative_evaluator(gen, prepare_state(level), obs)
+    lo, hi = _first_descent(taus, lambda t: derivatives(t, 1)[:, 0])
+    return _slope_root(derivatives, lo, hi)
+
+
+def _first_descent(taus, slope):
+    # (taus[k], taus[k + 1]) for the first k with slope > 0 at taus[k] and
+    # <= 0 at taus[k + 1]; consecutive chunks share their boundary point.
+    start, size = 0, FIRST_CHUNK
+    while start < len(taus) - 1:
+        stop = min(start + size, len(taus))
+        d = slope(taus[start:stop])
+        down = np.flatnonzero((d[:-1] > 0.0) & (d[1:] <= 0.0))
+        if len(down):
+            k = start + down[0]
+            return taus[k], taus[k + 1]
+        start, size = stop - 1, 2 * size
+    raise NoPeak("g31 has no crest on the delay grid")
+
+
+def _slope_root(derivatives, lo, hi):
+    # Safeguarded Newton for the slope's root in [lo, hi], where the slope
+    # is > 0 at lo and <= 0 at hi.
+    t = 0.5 * (lo + hi)
+    for _ in range(ROOT_MAX_STEPS):
+        slope, curvature = derivatives(np.array([t]), 2)[0]
+        if slope == 0.0:
+            break
+        if slope > 0.0:
+            lo = t
+        else:
+            hi = t
+        if curvature < 0.0:
+            t_next = t - slope / curvature
+            if abs(t_next - t) <= ROOT_RTOL * t:
+                return float(t_next)
+            if lo < t_next < hi:
+                t = t_next
+                continue
+        if hi - lo <= ROOT_RTOL * t:
+            break
+        t = 0.5 * (lo + hi)
+    return float(t)
 
 
 def scan_tau_d(base: SystemParams, swept: str, grid) -> DelayScan:

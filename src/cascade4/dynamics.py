@@ -106,6 +106,29 @@ def _evolve_expm(gen, x0, times):
     return _step_expm(gen.A, y0, times) + xp
 
 
+def _derivative_evaluator(gen, x0, index):
+    """Callable (times, order) -> the first `order` (1 or 2) time derivatives
+    of x_index from x(0) = x0, one column per derivative, at every time of
+    an array.
+
+    It makes _evolve_expm's choice of propagator but reads out one linear
+    functional per derivative instead of the whole state: the n-th
+    derivative of the eigen-expansion weights mode k by lam_k^n V[index, k]
+    c_k, and above SPECTRAL_COND_LIMIT the stepped expm trajectory is
+    projected on row `index` of A^n.
+    """
+    y0 = x0 - steady_state(gen)
+    eig = gen.eigensystem
+    if eig.cond <= SPECTRAL_COND_LIMIT:
+        w = eig.lam * eig.V[index] * np.linalg.solve(eig.V, y0)
+        weights = np.array([w, eig.lam * w])
+        return lambda times, order: (
+            np.exp(np.outer(times, eig.lam)) @ weights[:order].T).real
+    row = gen.A[index]
+    rows = np.array([row, row @ gen.A])
+    return lambda times, order: _step_expm(gen.A, y0, times) @ rows[:order].T
+
+
 def _step_expm(A, y, times):
     """exp(A t) y on the grid by stepping, one scipy expm per distinct step
     (a linspace run repeats a handful of step lengths)."""

@@ -28,8 +28,9 @@ converge to the exact dynamics and are kept only as documented cross-checks
 import enum
 from dataclasses import dataclass, replace
 
-import mpmath
 import numpy as np
+# mpmath is imported inside the functions that need it, so that the exact
+# dynamics (import cascade4, g2, scan_tau_d) never loads it.
 
 from .correlations import CorrelationSeries
 from .dynamics import steady_state
@@ -109,6 +110,7 @@ def _bars(params):
 
 
 def _is_mp(s):
+    import mpmath
     return isinstance(s, (mpmath.mpc, mpmath.mpf))
 
 
@@ -212,6 +214,7 @@ class _Dyson:
     """
 
     def __init__(self, params, regime, blocks, masks):
+        import mpmath
         a0, a1, self.b0, self.b1 = _split(params, regime)
         blocks = [b for b in blocks if any(mask[b[0]] for mask in masks)]
         self.blocks = {b[0]: a0[np.ix_(b, b)] for b in blocks}

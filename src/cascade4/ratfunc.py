@@ -8,8 +8,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
+# mpmath is imported inside the functions that need it, so that the exact
+# dynamics (import cascade4, g2, scan_tau_d) never loads it.
 
 from .errors import IllConditionedPoles, NonFiniteTransform
 
@@ -269,6 +270,7 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     bits from the same double coefficients, since a pole next to a root of
     N makes double-precision Horner cancel (1.6e-8 relative was seen).
     """
+    import mpmath
     if rf.den_factors is not None:
         raw = [r for r, _m in rf.den_factors]
         mult = [m for _r, m in rf.den_factors]
@@ -342,6 +344,7 @@ def _talbot_rule(nodes, dps):
     tables are kept, since the callers evaluate many transforms at the same
     handful of times.
     """
+    import mpmath
     k = np.arange(1, nodes)
     theta = np.pi * k / nodes
     # cot theta_k from a well-conditioned tangent: tan(pi/2 - theta_k) in
@@ -404,6 +407,7 @@ def talbot_invert(F, t, nodes=32, dps=None):
     z_k / t, one F evaluation and one product per mp node, and one array
     call for the rest.
     """
+    import mpmath
     if t <= 0:
         raise ValueError("talbot_invert requires t > 0")
     if dps is None:
@@ -430,6 +434,7 @@ def talbot_invert_rf(rf: RationalFunction, t, nodes=None):
     The mp nodes use Horner on the coefficients converted to mpc; the array
     of light nodes goes through RationalFunction.__call__ at complex128.
     """
+    import mpmath
     if nodes is None:
         nodes = talbot_nodes_required(t, rf.max_imag_pole())
     with mpmath.workprec(53):     # exact for double coefficients

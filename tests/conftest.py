@@ -8,7 +8,16 @@ representation used by the package.
 import numpy as np
 import pytest
 
-from cascade4.model import GAMMA_PRESETS, SystemParams, preset
+from cascade4.model import (
+    DIM,
+    GAMMA_PRESETS,
+    P22,
+    SystemParams,
+    build_generator,
+    prepare_state,
+    preset,
+)
+from cascade4.validation import brute_force_evolve
 
 
 def closed_cascade(omega1=0.0, omega_rf=0.0, omega3=0.0, gammas="unit",
@@ -71,6 +80,39 @@ def complex_rhs(p: SystemParams, x):
     out[10], out[11] = d24.real, d24.imag
     out[12], out[13], out[14] = d22.real, d33.real, d44.real
     return out
+
+
+def oracle_tau_d(params, step=1e-3):
+    """First + to - sign change of d rho22/d tau from |3>, or None if there
+    is none before min(6/min Gamma, 40) (the delay grid's end).
+
+    The sign change is bracketed on a uniform `step`, stepping with the
+    brute_force_evolve propagator for that step, and the root is solved by
+    scipy's brentq on the slope A x + b, with x(tau) from brute_force_evolve
+    at every trial tau.  No eigenbasis and no scipy expm are involved.
+    """
+    from scipy.optimize import brentq
+
+    gen = build_generator(params)
+    x0 = prepare_state(3)
+
+    def slope(x):
+        return (gen.A @ x + gen.b)[P22]
+
+    # x(t + step) = E x(t) + f, one column of E per basis state.
+    f = brute_force_evolve(gen, np.zeros(DIM), step)
+    E = np.column_stack([brute_force_evolve(gen, e, step) - f
+                         for e in np.eye(DIM)])
+    tau_max = min(6.0 / params.min_gamma, 40.0)
+    x, t, d = x0, 0.0, slope(x0)
+    while t < tau_max:
+        x_next = E @ x + f
+        d_next = slope(x_next)
+        if d > 0.0 >= d_next:
+            return brentq(lambda s: slope(brute_force_evolve(gen, x0, s)),
+                          t, t + step, xtol=1e-15, rtol=4e-15)
+        x, t, d = x_next, t + step, d_next
+    return None
 
 
 @pytest.fixture

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade4.correlations import (
     CorrelationSeries,
+    _first_descent,
     cs_ratio,
     default_tau_grid,
     g2,
     g31_peak_delay,
     scan_tau_d,
-    tau_delay,
 )
+from cascade4.dynamics import SPECTRAL_COND_LIMIT
 from cascade4.errors import GridMismatch, NoPeak, ZeroSteadyState
-from cascade4.model import build_generator, preset
+from cascade4.model import SystemParams, build_generator, preset
 
-from conftest import closed_cascade, random_stable_params
+from conftest import closed_cascade, oracle_tau_d, random_stable_params
 
 
 def test_default_tau_grid_shape(fig2_unit):
@@ -132,42 +135,92 @@ def test_cs_ratio_grid_mismatch(fig2_unit):
         cs_ratio(a, b, c)
 
 
-def test_tau_delay_parabola_exact():
-    taus = np.arange(0.0, 3.0, 0.1)
-    values = -(taus - 1.5) ** 2 + 4.0
-    series = CorrelationSeries(pair=(3, 1), taus=taus, values=values, norm=1.0)
-    assert abs(tau_delay(series) - 1.5) < 1e-3
+def test_first_descent_matches_full_grid_search():
+    # Crossings on both sides of each chunk boundary (chunks of 128, 256,
+    # 512, ... points sharing their end points) and at the grid's end.
+    taus = np.linspace(0.0, 1.0, 1600)
+    for k in (0, 126, 127, 128, 381, 382, 383, 893, 894, 1598):
+        slope = lambda t, k=k: np.where(t <= taus[k], 1.0, -1.0)
+        assert _first_descent(taus, slope) == (taus[k], taus[k + 1])
+    # the first crest, not a later or a global one
+    assert _first_descent(taus, lambda t: np.cos(6 * np.pi * t)) == (
+        taus[133], taus[134])
 
 
-def test_tau_delay_nonuniform_grid():
-    taus = np.concatenate([np.geomspace(0.01, 1.0, 30),
-                           np.linspace(1.1, 3.0, 30)])
-    values = -(taus - 1.37) ** 2 + 2.0
-    series = CorrelationSeries(pair=(3, 1), taus=taus, values=values, norm=1.0)
-    assert abs(tau_delay(series) - 1.37) < 1e-9
-
-
-def test_tau_delay_monotone_raises():
-    taus = np.linspace(0.0, 1.0, 20)
-    series = CorrelationSeries(pair=(3, 1), taus=taus, values=taus ** 2,
-                               norm=1.0)
+def test_first_descent_monotone_raises():
+    taus = np.linspace(0.0, 1.0, 200)
     with pytest.raises(NoPeak):
-        tau_delay(series)
+        _first_descent(taus, np.ones_like)
+    with pytest.raises(NoPeak):
+        _first_descent(taus, lambda t: -np.ones_like(t))
 
 
-def test_tau_delay_grid_refinement_oracle(fig2_unit):
-    # refined peak must sit within one coarse step of a 10x-finer argmax
-    gen = build_generator(fig2_unit)
-    coarse = default_tau_grid(fig2_unit, tau_max=4.0, n=400)
-    series = g2(gen, (3, 1), coarse)
-    td = tau_delay(series)
-    k = np.argmax(series.values[:len(series.values) // 2])
-    step = coarse[k + 1] - coarse[k]
-    fine = np.linspace(max(coarse[k] - 2 * step, 1e-6), coarse[k] + 2 * step,
-                       41)
-    fine_series = g2(gen, (3, 1), fine)
-    fine_peak = fine[np.argmax(fine_series.values)]
-    assert abs(td - fine_peak) <= step
+ORACLE_BASES = {
+    "omega1": dict(omega_rf=12.0, omega3=4.0),
+    "omega2": dict(omega1=4.0, omega3=4.0),
+    "omega_rf": dict(omega1=6.0, omega3=3.0),
+    "omega3": dict(omega1=4.0, omega_rf=4.0),
+}
+
+
+@pytest.mark.parametrize("gammas", ("unit", "physical"))
+@pytest.mark.parametrize("swept", sorted(ORACLE_BASES))
+def test_g31_peak_delay_matches_oracle(gammas, swept):
+    base = preset("fig2", gammas).with_drives(**ORACLE_BASES[swept])
+    assert build_generator(base).eigensystem.cond <= SPECTRAL_COND_LIMIT
+    scan = scan_tau_d(base, swept, np.linspace(4.0, 20.0, 5))
+    assert scan.failures == []
+    key = "omega_rf" if swept == "omega2" else swept
+    for value, td in zip(scan.field_values, scan.tau_d):
+        ref = oracle_tau_d(base.with_drives(**{key: value}))
+        assert abs(td - ref) <= 1e-10 * ref
+
+
+def test_g31_peak_delay_fallback_matches_oracle():
+    # Weak drive with Gamma2 = Gamma3: cond V ~ 2.6e7, so the slope comes
+    # from expm propagation.  rho22 ~ tau exp(-tau) crests near tau = 1.
+    p = closed_cascade(omega1=1e-4)
+    assert build_generator(p).eigensystem.cond > SPECTRAL_COND_LIMIT
+    ref = oracle_tau_d(p)
+    assert abs(ref - 1.0) < 1e-6
+    assert abs(g31_peak_delay(p) - ref) <= 1e-10 * ref
+
+
+@st.composite
+def closed_branching(draw):
+    """Strong drives, weak drives, or a weak lower drive alone with
+    Gamma2 = Gamma3 (a near-defective eigenbasis: mostly the expm fallback)."""
+    kind = draw(st.sampled_from(("strong", "weak", "near_defective")))
+
+    def drive():
+        if kind == "strong":
+            return draw(st.floats(0.1, 30.0))
+        return 10.0 ** draw(st.floats(-5.0, -2.0))
+
+    g2v = draw(st.floats(0.1, 3.0))
+    g4v = draw(st.floats(0.1, 3.0))
+    if kind == "near_defective":
+        return SystemParams(omega1=10.0 ** draw(st.floats(-5.0, -3.0)),
+                            omega_rf=0.0, omega3=0.0,
+                            gamma2=g2v, gamma3=g2v, gamma4=g4v,
+                            gamma23=g2v, gamma34=g4v, gamma24=0.0)
+    g3v = draw(st.floats(0.1, 3.0))
+    return SystemParams(omega1=drive(), omega_rf=drive(), omega3=drive(),
+                        gamma2=g2v, gamma3=g3v, gamma4=g4v,
+                        gamma23=g3v, gamma34=g4v, gamma24=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(p=closed_branching())
+def test_g31_peak_delay_oracle_property(p):
+    ref = oracle_tau_d(p)
+    try:
+        td = g31_peak_delay(p)
+    except NoPeak:
+        assert ref is None
+        return
+    assert ref is not None
+    assert abs(td - ref) <= 1e-10 * ref
 
 
 def test_scan_tau_d_monotone(fig2_unit):

@@ -225,11 +225,18 @@ def test_unstable_generator_refused():
         g2(gen, (3, 1), np.array([0.0, 1.0]))
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+# Imported only inside the functions that need them: the RK backend, and
+# the perturbative and inversion layers.
+LAZY_MODULES = ("scipy.integrate", "scipy.optimize", "mpmath")
+
+
+def test_import_and_delay_scan_leave_lazy_modules_unloaded():
     src = os.path.dirname(os.path.dirname(cascade4.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cascade4; print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = ("import sys, cascade4\n"
+            "cascade4.scan_tau_d(cascade4.preset('fig2', 'unit'), 'omega_rf',"
+            " [4.0, 12.0])\n"
+            f"print(' '.join(m for m in {LAZY_MODULES!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
