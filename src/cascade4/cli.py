@@ -246,6 +246,16 @@ def _cmd_cs(cfg, args):
 
 
 def _cmd_taud_scan(cfg, args):
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if not np.isfinite(value):
+            raise RangeError(f"{flag} must be finite, got {value}")
+    if args.points < 1:
+        raise RangeError(f"--points must be >= 1, got {args.points}")
+    if args.start <= 0:
+        raise RangeError(f"--start must be positive, got {args.start:g}")
+    if args.points > 1 and args.stop <= args.start:
+        raise RangeError(f"--stop must exceed --start, got {args.stop:g} "
+                         f"<= {args.start:g}")
     grid = np.linspace(args.start, args.stop, args.points)
     scan = scan_tau_d(cfg.system, args.sweep, grid)
     rows = [[v, scan.swept_field, td]
@@ -432,6 +442,9 @@ def run(argv) -> int:
 
     try:
         return COMMANDS[args.command](cfg, args)
+    except RangeError as exc:
+        print(f"cascade4: invalid argument: {exc}", file=sys.stderr)
+        return 2
     except OutputError as exc:
         print(f"cascade4: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,8 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyfromroots
 # mpmath is imported inside the functions that need it, so that the exact
 # dynamics (import cascade4, g2, scan_tau_d) never loads it.
 
@@ -61,9 +63,7 @@ from .ratfunc import (
     RationalFunction,
     cluster_poles,
     laurent_coefficients,
-    poly_add,
-    poly_from_roots,
-    poly_mul,
+    principal_terms,
     talbot_invert,
     talbot_nodes_required,
 )
@@ -374,7 +374,7 @@ class RootSet:
     def denominator_poly(self, which):
         roots = {"quadratic": self.quadratic, "cubic": self.cubic,
                  "quartic": self.quartic}[which]
-        return poly_from_roots(roots)
+        return polyfromroots(roots)
 
 
 def _pair_block_roots(gamma_a, gamma_b, coupling):
@@ -522,13 +522,9 @@ def assembled_exponential_sum(params: SystemParams, regime, init_level,
         others = [c for c, _o, _s in clusters if c != centroid]
         dist = min((abs(centroid - c) for c in others), default=1.0)
         radius = max(0.25 * dist, 4.0 * spread)
-        coeffs = laurent_coefficients(F, centroid, order, radius,
-                                      points=CONTOUR_POINTS)
-        fact = 1.0
-        for l, a in enumerate(coeffs, start=1):
-            if l > 1:
-                fact *= (l - 1)
-            terms.append((a / fact, centroid, l - 1))
+        terms += principal_terms(
+            laurent_coefficients(F, centroid, order, radius,
+                                 points=CONTOUR_POINTS), centroid)
     tag = f"assembled/{regime.value}/init{init_level}/{observable}"
     return ExponentialSum(terms=tuple(terms), provenance=tag)
 
@@ -619,10 +615,6 @@ APPENDIX_CATALOGUE = (
 )
 
 
-def _P(*ascending):
-    return np.array(ascending, dtype=complex)
-
-
 def appendix_rational(params: SystemParams, regime, init_level,
                       observable) -> RationalFunction:
     """One catalogued Laplace-space solution, transcribed as published.
@@ -630,7 +622,11 @@ def appendix_rational(params: SystemParams, regime, init_level,
     The scalar structure (numerators, helper fractions C1..C3) follows the
     source text verbatim, including its literal unit transfer rates; the
     denominators d2/d3/d4 and their weak-rf analogues are products over the
-    corresponding block roots computed numerically.  One deviation: the
+    corresponding block roots computed numerically.  Numerators are written
+    in numpy Polynomial arithmetic on s = Polynomial([0, 1]), so each reads
+    as the printed formula; denominators enter as root lists (den_factors),
+    and the d2/d3/d4 that numerators contain come from Polynomial.fromroots
+    over the same roots.  One deviation: the
     published rho22 solution for the |2> preparation carries its
     initial-condition term with a minus sign, which would invert at t=0 to
     -1 instead of the prepared population; the sign is corrected here and
@@ -647,137 +643,94 @@ def appendix_rational(params: SystemParams, regime, init_level,
     roots = root_set(params, regime)
     tag = f"appendix/{regime.value}/init{init_level}/{observable}"
 
+    s = Polynomial([0.0, 1.0])
+
+    def rf(num, poles):
+        return RationalFunction.from_factors(num.coef, [(z, 1) for z in poles],
+                                             tag)
+
     if regime is Regime.STRONG_RF:
         d2_roots = list(roots.quadratic)
         d3_roots = list(roots.cubic)
         d4_roots = [z - b4 for z in roots.quadratic]
-        d2 = poly_from_roots(d2_roots)
-        d3 = poly_from_roots(d3_roots)
-        d4 = poly_from_roots(d4_roots)
 
         if init_level == 1:
             # 2 O1^2 [O2^2 + (s+b3)((s+b3+b2)(s+b3) + O2^2)] / (s d2 d3)
-            inner = poly_add(
-                _P(o2 ** 2),
-                poly_mul(_P(b3, 1), poly_add(poly_mul(_P(b2 + b3, 1), _P(b3, 1)),
-                                             _P(o2 ** 2))))
-            num = 2 * o1 ** 2 * inner
-            factors = [(0.0, 1)] + [(z, 1) for z in d2_roots + d3_roots]
-            return RationalFunction.from_factors(num, factors, tag)
+            num = 2 * o1 ** 2 * (o2 ** 2 + (s + b3) * ((s + b2 + b3) * (s + b3)
+                                                      + o2 ** 2))
+            return rf(num, [0.0] + d2_roots + d3_roots)
 
         if init_level == 2:
             # [Q s d2 + 2 O1^2 O2^2 (s-1) - 2 O1^2 (s+b3) P] / (s d2 d3)
-            Q = _P(b3 ** 2 + b2 * b3 + 2 * o2 ** 2, b2 + 2 * b3, 1)
-            Pp = _P(b3 ** 2 + 2 * o1 ** 2 + b3 * o2 ** 2, b2 + 2 * b3, 1)
-            num = poly_add(
-                poly_add(poly_mul(Q, poly_mul(_P(0, 1), d2)),
-                         2 * o1 ** 2 * o2 ** 2 * _P(-1, 1)),
-                -2 * o1 ** 2 * poly_mul(_P(b3, 1), Pp))
-            factors = [(0.0, 1)] + [(z, 1) for z in d2_roots + d3_roots]
-            return RationalFunction.from_factors(num, factors, tag)
+            Q = s ** 2 + (b2 + 2 * b3) * s + b3 ** 2 + b2 * b3 + 2 * o2 ** 2
+            Pp = s ** 2 + (b2 + 2 * b3) * s + b3 ** 2 + 2 * o1 ** 2 + b3 * o2 ** 2
+            num = (Q * s * Polynomial.fromroots(d2_roots)
+                   + 2 * o1 ** 2 * o2 ** 2 * (s - 1)
+                   - 2 * o1 ** 2 * (s + b3) * Pp)
+            return rf(num, [0.0] + d2_roots + d3_roots)
 
         # init |3>: shared pieces over d3 d4 (s+b4)
-        s_b4 = _P(b4, 1)
-        core = poly_mul(d4, s_b4)
+        core = Polynomial.fromroots(d4_roots) * (s + b4)
         if observable == "rho22":
-            L = _P(b2 + b3 + 2 * o2 ** 2, 1)
-            num = poly_add(
-                poly_mul(L, poly_add(core,
-                                     2 * o3 ** 2 * poly_mul(_P(1 - b4, -1),
-                                                            _P(b2 + b4, 1)))),
-                2 * o2 ** 2 * o3 ** 2 * poly_mul(_P(1 - b3, -1), s_b4))
-            factors = ([(z, 1) for z in d3_roots] + [(z, 1) for z in d4_roots]
-                       + [(-b4, 1)])
-            return RationalFunction.from_factors(num, factors, tag)
-        if observable == "rho33":
-            Q3 = _P(b2 ** 2 + b2 * b3 + 2 * o2 ** 2, b3 + 2 * b2, 1)
-            num = poly_add(
-                poly_mul(Q3, poly_add(core,
-                                      2 * o3 ** 2 * poly_mul(_P(b2 + b4, 1),
-                                                             _P(1 - b4, -1)))),
-                2 * o2 ** 2 * o3 ** 2 * poly_mul(_P(b2, 1), s_b4))
-            factors = ([(z, 1) for z in d3_roots] + [(z, 1) for z in d4_roots]
-                       + [(-b4, 1)])
-            return RationalFunction.from_factors(num, factors, tag)
-        raise NotCatalogued(f"no transcribed expression for {key}")
+            L = s + b2 + b3 + 2 * o2 ** 2
+            num = (L * (core + 2 * o3 ** 2 * (1 - b4 - s) * (s + b2 + b4))
+                   + 2 * o2 ** 2 * o3 ** 2 * (1 - b3 - s) * (s + b4))
+        else:   # rho33
+            Q3 = s ** 2 + (b3 + 2 * b2) * s + b2 ** 2 + b2 * b3 + 2 * o2 ** 2
+            num = (Q3 * (core + 2 * o3 ** 2 * (s + b2 + b4) * (1 - b4 - s))
+                   + 2 * o2 ** 2 * o3 ** 2 * (s + b2) * (s + b4))
+        return rf(num, d3_roots + d4_roots + [-b4])
 
     # Weak rf.
-    d2p_roots = list(np.roots([1.0, 2 * b2, b2 ** 2 + 4 * o1 ** 2]).astype(complex))
+    d2p_roots = list(roots.quadratic)
     d3p_roots = list(roots.cubic)
     d4p_roots = list(roots.quartic)
-    d3p = poly_from_roots(d3p_roots)
-    d4p = poly_from_roots(d4p_roots)
+    d3p = Polynomial.fromroots(d3p_roots)
+    d4p = Polynomial.fromroots(d4p_roots)
 
     # Helper numerators (each over d4p).
-    C1n = -o1 * o2 * poly_add(poly_mul(_P(b4, 1), _P(b2 + b4, 1)),
-                              _P(o1 ** 2 - o3 ** 2))
-    C2n = -o2 * poly_add(
-        poly_add(poly_mul(poly_mul(_P(b4, 1), _P(b3, 1)), _P(b2 + b4, 1)),
-                 o3 ** 2 * _P(b2 + b4, 1)),
-        o1 ** 2 * _P(b3, 1))
-    C3n = o2 * o3 * poly_add(-poly_mul(_P(b3, 1), _P(b4, 1)),
-                             _P(o1 ** 2 - o3 ** 2))
+    C1n = -o1 * o2 * ((s + b4) * (s + b2 + b4) + (o1 ** 2 - o3 ** 2))
+    C2n = -o2 * ((s + b4) * (s + b3) * (s + b2 + b4) + o3 ** 2 * (s + b2 + b4)
+                 + o1 ** 2 * (s + b3))
+    C3n = o2 * o3 * (-(s + b3) * (s + b4) + (o1 ** 2 - o3 ** 2))
+    W = s ** 2 + b4 ** 2 + b3 * (s + b4) + 2 * o3 ** 2 + 2 * s * b4
 
     if init_level == 1:
-        num = _P(2 * o1 ** 2)
-        factors = [(0.0, 1)] + [(z, 1) for z in d2p_roots]
-        return RationalFunction.from_factors(num, factors, tag)
+        return rf(Polynomial([2 * o1 ** 2]), [0.0] + d2p_roots)
 
     if observable == "rho33" and init_level == 3:
-        # (1/d3p)[(1 + 2 O2 C2)(s^2 + b4^2 + b3(s+b4) + 2 O3^2 + 2 s b4)
-        #         + 2 O2 O3 C3 (s + 2 b4 + 1)]
-        W = _P(b4 ** 2 + b3 * b4 + 2 * o3 ** 2, b3 + 2 * b4, 1)
-        num = poly_add(
-            poly_mul(poly_add(d4p, 2 * o2 * C2n), W),
-            2 * o2 * o3 * poly_mul(C3n, _P(2 * b4 + 1, 1)))
-        factors = [(z, 1) for z in d3p_roots + d4p_roots]
-        return RationalFunction.from_factors(num, factors, tag)
+        # (1/d3p)[(1 + 2 O2 C2) W + 2 O2 O3 C3 (s + 2 b4 + 1)]
+        num = (d4p + 2 * o2 * C2n) * W + 2 * o2 * o3 * C3n * (s + 2 * b4 + 1)
+        return rf(num, d3p_roots + d4p_roots)
 
     if observable == "rho44" and init_level == 3:
         # (2 O3 / d3p)[O3 (1 + 2 O2 C2) - O2 C3 (s + b4)]
-        num = 2 * o3 * poly_add(o3 * poly_add(d4p, 2 * o2 * C2n),
-                                -o2 * poly_mul(C3n, _P(b4, 1)))
-        factors = [(z, 1) for z in d3p_roots + d4p_roots]
-        return RationalFunction.from_factors(num, factors, tag)
+        num = 2 * o3 * (o3 * (d4p + 2 * o2 * C2n) - o2 * C3n * (s + b4))
+        return rf(num, d3p_roots + d4p_roots)
 
     # rho22 for |3> and |2>: common scaffolding over s (s+b2) d2p d3p d4p.
-    s_pole = _P(0, 1)
-    s_b2 = _P(b2, 1)
-    W = _P(b4 ** 2 + b3 * b4 + 2 * o3 ** 2, b3 + 2 * b4, 1)
-    # G as printed: b2^2 + s(s - 2 O1^2) + 2 b2 (s - O1^2)
-    G = _P(b2 ** 2 - 2 * b2 * o1 ** 2, 2 * b2 - 2 * o1 ** 2, 1)
-
-    common_den_factors = ([(0.0, 1), (-b2, 1)]
-                          + [(z, 1) for z in d2p_roots + d3p_roots + d4p_roots])
+    G = b2 ** 2 + s * (s - 2 * o1 ** 2) + 2 * b2 * (s - o1 ** 2)
+    poles = [0.0, -b2] + d2p_roots + d3p_roots + d4p_roots
 
     if init_level == 3:
         # (1/d2p)[ 2O1^2/s + 2 O1 O2 C1 - 2 (s+b2) O2 C2
         #   + (4O1^2/d3p)(-O3^2 + O2 O3((s+b3)C3 - 2 O3 C2))
         #   + (1/((s+b2) d3p)) G ((1+2O2C2) W + 2 C3 O2 O3 (s+b4-1)) ]
-        t1 = 2 * o1 ** 2 * poly_mul(s_b2, poly_mul(d3p, d4p))
-        t2 = 2 * o1 * o2 * poly_mul(C1n, poly_mul(poly_mul(s_pole, s_b2), d3p))
-        t3 = -2 * o2 * poly_mul(poly_mul(_P(b2, 1), C2n),
-                                poly_mul(poly_mul(s_pole, s_b2), d3p))
-        inner4 = poly_add(
-            -o3 ** 2 * d4p,
-            o2 * o3 * poly_add(poly_mul(_P(b3, 1), C3n), -2 * o3 * C2n))
-        t4 = 4 * o1 ** 2 * poly_mul(inner4, poly_mul(s_pole, s_b2))
-        inner5 = poly_add(poly_mul(poly_add(d4p, 2 * o2 * C2n), W),
-                          2 * o2 * o3 * poly_mul(C3n, _P(b4 - 1, 1)))
-        t5 = poly_mul(G, poly_mul(inner5, s_pole))
-        num = poly_add(poly_add(poly_add(t1, t2), poly_add(t3, t4)), t5)
-        return RationalFunction.from_factors(num, common_den_factors, tag)
+        num = (2 * o1 ** 2 * (s + b2) * d3p * d4p
+               + 2 * o1 * o2 * C1n * s * (s + b2) * d3p
+               - 2 * o2 * (s + b2) * C2n * s * (s + b2) * d3p
+               + 4 * o1 ** 2 * (-o3 ** 2 * d4p
+                                + o2 * o3 * ((s + b3) * C3n - 2 * o3 * C2n))
+               * s * (s + b2)
+               + G * ((d4p + 2 * o2 * C2n) * W
+                      + 2 * o2 * o3 * C3n * (s + b4 - 1)) * s)
+        return rf(num, poles)
 
     # init |2>, rho22: same scaffolding; initial-condition term sign fixed.
-    t1 = 2 * o1 ** 2 * poly_mul(s_b2, poly_mul(d3p, d4p))
-    t2 = 2 * o1 * o2 * poly_mul(C1n, poly_mul(poly_mul(s_pole, s_b2), d3p))
-    t3 = poly_mul(poly_mul(_P(b2, 1), poly_add(d4p, -2 * o2 * C2n)),
-                  poly_mul(poly_mul(s_pole, s_b2), d3p))
-    inner4 = poly_add(poly_mul(_P(b3, 1), C3n), -2 * o3 * C2n)
-    t4 = 4 * o1 ** 2 * o2 ** 2 * o3 ** 2 * poly_mul(
-        inner4, poly_mul(s_pole, s_b2))
-    inner5 = poly_add(poly_mul(2 * o2 * C2n, W),
-                      2 * o2 * o3 * poly_mul(C3n, _P(b4 - 1, 1)))
-    t5 = poly_mul(G, poly_mul(inner5, s_pole))
-    num = poly_add(poly_add(poly_add(t1, t2), poly_add(t3, t4)), t5)
-    return RationalFunction.from_factors(num, common_den_factors, tag)
+    num = (2 * o1 ** 2 * (s + b2) * d3p * d4p
+           + 2 * o1 * o2 * C1n * s * (s + b2) * d3p
+           + (s + b2) * (d4p - 2 * o2 * C2n) * s * (s + b2) * d3p
+           + 4 * o1 ** 2 * o2 ** 2 * o3 ** 2 * ((s + b3) * C3n - 2 * o3 * C2n)
+           * s * (s + b2)
+           + G * (2 * o2 * C2n * W + 2 * o2 * o3 * C3n * (s + b4 - 1)) * s)
+    return rf(num, poles)

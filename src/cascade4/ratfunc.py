@@ -1,7 +1,10 @@
 """Laplace-domain utilities: rational functions, exponential sums, and two
 independent inversion engines (partial fractions and fixed-Talbot quadrature).
 
-Polynomial coefficient arrays are ascending (c[0] + c[1] s + ...).
+Polynomial coefficient arrays are ascending complex ndarrays (c[0] + c[1] s
++ ...), the convention of numpy.polynomial, which supplies all polynomial
+arithmetic here: polyfromroots builds denominators from their roots, polyval
+evaluates, polyroots solves a denominator given only as coefficients.
 """
 
 import functools
@@ -9,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyfromroots, polyroots, polyval
 # mpmath is imported inside the functions that need it, so that the exact
 # dynamics (import cascade4, g2, scan_tau_d) never loads it.
 
@@ -17,35 +21,6 @@ from .errors import IllConditionedPoles, NonFiniteTransform
 CLUSTER_TOL = 1e-8
 CLUSTER_TOL_UPPER = 1e-6
 CLUSTER_SCALE_FLOOR = 1e-2
-
-
-def poly_from_roots(roots):
-    c = np.array([1.0 + 0.0j])
-    for r in roots:
-        c = np.convolve(c, np.array([-r, 1.0 + 0.0j]))
-    return c
-
-
-def poly_mul(a, b):
-    return np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def poly_add(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[:len(a)] += a
-    out[:len(b)] += b
-    return out
-
-
-def poly_eval(c, s):
-    # Horner, highest degree first; works for complex and mpmath scalars.
-    acc = 0
-    for ck in reversed(list(c)):
-        acc = acc * s + complex(ck)
-    return acc
 
 
 def _trim(c, rel=1e-13):
@@ -75,7 +50,7 @@ class RationalFunction:
 
     `den_factors`, when present, lists the denominator roots with
     multiplicities (exact product form), which lets the inversion skip the
-    companion-matrix root solve.
+    polyroots solve.
     """
 
     numerator: np.ndarray
@@ -107,11 +82,11 @@ class RationalFunction:
         roots = []
         for r, m in factors:
             roots.extend([r] * m)
-        return cls.make(numerator, poly_from_roots(roots), provenance,
+        return cls.make(numerator, polyfromroots(roots), provenance,
                         den_factors=factors)
 
     def __call__(self, s):
-        return poly_eval(self.numerator, s) / poly_eval(self.denominator, s)
+        return polyval(s, self.numerator) / polyval(s, self.denominator)
 
     def degree(self):
         return len(self.numerator) - 1, len(self.denominator) - 1
@@ -129,20 +104,7 @@ class RationalFunction:
     def poles(self):
         if self.den_factors is not None:
             return [complex(r) for r, m in self.den_factors for _ in range(m)]
-        return list(companion_roots(self.denominator))
-
-
-def companion_roots(coeffs):
-    """Roots of an ascending-coefficient polynomial via the companion matrix."""
-    c = _trim(coeffs)
-    n = len(c) - 1
-    if n < 1:
-        return np.array([], dtype=complex)
-    monic = c / c[-1]
-    comp = np.zeros((n, n), dtype=complex)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(comp)
+        return list(polyroots(self.denominator))
 
 
 def _cluster(points, rel_tol):
@@ -257,25 +219,33 @@ def laurent_coefficients(F, pole, order, radius, points=64):
     return coeffs
 
 
+def principal_terms(coeffs, pole):
+    """Time-domain terms of the principal part sum_l a_{-l} / (s - pole)^l,
+    coeffs = (a_{-1}, a_{-2}, ...): each inverts to a_{-l} t^{l-1} e^{pt} /
+    (l-1)!, returned as (coeff, rate, power) for ExponentialSum."""
+    return [(a / math.factorial(l - 1), pole, l - 1)
+            for l, a in enumerate(coeffs, start=1)]
+
+
 def invert_rational(rf: RationalFunction) -> ExponentialSum:
     """Partial-fraction inversion of a strictly proper rational function.
 
-    Denominator roots come from the companion matrix (or the stored factor
-    list); roots within 1e-8 relative distance are treated as one pole of
-    higher multiplicity, and the inverse transform of 1/(s-p)^m contributes
-    t^{m-1} e^{pt} / (m-1)!.  An isolated simple pole p takes the residue
-    N(p) / prod_j (p - r_j)^{m_j} over the other roots: the product form of
-    D'(p), which keeps the digits that expanding D and differentiating it
-    loses when poles sit far off the real axis.  N(p) is evaluated at 106
-    bits from the same double coefficients, since a pole next to a root of
-    N makes double-precision Horner cancel (1.6e-8 relative was seen).
+    Denominator roots come from polyroots (or the stored factor list);
+    roots within 1e-8 relative distance are treated as one pole of higher
+    multiplicity, whose principal part becomes principal_terms.  An isolated
+    simple pole p takes the residue N(p) / prod_j (p - r_j)^{m_j} over the
+    other roots: the product form of D'(p), which keeps the digits that
+    expanding D and differentiating it loses when poles sit far off the real
+    axis.  N(p) is evaluated at 106 bits from the same double coefficients,
+    since a pole next to a root of N makes double-precision Horner cancel
+    (1.6e-8 relative was seen).
     """
     import mpmath
     if rf.den_factors is not None:
         raw = [r for r, _m in rf.den_factors]
         mult = [m for _r, m in rf.den_factors]
     else:
-        raw = list(companion_roots(rf.denominator))
+        raw = list(polyroots(rf.denominator))
         mult = [1] * len(raw)
     clusters = cluster_poles(raw, mult)
     with mpmath.workprec(53):     # exact for double coefficients
@@ -300,12 +270,8 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
             raise IllConditionedPoles(
                 f"cluster spread {spread:.2e} too close to neighbour at "
                 f"distance {dist:.2e}")
-        coeffs = laurent_coefficients(rf, centroid, order, radius)
-        fact = 1.0
-        for l, a in enumerate(coeffs, start=1):
-            if l > 1:
-                fact *= (l - 1)
-            terms.append((a / fact, centroid, l - 1))
+        terms += principal_terms(
+            laurent_coefficients(rf, centroid, order, radius), centroid)
     return ExponentialSum(terms=tuple(terms), provenance=rf.provenance)
 
 
@@ -431,25 +397,20 @@ def talbot_invert(F, t, nodes=32, dps=None):
 def talbot_invert_rf(rf: RationalFunction, t, nodes=None):
     """Talbot inversion of a rational function, choosing nodes from its poles.
 
-    The mp nodes use Horner on the coefficients converted to mpc; the array
-    of light nodes goes through RationalFunction.__call__ at complex128.
+    The mp nodes use mpmath.polyval on the coefficients converted to mpc
+    once per call; the array of light nodes goes through
+    RationalFunction.__call__ at complex128.
     """
     import mpmath
     if nodes is None:
         nodes = talbot_nodes_required(t, rf.max_imag_pole())
     with mpmath.workprec(53):     # exact for double coefficients
-        num = [mpmath.mpc(c) for c in rf.numerator]
-        den = [mpmath.mpc(c) for c in rf.denominator]
+        num = [mpmath.mpc(c) for c in rf.numerator[::-1]]
+        den = [mpmath.mpc(c) for c in rf.denominator[::-1]]
 
     def F(s):
         if isinstance(s, np.ndarray):
             return rf(s)
-        acc_n = 0
-        for c in reversed(num):
-            acc_n = acc_n * s + c
-        acc_d = 0
-        for c in reversed(den):
-            acc_d = acc_d * s + c
-        return acc_n / acc_d
+        return mpmath.polyval(num, s) / mpmath.polyval(den, s)
 
     return talbot_invert(F, t, nodes=nodes)

@@ -245,6 +245,24 @@ def test_taud_scan_csv(tmp_path):
     assert all(np.diff(td) < 0)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--points", "-1"], "--points must be >= 1, got -1"),
+    (["--start", "20", "--stop", "4"], "--stop must exceed --start"),
+    (["--start", "0"], "--start must be positive, got 0"),
+    (["--stop", "nan"], "--stop must be finite"),
+])
+def test_taud_scan_bad_arguments_exit_2(tmp_path, capsys, argv, message):
+    # these ended in a raw ValueError traceback (exit 1) from np.linspace
+    # or scan_tau_d
+    out = tmp_path / "td.csv"
+    assert run(["taud-scan", "--sweep", "omega1", *argv,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascade4: invalid argument: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_evolve_csv(tmp_path):
     cfg = _write_cfg(tmp_path, FIG2_CFG.replace("tau_points = 400",
                                                 "tau_points = 64"))

@@ -1,7 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyfromroots
 
 from cascade4.correlations import g2
 from cascade4.dynamics import evolve
@@ -22,7 +24,7 @@ from cascade4.perturbation import (
     root_set,
     talbot_g2_value,
 )
-from cascade4.ratfunc import invert_rational, poly_from_roots, talbot_invert_rf
+from cascade4.ratfunc import invert_rational, talbot_invert_rf
 
 from conftest import closed_cascade
 
@@ -229,8 +231,7 @@ def test_appendix_weak_init1_structure(weak_rf_point):
     p = weak_rf_point
     rf = appendix_rational(p, "weak", 1, "rho22")
     b2 = p.gamma2 / 2
-    d2p = poly_from_roots(list(np.roots([1.0, 2 * b2,
-                                         b2 ** 2 + 4 * p.omega1 ** 2])))
+    d2p = polyfromroots(np.roots([1.0, 2 * b2, b2 ** 2 + 4 * p.omega1 ** 2]))
     expect_den = np.concatenate([[0.0], d2p])  # extra factor s
     got = rf.denominator * (2 * p.omega1 ** 2 / rf.numerator[0])
     assert np.max(np.abs(np.array([0, *d2p]) - got[:len(expect_den)])) < 1e-9
@@ -258,6 +259,89 @@ def test_appendix_not_catalogued(strong_weakdrive):
         appendix_rational(strong_weakdrive, "strong", 3, "rho44")
     with pytest.raises(NotCatalogued):
         appendix_rational(strong_weakdrive, "strong", 1, "rho33")
+
+
+def catalogue_scalar(params, regime, init, obs, s):
+    """One catalogue entry at a complex scalar s, term by term as printed:
+    d2/d3/d4 and their weak-rf analogues as products of (s - r) over the
+    root_set roots, and no polynomial expansion anywhere."""
+    b2, b3, b4 = params.gamma2 / 2, params.gamma3 / 2, params.gamma4 / 2
+    o1, o2, o3 = params.omega1, params.omega_rf, params.omega3
+    rs = root_set(params, regime)
+
+    def d(roots, shift=0.0):
+        return math.prod(s - (r + shift) for r in roots)
+
+    if Regime.coerce(regime) is Regime.STRONG_RF:
+        d2, d3, d4 = d(rs.quadratic), d(rs.cubic), d(rs.quadratic, -b4)
+        if init == 1:
+            num = 2 * o1 ** 2 * (o2 ** 2 + (s + b3) * ((s + b2 + b3) * (s + b3)
+                                                      + o2 ** 2))
+            return num / (s * d2 * d3)
+        if init == 2:
+            q = s ** 2 + (b2 + 2 * b3) * s + b3 ** 2 + b2 * b3 + 2 * o2 ** 2
+            pp = s ** 2 + (b2 + 2 * b3) * s + b3 ** 2 + 2 * o1 ** 2 + b3 * o2 ** 2
+            num = (q * s * d2 + 2 * o1 ** 2 * o2 ** 2 * (s - 1)
+                   - 2 * o1 ** 2 * (s + b3) * pp)
+            return num / (s * d2 * d3)
+        core = d4 * (s + b4)
+        den = d3 * d4 * (s + b4)
+        if obs == "rho22":
+            lead = s + b2 + b3 + 2 * o2 ** 2
+            num = (lead * (core + 2 * o3 ** 2 * (1 - b4 - s) * (s + b2 + b4))
+                   + 2 * o2 ** 2 * o3 ** 2 * (1 - b3 - s) * (s + b4))
+            return num / den
+        q3 = s ** 2 + (b3 + 2 * b2) * s + b2 ** 2 + b2 * b3 + 2 * o2 ** 2
+        num = (q3 * (core + 2 * o3 ** 2 * (s + b2 + b4) * (1 - b4 - s))
+               + 2 * o2 ** 2 * o3 ** 2 * (s + b2) * (s + b4))
+        return num / den
+
+    d2p, d3p, d4p = d(rs.quadratic), d(rs.cubic), d(rs.quartic)
+    c1 = -o1 * o2 * ((s + b4) * (s + b2 + b4) + o1 ** 2 - o3 ** 2)
+    c2 = -o2 * ((s + b4) * (s + b3) * (s + b2 + b4) + o3 ** 2 * (s + b2 + b4)
+                + o1 ** 2 * (s + b3))
+    c3 = o2 * o3 * (-(s + b3) * (s + b4) + o1 ** 2 - o3 ** 2)
+    w = s ** 2 + (b3 + 2 * b4) * s + b4 ** 2 + b3 * b4 + 2 * o3 ** 2
+    if init == 1:
+        return 2 * o1 ** 2 / (s * d2p)
+    if (init, obs) == (3, "rho33"):
+        num = (d4p + 2 * o2 * c2) * w + 2 * o2 * o3 * c3 * (s + 2 * b4 + 1)
+        return num / (d3p * d4p)
+    if (init, obs) == (3, "rho44"):
+        return 2 * o3 * (o3 * (d4p + 2 * o2 * c2) - o2 * c3 * (s + b4)) / (d3p * d4p)
+    g = s ** 2 + (2 * b2 - 2 * o1 ** 2) * s + b2 ** 2 - 2 * b2 * o1 ** 2
+    t1 = 2 * o1 ** 2 * (s + b2) * d3p * d4p
+    t2 = 2 * o1 * o2 * c1 * s * (s + b2) * d3p
+    if init == 3:
+        t3 = -2 * o2 * (s + b2) * c2 * s * (s + b2) * d3p
+        t4 = 4 * o1 ** 2 * (-o3 ** 2 * d4p
+                            + o2 * o3 * ((s + b3) * c3 - 2 * o3 * c2)) * s * (s + b2)
+        inner5 = (d4p + 2 * o2 * c2) * w + 2 * o2 * o3 * c3 * (s + b4 - 1)
+    else:
+        t3 = (s + b2) * (d4p - 2 * o2 * c2) * s * (s + b2) * d3p
+        t4 = (4 * o1 ** 2 * o2 ** 2 * o3 ** 2 * ((s + b3) * c3 - 2 * o3 * c2)
+              * s * (s + b2))
+        inner5 = 2 * o2 * c2 * w + 2 * o2 * o3 * c3 * (s + b4 - 1)
+    num = t1 + t2 + t3 + t4 + g * inner5 * s
+    return num / (s * (s + b2) * d2p * d3p * d4p)
+
+
+@pytest.mark.parametrize("gammas", ["unit", "physical"])
+def test_appendix_matches_printed_terms(gammas):
+    # guards the transcription itself: the expanded coefficients must
+    # reproduce the printed formula evaluated term by term
+    points = {
+        Regime.STRONG_RF: closed_cascade(omega1=0.2, omega_rf=20.0, omega3=0.2,
+                                         gammas=gammas),
+        Regime.WEAK_RF: closed_cascade(omega1=4.0, omega_rf=0.2, omega3=4.0,
+                                       gammas=gammas),
+    }
+    for regime, init, obs in APPENDIX_CATALOGUE:
+        params = points[regime]
+        rf = appendix_rational(params, regime, init, obs)
+        for s in (0.3 + 0.7j, -0.2 + 5j, 2.0 + 0j, 1.0 + 30j):
+            want = catalogue_scalar(params, regime, init, obs, s)
+            assert abs(rf(s) - want) <= 1e-12 * abs(want), (regime, init, obs, s)
 
 
 def test_appendix_weak_init1_inverts_to_damped_rabi(weak_rf_point):
