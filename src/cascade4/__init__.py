@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     GridMismatch,
     IllConditionedPoles,
+    InvalidArgument,
     InvalidLevel,
     InvalidParams,
     NearPole,

@@ -17,6 +17,7 @@ from .dynamics import evolve, steady_state
 from .errors import (
     Cascade4Error,
     ConfigError,
+    InvalidParams,
     OutputError,
     ParseError,
     RangeError,
@@ -33,8 +34,7 @@ from .model import (
 )
 from .validation import run_validation
 
-SYSTEM_KEYS = ("omega1", "omega_rf", "omega3", "delta1", "delta2", "delta3",
-               "gamma2", "gamma3", "gamma4", "gamma23", "gamma34", "gamma24")
+SYSTEM_KEYS = tuple(f.name for f in fields(SystemParams))
 SYSTEM_ALIASES = {"delta_rf": "delta2"}
 
 
@@ -135,22 +135,18 @@ def parse_config(text: str) -> RunConfig:
             else:
                 raise UnknownKey(f"line {lineno}: unknown [options] key {key!r}")
 
-    for key, value in [*system_kw.items(), ("tau_max", cfg.tau_max)]:
-        if not np.isfinite(value):
-            raise RangeError(f"{key} must be finite, got {value}")
-    for key in ("gamma2", "gamma3", "gamma4"):
-        if key in system_kw and system_kw[key] <= 0.0:
-            raise RangeError(f"{key} must be positive, got {system_kw[key]}")
-    for key in ("omega1", "omega_rf", "omega3", "gamma23", "gamma34", "gamma24"):
-        if key in system_kw and system_kw[key] < 0.0:
-            raise RangeError(f"{key} must be nonnegative, got {system_kw[key]}")
+    try:
+        cfg.system = SystemParams(**system_kw)
+    except InvalidParams as exc:
+        raise RangeError(str(exc)) from exc
+    if not np.isfinite(cfg.tau_max):
+        raise RangeError(f"tau_max must be finite, got {cfg.tau_max}")
     if cfg.tau_max <= 0.0:
         raise RangeError(f"tau_max must be positive, got {cfg.tau_max}")
     if cfg.tau_points < 16:
         raise RangeError(f"tau_points must be >= 16, got {cfg.tau_points}")
     if not 6 <= cfg.precision <= 17:
         raise RangeError(f"precision must be in [6, 17], got {cfg.precision}")
-    cfg.system = SystemParams(**system_kw)
     return cfg
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import model
 from .dynamics import _derivative_evaluator, evolve, steady_state
-from .errors import GridMismatch, NoPeak, ZeroSteadyState
+from .errors import GridMismatch, InvalidArgument, NoPeak, ZeroSteadyState
 from .model import AffineGenerator, SystemParams, build_generator, prepare_state
 
 # pair -> (preparation level, observed population index)
@@ -33,7 +33,7 @@ CLIP_TOL = 1e-10
 def _validate_pair(pair):
     pair = tuple(pair)
     if pair not in PAIR_TABLE:
-        raise ValueError(f"pair must be one of {sorted(PAIR_TABLE)}, got {pair}")
+        raise InvalidArgument(f"pair must be one of {sorted(PAIR_TABLE)}, got {pair}")
     return pair
 
 
@@ -77,11 +77,11 @@ def default_tau_grid(params: SystemParams, tau_max=None, n=2000, spacing="log_li
     if tau_max is None:
         tau_max = 10.0 / params.min_gamma
     if n < 16:
-        raise ValueError("need at least 16 grid points")
+        raise InvalidArgument("need at least 16 grid points")
     if spacing == "linear":
         return np.linspace(0.0, tau_max, n)
     if spacing != "log_linear":
-        raise ValueError(f"unknown spacing {spacing!r}")
+        raise InvalidArgument(f"unknown spacing {spacing!r}")
     n_log = n // 3
     knee = tau_max / 20.0
     head = np.geomspace(1e-4 * tau_max, knee, n_log)
@@ -134,7 +134,7 @@ def cs_ratio(g31: CorrelationSeries, g11: CorrelationSeries,
     elif definition == "literal":
         den = max(g33.values[0], DENOMINATOR_FLOOR) * g11.values
     else:
-        raise ValueError(f"unknown definition {definition!r}")
+        raise InvalidArgument(f"unknown definition {definition!r}")
     ok = den > DENOMINATOR_FLOOR
     R = np.where(ok, g31.values ** 2 / np.where(ok, den, 1.0), 0.0)
     k = int(np.argmax(R))
@@ -227,10 +227,10 @@ def _slope_root(derivatives, lo, hi):
 def scan_tau_d(base: SystemParams, swept: str, grid) -> DelayScan:
     """tau_d as a function of one drive strength; per-point errors recorded."""
     if swept not in SWEEPABLE:
-        raise ValueError(f"swept field must be one of {sorted(SWEEPABLE)}")
+        raise InvalidArgument(f"swept field must be one of {sorted(SWEEPABLE)}")
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
-        raise ValueError("sweep grid must be ascending and positive")
+        raise InvalidArgument("sweep grid must be ascending and positive")
     key = "omega_rf" if swept == "omega2" else swept
     tau_d = np.full(len(grid), np.nan)
     failures = []

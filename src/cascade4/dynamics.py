@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import StepFailure, UnstableGenerator
+from .errors import InvalidArgument, StepFailure, UnstableGenerator
 from .model import AffineGenerator
 
 # Largest eigenbasis condition number the eigen-expansion is trusted at.
@@ -38,9 +38,9 @@ class Trajectory:
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
-            raise ValueError("times and states lengths differ")
+            raise InvalidArgument("times and states lengths differ")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+            raise InvalidArgument("times must be strictly increasing")
 
     def component(self, index):
         return self.states[:, index]
@@ -77,11 +77,11 @@ def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
-        raise ValueError("times must be a nonempty 1-d grid")
+        raise InvalidArgument("times must be a nonempty 1-d grid")
     if len(times) > 1 and np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
+        raise InvalidArgument("times must be strictly increasing")
     if times[0] < 0:
-        raise ValueError("times must start at t >= 0")
+        raise InvalidArgument("times must start at t >= 0")
     x0 = np.asarray(x0, dtype=float)
 
     if backend == "expm":
@@ -89,7 +89,7 @@ def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
     elif backend == "rk":
         states = _evolve_rk(gen, x0, times)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
+        raise InvalidArgument(f"unknown backend {backend!r}")
     if times[0] == 0.0:
         states[0] = x0  # exp(0) = I: no rounding from x_ss or the basis
     return Trajectory(times=times.copy(), states=states)

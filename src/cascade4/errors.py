@@ -5,6 +5,11 @@ class Cascade4Error(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidArgument(Cascade4Error, ValueError):
+    """A library call got an argument outside its domain (unknown name,
+    malformed grid, nonpositive time)."""
+
+
 class InvalidParams(Cascade4Error):
     """Physical parameters violate their constraints (negative rate, zero Gamma)."""
 

@@ -7,7 +7,10 @@ field (omega_rf).  Everything is expressed in units of gamma = 2*pi MHz, so a
 
 The density matrix is packed into 15 real components; rho11 is eliminated by
 the trace, which turns the master equation into the affine system
-dx/dt = A x + b.
+dx/dt = A x + b.  The master equation is written once, in 4x4 operator form
+(_master_equation); A and b are linear in 15 rates, so the operator form is
+evaluated once per unit rate at import and build_generator is a product of
+the rate vector with that table.
 """
 
 import math
@@ -199,106 +202,94 @@ class AffineGenerator:
         return x
 
 
-def build_generator(params: SystemParams) -> AffineGenerator:
-    """Assemble the 15x15 drift matrix and constant vector.
+# (row, column) of each packed coherence rho_jk, j < k, in packed order.
+_ROW = np.array([0, 1, 2, 0, 0, 1])
+_COL = np.array([1, 2, 3, 2, 3, 3])
+_POP = np.array([1, 2, 3])
 
-    Each complex coherence equation is split into real and imaginary rows;
-    rho11 is replaced by 1 - rho22 - rho33 - rho44, which produces the single
-    constant entry b[im rho12] = omega1.
+
+def _pack(m):
+    """Packed state(s) of 4x4 matrices (leading axes broadcast): Re and Im of
+    each coherence, then rho22, rho33, rho44."""
+    coherences = np.ascontiguousarray(m[..., _ROW, _COL]).view(float)
+    return np.concatenate([coherences, m[..., _POP, _POP].real], axis=-1)
+
+
+def _unpack(x, trace=1.0):
+    """Hermitian 4x4 matrices of packed states, with rho11 = trace - rho22 -
+    rho33 - rho44 (trace 0 gives the linear part of the affine map)."""
+    x = np.asarray(x, dtype=float)
+    m = np.zeros(x.shape[:-1] + (4, 4), dtype=complex)
+    coherences = np.ascontiguousarray(x[..., :P22]).view(complex)
+    m[..., _ROW, _COL] = coherences
+    m[..., _COL, _ROW] = coherences.conj()
+    m[..., 0, 0] = trace - x[..., P22] - x[..., P33] - x[..., P44]
+    m[..., _POP, _POP] = x[..., P22:]
+    return m
+
+
+def _master_equation(rates, rho):
+    """d rho/dt = -i[H, rho] - D * rho (elementwise) + transfer, for 4x4 rho.
+
+    rates = (omega1, omega_rf, omega3, gamma2, gamma3, gamma4, gamma23,
+    gamma34, gamma24, then the detuning Delta_jk of each packed coherence).
+    H couples |1>-|2>, |2>-|3>, |3>-|4> with omega1, omega_rf, omega3;
+    D_jk = (Gamma_j + Gamma_k)/2 + i Delta_jk with Gamma_1 = 0 and
+    Delta_kj = -Delta_jk; gamma23, gamma24 feed rho22 from rho33, rho44 and
+    gamma34 feeds rho33 from rho44.  rho may carry leading axes.
     """
-    o1, orf, o3 = params.omega1, params.omega_rf, params.omega3
-    d1, d2, d3 = params.delta1, params.delta2, params.delta3
-    g2, g3, g4 = params.gamma2, params.gamma3, params.gamma4
-    g23, g34, g24 = params.gamma23, params.gamma34, params.gamma24
+    o1, orf, o3, g2, g3, g4, g23, g34, g24 = rates[:9]
+    H = np.zeros((4, 4))
+    H[_ROW[:3], _COL[:3]] = o1, orf, o3
+    H += H.T
+    gamma = np.array([0.0, g2, g3, g4])
+    delta = np.zeros((4, 4))
+    delta[_ROW, _COL] = rates[9:]
+    D = (gamma[:, None] + gamma) / 2 + 1j * (delta - delta.T)
+    drho = -1j * (H @ rho - rho @ H) - D * rho
+    drho[..., 1, 1] += g23 * rho[..., 2, 2] + g24 * rho[..., 3, 3]
+    drho[..., 2, 2] += g34 * rho[..., 3, 3]
+    return drho
 
-    A = np.zeros((DIM, DIM))
-    b = np.zeros(DIM)
 
-    # rho12: (-i d1 - g2/2) rho12 - i o1 (2 rho22 + rho33 + rho44 - 1) + i orf rho13
-    A[RE_R12, RE_R12] = -g2 / 2
-    A[RE_R12, IM_R12] = d1
-    A[RE_R12, IM_R13] = -orf
-    A[IM_R12, RE_R12] = -d1
-    A[IM_R12, IM_R12] = -g2 / 2
-    A[IM_R12, RE_R13] = orf
-    A[IM_R12, P22] = -2 * o1
-    A[IM_R12, P33] = -o1
-    A[IM_R12, P44] = -o1
-    b[IM_R12] = o1
+def _rates(p: SystemParams):
+    """The 15 rates A and b are linear in, in _master_equation's order; the
+    coherence detunings are the level-detuning sums d1 + d2, d1 + d2 + d3
+    and d2 + d3 (rho13, rho14, rho24)."""
+    d1, d2, d3 = p.delta1, p.delta2, p.delta3
+    return np.array([p.omega1, p.omega_rf, p.omega3, p.gamma2, p.gamma3,
+                     p.gamma4, p.gamma23, p.gamma34, p.gamma24,
+                     d1, d2, d3, d1 + d2, d1 + d2 + d3, d2 + d3])
 
-    # rho23: (-i d2 - (g2+g3)/2) rho23 - i o1 rho13 - i orf (rho33-rho22) + i o3 rho24
-    A[RE_R23, RE_R23] = -(g2 + g3) / 2
-    A[RE_R23, IM_R23] = d2
-    A[RE_R23, IM_R13] = o1
-    A[RE_R23, IM_R24] = -o3
-    A[IM_R23, RE_R23] = -d2
-    A[IM_R23, IM_R23] = -(g2 + g3) / 2
-    A[IM_R23, RE_R13] = -o1
-    A[IM_R23, RE_R24] = o3
-    A[IM_R23, P22] = orf
-    A[IM_R23, P33] = -orf
 
-    # rho34: (-i d3 - (g3+g4)/2) rho34 - i orf rho24 - i o3 (rho44-rho33)
-    A[RE_R34, RE_R34] = -(g3 + g4) / 2
-    A[RE_R34, IM_R34] = d3
-    A[RE_R34, IM_R24] = orf
-    A[IM_R34, RE_R34] = -d3
-    A[IM_R34, IM_R34] = -(g3 + g4) / 2
-    A[IM_R34, RE_R24] = -orf
-    A[IM_R34, P33] = o3
-    A[IM_R34, P44] = -o3
+def _unit_generators():
+    """(15, DIM*DIM + DIM) table: row k holds A (row-major) and b of the
+    master equation with rate k at 1 and all others at 0.
 
-    # rho13: (-i(d1+d2) - g3/2) rho13 - i o1 rho23 + i orf rho12 + i o3 rho14
-    A[RE_R13, RE_R13] = -g3 / 2
-    A[RE_R13, IM_R13] = d1 + d2
-    A[RE_R13, IM_R23] = o1
-    A[RE_R13, IM_R12] = -orf
-    A[RE_R13, IM_R14] = -o3
-    A[IM_R13, RE_R13] = -(d1 + d2)
-    A[IM_R13, IM_R13] = -g3 / 2
-    A[IM_R13, RE_R23] = -o1
-    A[IM_R13, RE_R12] = orf
-    A[IM_R13, RE_R14] = o3
+    Column j of A is the packed image of basis state j with rho11 =
+    -(rho22 + rho33 + rho44); b is the image of the zero state, |1><1|.
+    """
+    basis = np.concatenate([_unpack(np.eye(DIM), trace=0.0),
+                            _unpack(np.zeros((1, DIM)))])
+    images = [_pack(_master_equation(r, basis)) for r in np.eye(DIM)]
+    return np.stack([np.concatenate([im[:DIM].T.ravel(), im[DIM]])
+                     for im in images])
 
-    # rho14: (-i(d1+d2+d3) - g4/2) rho14 - i o1 rho24 + i o3 rho13
-    A[RE_R14, RE_R14] = -g4 / 2
-    A[RE_R14, IM_R14] = d1 + d2 + d3
-    A[RE_R14, IM_R24] = o1
-    A[RE_R14, IM_R13] = -o3
-    A[IM_R14, RE_R14] = -(d1 + d2 + d3)
-    A[IM_R14, IM_R14] = -g4 / 2
-    A[IM_R14, RE_R24] = -o1
-    A[IM_R14, RE_R13] = o3
 
-    # rho24: (-i(d2+d3) - (g2+g4)/2) rho24 - i o1 rho14 - i orf rho34 + i o3 rho23
-    A[RE_R24, RE_R24] = -(g2 + g4) / 2
-    A[RE_R24, IM_R24] = d2 + d3
-    A[RE_R24, IM_R14] = o1
-    A[RE_R24, IM_R34] = orf
-    A[RE_R24, IM_R23] = -o3
-    A[IM_R24, RE_R24] = -(d2 + d3)
-    A[IM_R24, IM_R24] = -(g2 + g4) / 2
-    A[IM_R24, RE_R14] = -o1
-    A[IM_R24, RE_R34] = -orf
-    A[IM_R24, RE_R23] = o3
+_UNIT_GENERATORS = _unit_generators()
 
-    # rho22: -g2 rho22 + 2 o1 Im rho12 - 2 orf Im rho23 + g23 rho33 + g24 rho44
-    A[P22, P22] = -g2
-    A[P22, IM_R12] = 2 * o1
-    A[P22, IM_R23] = -2 * orf
-    A[P22, P33] = g23
-    A[P22, P44] = g24
 
-    # rho33: -g3 rho33 - 2 o3 Im rho34 + 2 orf Im rho23 + g34 rho44
-    A[P33, P33] = -g3
-    A[P33, IM_R34] = -2 * o3
-    A[P33, IM_R23] = 2 * orf
-    A[P33, P44] = g34
+def build_generator(params: SystemParams) -> AffineGenerator:
+    """The packed master equation: A and b as the rates times the unit-rate
+    generators of the operator form.
 
-    # rho44: -g4 rho44 + 2 o3 Im rho34
-    A[P44, P44] = -g4
-    A[P44, IM_R34] = 2 * o3
-
+    The unit coefficients are 0, -1/2, +-1 and +-2, so every entry is
+    exactly what expanding the equations by hand gives (up to the sign of
+    zeros); rho11 = 1 - rho22 - rho33 - rho44 produces the single constant
+    entry b[im rho12] = omega1.
+    """
+    Ab = _rates(params) @ _UNIT_GENERATORS
+    A, b = Ab[:DIM * DIM].reshape(DIM, DIM), Ab[DIM * DIM:]
     A.setflags(write=False)
     b.setflags(write=False)
     return AffineGenerator(A=A, b=b, params=params)
@@ -341,27 +332,7 @@ class DensityMatrix:
 
     @classmethod
     def from_state(cls, x):
-        m = np.zeros((4, 4), dtype=complex)
-        r11, r22, r33, r44 = populations(x)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = r11, r22, r33, r44
-        m[0, 1] = x[RE_R12] + 1j * x[IM_R12]
-        m[1, 2] = x[RE_R23] + 1j * x[IM_R23]
-        m[2, 3] = x[RE_R34] + 1j * x[IM_R34]
-        m[0, 2] = x[RE_R13] + 1j * x[IM_R13]
-        m[0, 3] = x[RE_R14] + 1j * x[IM_R14]
-        m[1, 3] = x[RE_R24] + 1j * x[IM_R24]
-        iu = np.triu_indices(4, 1)
-        m[(iu[1], iu[0])] = m[iu].conj()
-        return cls(m)
+        return cls(_unpack(x))
 
     def to_state(self):
-        m = self.matrix
-        x = np.zeros(DIM)
-        x[RE_R12], x[IM_R12] = m[0, 1].real, m[0, 1].imag
-        x[RE_R23], x[IM_R23] = m[1, 2].real, m[1, 2].imag
-        x[RE_R34], x[IM_R34] = m[2, 3].real, m[2, 3].imag
-        x[RE_R13], x[IM_R13] = m[0, 2].real, m[0, 2].imag
-        x[RE_R14], x[IM_R14] = m[0, 3].real, m[0, 3].imag
-        x[RE_R24], x[IM_R24] = m[1, 3].real, m[1, 3].imag
-        x[P22], x[P33], x[P44] = m[1, 1].real, m[2, 2].real, m[3, 3].real
-        return x
+        return _pack(self.matrix)

@@ -36,7 +36,13 @@ from numpy.polynomial.polynomial import polyfromroots
 
 from .correlations import CorrelationSeries
 from .dynamics import steady_state
-from .errors import NearPole, NonzeroDetuning, NotCatalogued, ZeroSteadyState
+from .errors import (
+    InvalidArgument,
+    NearPole,
+    NonzeroDetuning,
+    NotCatalogued,
+    ZeroSteadyState,
+)
 from .model import (
     DIM,
     IM_R12,
@@ -82,11 +88,10 @@ class Regime(enum.Enum):
             return cls.STRONG_RF
         if key in ("weak", "weak_rf", "weakrf"):
             return cls.WEAK_RF
-        raise ValueError(f"unknown regime {value!r}")
+        raise InvalidArgument(f"unknown regime {value!r}")
 
 
 COND_LIMIT = 1e12
-CONTOUR_POINTS = 64
 
 PSI_NAMES = ("psi1", "psi2", "psi3", "psi4", "psi5", "psi6",
              "psi7", "psi8", "psi9")
@@ -333,7 +338,7 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
     regime = Regime.coerce(regime)
     _require_resonant(params)
     if observable not in OBSERVABLE_TO_PSI:
-        raise ValueError(f"observable must be one of {sorted(OBSERVABLE_TO_PSI)}")
+        raise InvalidArgument(f"observable must be one of {sorted(OBSERVABLE_TO_PSI)}")
     (idx,) = _PSI_INDEX[OBSERVABLE_TO_PSI[observable]]
     link, (m0, m1, _m2), blocks = _structure(regime)
     dyson = _Dyson(params, regime, blocks, (m0, m1, link[idx]))
@@ -523,8 +528,7 @@ def assembled_exponential_sum(params: SystemParams, regime, init_level,
         dist = min((abs(centroid - c) for c in others), default=1.0)
         radius = max(0.25 * dist, 4.0 * spread)
         terms += principal_terms(
-            laurent_coefficients(F, centroid, order, radius,
-                                 points=CONTOUR_POINTS), centroid)
+            laurent_coefficients(F, centroid, order, radius), centroid)
     tag = f"assembled/{regime.value}/init{init_level}/{observable}"
     return ExponentialSum(terms=tuple(terms), provenance=tag)
 
@@ -544,7 +548,7 @@ def _g2_source(params, pair, ss=None):
     """
     pair = tuple(pair)
     if pair not in ANALYTIC_PAIRS:
-        raise ValueError(f"analytic form available for {sorted(ANALYTIC_PAIRS)}")
+        raise InvalidArgument(f"analytic form available for {sorted(ANALYTIC_PAIRS)}")
     init_level, observable = ANALYTIC_PAIRS[pair]
     if ss is None:
         (idx,) = _PSI_INDEX[OBSERVABLE_TO_PSI[observable]]
@@ -585,16 +589,13 @@ def coefficient_identities(es: ExponentialSum) -> float:
     return abs(es.value_at_zero())
 
 
-def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None,
-                    nodes=None):
+def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None):
     """g2 at one delay via Talbot inversion of the hierarchy (no residues)."""
     init_level, observable, ss = _g2_source(params, pair, ss)
     regime = Regime.coerce(regime)
-    if nodes is None:
-        max_im = max(abs(z.imag) for z, _m in hierarchy_poles(params, regime))
-        nodes = talbot_nodes_required(tau, max_im)
+    max_im = max(abs(z.imag) for z, _m in hierarchy_poles(params, regime))
     F = laplace_observable(params, regime, init_level, observable)
-    return talbot_invert(F, tau, nodes=nodes) / ss
+    return talbot_invert(F, tau, nodes=talbot_nodes_required(tau, max_im)) / ss
 
 
 # ---------------------------------------------------------------------------

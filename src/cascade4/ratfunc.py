@@ -16,7 +16,7 @@ from numpy.polynomial.polynomial import polyfromroots, polyroots, polyval
 # mpmath is imported inside the functions that need it, so that the exact
 # dynamics (import cascade4, g2, scan_tau_d) never loads it.
 
-from .errors import IllConditionedPoles, NonFiniteTransform
+from .errors import IllConditionedPoles, InvalidArgument, NonFiniteTransform
 
 CLUSTER_TOL = 1e-8
 CLUSTER_TOL_UPPER = 1e-6
@@ -63,9 +63,9 @@ class RationalFunction:
         num = _realify(_trim(numerator))
         den = _realify(_trim(denominator))
         if len(den) < 2:
-            raise ValueError("denominator must have degree >= 1")
+            raise InvalidArgument("denominator must have degree >= 1")
         if len(num) >= len(den):
-            raise ValueError(
+            raise InvalidArgument(
                 f"rational function must be strictly proper "
                 f"(deg N = {len(num)-1}, deg D = {len(den)-1})")
         lead = den[-1]
@@ -202,15 +202,19 @@ class ExponentialSum:
                        for c, r, _p in self.terms if abs(c) > rel * scale})
 
 
-def laurent_coefficients(F, pole, order, radius, points=64):
+# Trapezoid nodes on each Laurent-coefficient circle.
+CONTOUR_POINTS = 64
+
+
+def laurent_coefficients(F, pole, order, radius):
     """Principal-part coefficients a_{-1} .. a_{-order} of F about `pole`.
 
-    Trapezoid rule on a circle of `radius`; spectrally accurate while the
-    nearest other singularity stays well outside the contour.  F must accept
-    a complex array and return its values elementwise: the whole ring is
-    sampled in one call.
+    Trapezoid rule on a circle of `radius` with CONTOUR_POINTS nodes;
+    spectrally accurate while the nearest other singularity stays well
+    outside the contour.  F must accept a complex array and return its
+    values elementwise: the whole ring is sampled in one call.
     """
-    theta = 2.0 * np.pi * np.arange(points) / points
+    theta = 2.0 * np.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS
     ring = np.exp(1j * theta)
     samples = np.asarray(F(pole + radius * ring), dtype=complex)
     coeffs = []
@@ -275,14 +279,14 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     return ExponentialSum(terms=tuple(terms), provenance=rf.provenance)
 
 
-def talbot_nodes_required(t, max_imag, base=32):
+def talbot_nodes_required(t, max_imag):
     """Node count keeping the fixed-Talbot contour outside poles with large
     imaginary part (|Im p| up to max_imag) at time t, with enough surplus to
-    resolve the resulting oscillation of the integrand."""
+    resolve the resulting oscillation of the integrand; 32 without such
+    poles."""
     if t <= 0 or max_imag <= 0:
-        return base
-    needed = int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
-    return max(base, needed)
+        return 32
+    return int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
 
 
 # Fixed-Talbot nodes whose weight |w_k| is at most this are evaluated in one
@@ -375,7 +379,7 @@ def talbot_invert(F, t, nodes=32, dps=None):
     """
     import mpmath
     if t <= 0:
-        raise ValueError("talbot_invert requires t > 0")
+        raise InvalidArgument("talbot_invert requires t > 0")
     if dps is None:
         dps = 20 + int(np.ceil(0.19 * nodes))
     z, w, zd, wd = _talbot_rule(nodes, dps)
@@ -394,7 +398,7 @@ def talbot_invert(F, t, nodes=32, dps=None):
         return float(2 * total / (5 * tmp))
 
 
-def talbot_invert_rf(rf: RationalFunction, t, nodes=None):
+def talbot_invert_rf(rf: RationalFunction, t):
     """Talbot inversion of a rational function, choosing nodes from its poles.
 
     The mp nodes use mpmath.polyval on the coefficients converted to mpc
@@ -402,8 +406,6 @@ def talbot_invert_rf(rf: RationalFunction, t, nodes=None):
     RationalFunction.__call__ at complex128.
     """
     import mpmath
-    if nodes is None:
-        nodes = talbot_nodes_required(t, rf.max_imag_pole())
     with mpmath.workprec(53):     # exact for double coefficients
         num = [mpmath.mpc(c) for c in rf.numerator[::-1]]
         den = [mpmath.mpc(c) for c in rf.denominator[::-1]]
@@ -413,4 +415,4 @@ def talbot_invert_rf(rf: RationalFunction, t, nodes=None):
             return rf(s)
         return mpmath.polyval(num, s) / mpmath.polyval(den, s)
 
-    return talbot_invert(F, t, nodes=nodes)
+    return talbot_invert(F, t, nodes=talbot_nodes_required(t, rf.max_imag_pole()))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .correlations import cs_ratio, default_tau_grid, g2, g31_peak_delay
 from .dynamics import evolve, steady_state
-from .errors import ZeroSteadyState
+from .errors import InvalidArgument, ZeroSteadyState
 from .model import (
     GAMMA_PRESETS,
     SystemParams,
@@ -85,7 +85,7 @@ def brute_force_evolve(gen, x0, t):
     (the constant drive rides in the augmented column).
     """
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise InvalidArgument("t must be >= 0")
     n = x0.size
     aug = np.zeros((n + 1, n + 1), dtype=np.longdouble)
     aug[:n, :n] = gen.A.astype(np.longdouble) * np.longdouble(t)

@@ -7,6 +7,7 @@ representation used by the package.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cascade4.model import (
     DIM,
@@ -33,6 +34,27 @@ def random_stable_params(rng, omega_low=0.1, omega_high=30.0):
     o1, orf, o3 = rng.uniform(omega_low, omega_high, 3)
     g2v, g3v, g4v = rng.uniform(0.1, 3.0, 3)
     return SystemParams(omega1=o1, omega_rf=orf, omega3=o3,
+                        gamma2=g2v, gamma3=g3v, gamma4=g4v,
+                        gamma23=g3v, gamma34=g4v, gamma24=0.0)
+
+
+@st.composite
+def stable_params(draw, weak_decades=(-10.0, -5.0)):
+    """Closed-branching rates; drives strong, weak (10**weak_decades,
+    near-defective when Gamma2 = Gamma3) or absent."""
+    scale = draw(st.sampled_from(("strong", "weak", "zero")))
+
+    def drive():
+        if scale == "strong":
+            return draw(st.floats(0.1, 30.0))
+        if scale == "weak":
+            return 10.0 ** draw(st.floats(*weak_decades))
+        return 0.0
+
+    g2v = draw(st.floats(0.1, 3.0))
+    g3v = g2v if draw(st.booleans()) else draw(st.floats(0.1, 3.0))
+    g4v = draw(st.floats(0.1, 3.0))
+    return SystemParams(omega1=drive(), omega_rf=drive(), omega3=drive(),
                         gamma2=g2v, gamma3=g3v, gamma4=g4v,
                         gamma23=g3v, gamma34=g4v, gamma24=0.0)
 

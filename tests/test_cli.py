@@ -4,10 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascade4
 from cascade4.cli import parse_config, run
-from cascade4.errors import ParseError, RangeError, UnknownKey
+from cascade4.errors import ConfigError, ParseError, RangeError, UnknownKey
 from cascade4.model import preset
 
 FIG2_CFG = """\
@@ -89,6 +91,37 @@ def test_parse_range_checks():
         parse_config("[output]\nprecision = 3\n")
     with pytest.raises(RangeError):
         parse_config("[options]\nbackend = verlet\n")
+
+
+CONFIG_KEYS = ("omega1", "omega_rf", "delta_rf", "gamma2", "gamma24",
+               "tau_max", "tau_points", "spacing", "path", "precision",
+               "backend", "cs_definition", "nonsense")
+CONFIG_VALUES = ("0", "-1", "4", "1e-300", "1e400", "-inf", "nan", "1_0",
+                 "0x10", "1" * 5000, "linear", "rk", "literal", "")
+
+
+@st.composite
+def config_lines(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.text(max_size=30))
+    if kind == 1:
+        return "[" + draw(st.sampled_from(
+            ("system", "grid", "output", "options", "System", ""))) + "]"
+    key = draw(st.sampled_from(CONFIG_KEYS) | st.text(max_size=8))
+    value = draw(st.sampled_from(CONFIG_VALUES) | st.text(max_size=12))
+    return f"{key} = {value}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(config_lines(), max_size=12))
+def test_arbitrary_config_raises_only_config_errors(lines):
+    try:
+        cfg = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    assert np.isfinite(cfg.tau_max) and cfg.tau_max > 0.0
+    assert cfg.tau_points >= 16 and 6 <= cfg.precision <= 17
 
 
 def _write_cfg(tmp_path, text=FIG2_CFG, name="run.cfg"):

@@ -23,7 +23,7 @@ from cascade4.model import (
 )
 from cascade4.validation import brute_force_evolve
 
-from conftest import closed_cascade
+from conftest import closed_cascade, stable_params
 
 
 def test_steady_state_no_optical_pumping():
@@ -178,27 +178,6 @@ def test_evolve_weak_drive_spectral():
     assert 1e3 < gen.eigensystem.cond < SPECTRAL_COND_LIMIT
     for level in (1, 3, 4):
         assert _max_error_vs_taylor(gen, level) < 1e-10
-
-
-@st.composite
-def stable_params(draw):
-    """Closed-branching rates; drives strong, weak (near-defective when
-    Gamma2 = Gamma3) or absent."""
-    scale = draw(st.sampled_from(("strong", "weak", "zero")))
-
-    def drive():
-        if scale == "strong":
-            return draw(st.floats(0.1, 30.0))
-        if scale == "weak":
-            return 10.0 ** draw(st.floats(-10.0, -5.0))
-        return 0.0
-
-    g2v = draw(st.floats(0.1, 3.0))
-    g3v = g2v if draw(st.booleans()) else draw(st.floats(0.1, 3.0))
-    g4v = draw(st.floats(0.1, 3.0))
-    return SystemParams(omega1=drive(), omega_rf=drive(), omega3=drive(),
-                        gamma2=g2v, gamma3=g3v, gamma4=g4v,
-                        gamma23=g3v, gamma34=g4v, gamma24=0.0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
