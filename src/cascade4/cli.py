@@ -58,18 +58,16 @@ class RunConfig:
                                 n=self.tau_points, spacing=self.spacing)
 
 
-def _parse_float(key, raw, lineno):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(lineno, f"cannot parse value for {key!r}: {raw!r}")
-
-
-def _parse_int(key, raw, lineno):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(lineno, f"cannot parse integer for {key!r}: {raw!r}")
+# Accepted keys per section: key -> float, int or str, or a tuple of the
+# allowed words.  Every key outside [system] is a RunConfig field.
+CONFIG_KEYS = {
+    "system": dict.fromkeys(SYSTEM_KEYS, float),
+    "grid": {"tau_max": float, "tau_points": int,
+             "spacing": ("log_linear", "linear")},
+    "output": {"path": str, "precision": int},
+    "options": {"backend": ("rk", "expm"),
+                "cs_definition": ("equal_time", "literal")},
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -78,8 +76,7 @@ def parse_config(text: str) -> RunConfig:
     '#' starts a comment; keys are case-sensitive; both delta2 and delta_rf
     name the rf detuning (last occurrence wins); unknown keys are errors.
     """
-    system_kw = {}
-    cfg = RunConfig()
+    system_kw, settings = {}, {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -89,7 +86,7 @@ def parse_config(text: str) -> RunConfig:
             if not line.endswith("]"):
                 raise ParseError(lineno, f"malformed section header {line!r}")
             section = line[1:-1]
-            if section not in ("system", "grid", "output", "options"):
+            if section not in CONFIG_KEYS:
                 raise UnknownKey(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -97,44 +94,26 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ParseError(lineno, "key outside of any [section]")
         key, raw_value = (part.strip() for part in line.split("=", 1))
+        target = settings
         if section == "system":
-            key = SYSTEM_ALIASES.get(key, key)
-            if key not in SYSTEM_KEYS:
-                raise UnknownKey(f"line {lineno}: unknown [system] key {key!r}")
-            system_kw[key] = _parse_float(key, raw_value, lineno)
-        elif section == "grid":
-            if key == "tau_max":
-                cfg.tau_max = _parse_float(key, raw_value, lineno)
-            elif key == "tau_points":
-                cfg.tau_points = _parse_int(key, raw_value, lineno)
-            elif key == "spacing":
-                if raw_value not in ("log_linear", "linear"):
-                    raise RangeError(f"line {lineno}: spacing must be "
-                                     f"log_linear or linear, got {raw_value!r}")
-                cfg.spacing = raw_value
-            else:
-                raise UnknownKey(f"line {lineno}: unknown [grid] key {key!r}")
-        elif section == "output":
-            if key == "path":
-                cfg.path = raw_value
-            elif key == "precision":
-                cfg.precision = _parse_int(key, raw_value, lineno)
-            else:
-                raise UnknownKey(f"line {lineno}: unknown [output] key {key!r}")
-        else:  # options
-            if key == "backend":
-                if raw_value not in ("rk", "expm"):
-                    raise RangeError(f"line {lineno}: backend must be rk or "
-                                     f"expm, got {raw_value!r}")
-                cfg.backend = raw_value
-            elif key == "cs_definition":
-                if raw_value not in ("equal_time", "literal"):
-                    raise RangeError(f"line {lineno}: cs_definition must be "
-                                     f"equal_time or literal, got {raw_value!r}")
-                cfg.cs_definition = raw_value
-            else:
-                raise UnknownKey(f"line {lineno}: unknown [options] key {key!r}")
+            key, target = SYSTEM_ALIASES.get(key, key), system_kw
+        kind = CONFIG_KEYS[section].get(key)
+        if kind is None:
+            raise UnknownKey(f"line {lineno}: unknown [{section}] key {key!r}")
+        if isinstance(kind, tuple):
+            if raw_value not in kind:
+                raise RangeError(f"line {lineno}: {key} must be "
+                                 f"{' or '.join(kind)}, got {raw_value!r}")
+            target[key] = raw_value
+            continue
+        try:
+            target[key] = kind(raw_value)
+        except ValueError:
+            what = "integer" if kind is int else "value"
+            raise ParseError(
+                lineno, f"cannot parse {what} for {key!r}: {raw_value!r}")
 
+    cfg = RunConfig(**settings)
     try:
         cfg.system = SystemParams(**system_kw)
     except InvalidParams as exc:
@@ -224,14 +203,19 @@ def _cmd_g2(cfg, args):
     return 0
 
 
+def _cs_columns(gen, taus, definition, backend="expm"):
+    """(cs_ratio result, [g11, g33, g31, R] on taus)."""
+    g31, g11, g33 = (g2(gen, pair, taus, backend=backend)
+                     for pair in ((3, 1), (1, 1), (3, 3)))
+    result = cs_ratio(g31, g11, g33, definition=definition)
+    return result, [g11.values, g33.values, g31.values, result.R]
+
+
 def _cmd_cs(cfg, args):
-    gen = build_generator(cfg.system)
     taus = cfg.tau_grid()
-    s31 = g2(gen, (3, 1), taus, backend=cfg.backend)
-    s11 = g2(gen, (1, 1), taus, backend=cfg.backend)
-    s33 = g2(gen, (3, 3), taus, backend=cfg.backend)
-    result = cs_ratio(s31, s11, s33, definition=cfg.cs_definition)
-    rows = list(zip(taus, s11.values, s33.values, s31.values, result.R))
+    result, columns = _cs_columns(build_generator(cfg.system), taus,
+                                  cfg.cs_definition, cfg.backend)
+    rows = list(zip(taus, *columns))
     _write_csv(cfg.path, ("tau", "g11", "g33", "g31", "R"), rows,
                [f"cascade4 cs ({result.definition})", UNITS_COMMENT,
                 _param_comment(cfg.system)],
@@ -339,14 +323,9 @@ def _cmd_figures(cfg, args):
 
     rows = []
     for orf in (4.0, 10.0, 20.0):
-        p4 = preset("fig2", gammas).with_drives(omega_rf=orf)
-        gen = build_generator(p4)
-        s31 = g2(gen, (3, 1), taus)
-        s11 = g2(gen, (1, 1), taus)
-        s33 = g2(gen, (3, 3), taus)
-        R = cs_ratio(s31, s11, s33, definition=cfg.cs_definition)
-        rows += [[orf, t, a, b, c, d] for t, a, b, c, d in
-                 zip(taus, s11.values, s33.values, s31.values, R.R)]
+        gen = build_generator(preset("fig2", gammas).with_drives(omega_rf=orf))
+        _result, columns = _cs_columns(gen, taus, cfg.cs_definition)
+        rows += [[orf, *row] for row in zip(taus, *columns)]
     _write_csv(os.path.join(outdir, "fig4.csv"),
                ("omega_rf", "tau", "g11", "g33", "g31", "R"), rows,
                ["cascade4 figures: auto/cross correlations and ratio R",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .dynamics import _derivative_evaluator, evolve, steady_state
+from .dynamics import _projector, evolve, steady_state
 from .errors import GridMismatch, InvalidArgument, NoPeak, ZeroSteadyState
 from .model import AffineGenerator, SystemParams, build_generator, prepare_state
 
@@ -167,20 +167,21 @@ def g31_peak_delay(params: SystemParams, coarse_n=1600):
     deliberate: strong rf drives superimpose fast oscillations, and the
     emission delay is set by the first one.
 
-    The slope and curvature come from the generator's eigen-expansion, in
-    which the n-th derivative weights mode k by lam_k^n V[rho22, k] c_k; at
-    an eigenbasis condition number above SPECTRAL_COND_LIMIT the same
-    functionals are read from scipy.linalg.expm propagation, as in
-    dynamics.evolve.  Raises ZeroSteadyState when rho22 vanishes in the
-    steady state and NoPeak when the slope never changes sign on the grid.
+    The slope and curvature are the rows A[rho22] and (A^2)[rho22] applied
+    to the deviation from the steady state, read through dynamics'
+    propagator (the eigen-expansion, or scipy.linalg.expm propagation above
+    SPECTRAL_COND_LIMIT).  Raises ZeroSteadyState when rho22 vanishes in
+    the steady state and NoPeak when the slope never changes sign on the
+    grid.
     """
     gen = build_generator(params)
     level, obs = PAIR_TABLE[(3, 1)]
     _steady_norm(gen, (3, 1))      # ZeroSteadyState before any search
     taus = default_tau_grid(params, tau_max=min(6.0 / params.min_gamma, 40.0),
                             n=coarse_n)
-    derivatives = _derivative_evaluator(gen, prepare_state(level), obs)
-    lo, hi = _first_descent(taus, lambda t: derivatives(t, 1)[:, 0])
+    rows = np.array([gen.A[obs], gen.A[obs] @ gen.A])
+    derivatives = _projector(gen, prepare_state(level), rows)
+    lo, hi = _first_descent(taus, lambda t: derivatives(t)[:, 0])
     return _slope_root(derivatives, lo, hi)
 
 
@@ -204,7 +205,7 @@ def _slope_root(derivatives, lo, hi):
     # is > 0 at lo and <= 0 at hi.
     t = 0.5 * (lo + hi)
     for _ in range(ROOT_MAX_STEPS):
-        slope, curvature = derivatives(np.array([t]), 2)[0]
+        slope, curvature = derivatives(np.array([t]))[0]
         if slope == 0.0:
             break
         if slope > 0.0:

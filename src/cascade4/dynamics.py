@@ -10,8 +10,10 @@ cached on the generator.  The expansion loses accuracy in proportion to the
 condition number of V, which is unbounded near a defective A (Moler & Van
 Loan, SIAM Rev. 2003); here that is weak drive with Gamma2 = Gamma3.  Above
 SPECTRAL_COND_LIMIT the propagator therefore steps between grid points with
-scipy.linalg.expm instead.  An adaptive Runge-Kutta backend is kept as an
-independent cross-check.
+scipy.linalg.expm instead.  That choice is made in one place, _projector,
+which returns fixed rows applied to x(t) - x_ss: evolve passes the
+identity, the emission-delay search the rows of its slope and curvature.
+An adaptive Runge-Kutta backend is kept as an independent cross-check.
 """
 
 from dataclasses import dataclass
@@ -23,10 +25,12 @@ from .errors import InvalidArgument, StepFailure, UnstableGenerator
 from .model import AffineGenerator
 
 # Largest eigenbasis condition number the eigen-expansion is trusted at.
-# Against the scaled-Taylor oracle its error is 2.7e-13 at cond 8.2e3
-# (drives 1e-6, Gamma2 = Gamma3), 8.3e-12 at cond 1.8e5 (drives 1e-8) and
-# 0.3 at cond 1.2e16 (zero drive); the shipped presets sit near cond 2.
-SPECTRAL_COND_LIMIT = 1e6
+# Its absolute error grows like 5e-17 cond(V): against the scaled-Taylor
+# oracle it is 2.7e-13 at cond 8.2e3 (drives 1e-6, Gamma2 = Gamma3), up to
+# 2.7e-11 at cond 1e4-7e5 (drives 1e-8-1e-4) and 0.3 at cond 1.2e16 (zero
+# drive), while the stepped expm stays at 4.4e-16 above 1e4.  The shipped
+# presets sit near cond 2.
+SPECTRAL_COND_LIMIT = 1e4
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,8 @@ def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
 
     if backend == "expm":
-        states = _evolve_expm(gen, x0, times)
+        # _projector has run steady_state's checks on the fixed point.
+        states = _projector(gen, x0, np.eye(len(x0)))(times) + gen.fixed_point
     elif backend == "rk":
         states = _evolve_rk(gen, x0, times)
     else:
@@ -95,38 +100,22 @@ def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
     return Trajectory(times=times.copy(), states=states)
 
 
-def _evolve_expm(gen, x0, times):
-    xp = steady_state(gen)
-    eig = gen.eigensystem
-    y0 = x0 - xp
-    if eig.cond <= SPECTRAL_COND_LIMIT:
-        c = np.linalg.solve(eig.V, y0)
-        y = (np.exp(np.outer(times, eig.lam)) * c) @ eig.V.T
-        return y.real + xp
-    return _step_expm(gen.A, y0, times) + xp
+def _projector(gen, x0, rows):
+    """Callable times -> rows @ (x(t) - x_ss) from x(0) = x0, one row per
+    time of an array.
 
-
-def _derivative_evaluator(gen, x0, index):
-    """Callable (times, order) -> the first `order` (1 or 2) time derivatives
-    of x_index from x(0) = x0, one column per derivative, at every time of
-    an array.
-
-    It makes _evolve_expm's choice of propagator but reads out one linear
-    functional per derivative instead of the whole state: the n-th
-    derivative of the eigen-expansion weights mode k by lam_k^n V[index, k]
-    c_k, and above SPECTRAL_COND_LIMIT the stepped expm trajectory is
-    projected on row `index` of A^n.
+    This is the one choice of propagator: the eigen-expansion up to
+    SPECTRAL_COND_LIMIT, the stepped expm trajectory above it.  evolve
+    passes the identity; a row r @ A^n reads the n-th time derivative of
+    r @ x, since dx/dt = A (x - x_ss).
     """
     y0 = x0 - steady_state(gen)
     eig = gen.eigensystem
     if eig.cond <= SPECTRAL_COND_LIMIT:
-        w = eig.lam * eig.V[index] * np.linalg.solve(eig.V, y0)
-        weights = np.array([w, eig.lam * w])
-        return lambda times, order: (
-            np.exp(np.outer(times, eig.lam)) @ weights[:order].T).real
-    row = gen.A[index]
-    rows = np.array([row, row @ gen.A])
-    return lambda times, order: _step_expm(gen.A, y0, times) @ rows[:order].T
+        c = np.linalg.solve(eig.V, y0)
+        w = (rows @ eig.V).T
+        return lambda times: ((np.exp(np.outer(times, eig.lam)) * c) @ w).real
+    return lambda times: _step_expm(gen.A, y0, times) @ rows.T
 
 
 def _step_expm(A, y, times):

@@ -34,15 +34,8 @@ from numpy.polynomial.polynomial import polyfromroots
 # mpmath is imported inside the functions that need it, so that the exact
 # dynamics (import cascade4, g2, scan_tau_d) never loads it.
 
-from .correlations import CorrelationSeries
-from .dynamics import steady_state
-from .errors import (
-    InvalidArgument,
-    NearPole,
-    NonzeroDetuning,
-    NotCatalogued,
-    ZeroSteadyState,
-)
+from .correlations import PAIR_TABLE, CorrelationSeries, _steady_norm
+from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued
 from .model import (
     DIM,
     IM_R12,
@@ -60,6 +53,7 @@ from .model import (
     RE_R23,
     RE_R24,
     RE_R34,
+    STATE_LABELS,
     SystemParams,
     build_generator,
     prepare_state,
@@ -68,8 +62,7 @@ from .ratfunc import (
     ExponentialSum,
     RationalFunction,
     cluster_poles,
-    laurent_coefficients,
-    principal_terms,
+    principal_part,
     talbot_invert,
     talbot_nodes_required,
 )
@@ -95,7 +88,6 @@ COND_LIMIT = 1e12
 
 PSI_NAMES = ("psi1", "psi2", "psi3", "psi4", "psi5", "psi6",
              "psi7", "psi8", "psi9")
-OBSERVABLE_TO_PSI = {"rho22": "psi7", "rho33": "psi8", "rho44": "psi9"}
 
 # Packed components of each psi = L[Re rho] + i L[Im rho]: the coherences
 # rho12, rho23, rho34, rho13, rho14, rho24, then the populations.
@@ -337,9 +329,9 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
     """
     regime = Regime.coerce(regime)
     _require_resonant(params)
-    if observable not in OBSERVABLE_TO_PSI:
-        raise InvalidArgument(f"observable must be one of {sorted(OBSERVABLE_TO_PSI)}")
-    (idx,) = _PSI_INDEX[OBSERVABLE_TO_PSI[observable]]
+    if observable not in STATE_LABELS[P22:]:
+        raise InvalidArgument(f"observable must be one of {list(STATE_LABELS[P22:])}")
+    idx = STATE_LABELS.index(observable)
     link, (m0, m1, _m2), blocks = _structure(regime)
     dyson = _Dyson(params, regime, blocks, (m0, m1, link[idx]))
     x0 = prepare_state(init_level)
@@ -517,46 +509,34 @@ def hierarchy_poles(params: SystemParams, regime):
 def assembled_exponential_sum(params: SystemParams, regime, init_level,
                               observable) -> ExponentialSum:
     """Time-domain form of one population transform, by contour residues at
-    the known pole inventory (unnormalized)."""
+    the known pole inventory (unnormalized), each taken by
+    ratfunc.principal_part."""
     regime = Regime.coerce(regime)
     F = laplace_observable(params, regime, init_level, observable)
-    clusters = cluster_poles(*zip(*[(z, m) for z, m in
-                                    hierarchy_poles(params, regime)]))
-    terms = []
-    for centroid, order, spread in clusters:
-        others = [c for c, _o, _s in clusters if c != centroid]
-        dist = min((abs(centroid - c) for c in others), default=1.0)
-        radius = max(0.25 * dist, 4.0 * spread)
-        terms += principal_terms(
-            laurent_coefficients(F, centroid, order, radius), centroid)
+    clusters = cluster_poles(*zip(*hierarchy_poles(params, regime)))
+    terms = [t for cluster in clusters
+             for t in principal_part(F, cluster, clusters)]
     tag = f"assembled/{regime.value}/init{init_level}/{observable}"
     return ExponentialSum(terms=tuple(terms), provenance=tag)
 
 
-ANALYTIC_PAIRS = {
-    (1, 1): (1, "rho22"),
-    (3, 3): (3, "rho44"),
-    (3, 1): (3, "rho22"),
-}
+ANALYTIC_PAIRS = ((1, 1), (3, 3), (3, 1))
 
 
 def _g2_source(params, pair, ss=None):
-    """(init level, observable, denominator) of one analytic g2 pair.
+    """(init level, observable, denominator) of one analytic g2 pair, read
+    from correlations.PAIR_TABLE.
 
     The denominator is the observable's steady state under the full
-    generator, unless one is passed in.
+    generator, refused like correlations.g2's, unless one is passed in.
     """
     pair = tuple(pair)
     if pair not in ANALYTIC_PAIRS:
         raise InvalidArgument(f"analytic form available for {sorted(ANALYTIC_PAIRS)}")
-    init_level, observable = ANALYTIC_PAIRS[pair]
+    init_level, idx = PAIR_TABLE[pair]
     if ss is None:
-        (idx,) = _PSI_INDEX[OBSERVABLE_TO_PSI[observable]]
-        ss = float(steady_state(build_generator(params))[idx])
-        if ss < 1e-12:
-            raise ZeroSteadyState(
-                f"steady-state population {observable} is {ss:.2e}")
-    return init_level, observable, ss
+        ss = float(_steady_norm(build_generator(params), pair))
+    return init_level, STATE_LABELS[idx], ss
 
 
 def analytic_g2_sum(params: SystemParams, regime, pair):

@@ -223,11 +223,28 @@ def laurent_coefficients(F, pole, order, radius):
     return coeffs
 
 
-def principal_terms(coeffs, pole):
-    """Time-domain terms of the principal part sum_l a_{-l} / (s - pole)^l,
-    coeffs = (a_{-1}, a_{-2}, ...): each inverts to a_{-l} t^{l-1} e^{pt} /
-    (l-1)!, returned as (coeff, rate, power) for ExponentialSum."""
-    return [(a / math.factorial(l - 1), pole, l - 1)
+def principal_part(F, cluster, clusters):
+    """Time-domain terms of F's principal part at one pole cluster.
+
+    `cluster` is one (centroid, order, spread) of `clusters`, as returned by
+    cluster_poles.  The Laurent coefficients a_{-1} .. a_{-order} come from
+    a circle of radius 0.3 times the distance to the nearest other centroid
+    (or 0.3 with none), widened to 10 times the spread; a circle that then
+    reaches half that distance would integrate across the neighbour, so it
+    is refused with IllConditionedPoles.  Each a_{-l} / (s - p)^l inverts
+    to a_{-l} t^{l-1} e^{pt} / (l-1)!, returned as (coeff, rate, power) for
+    ExponentialSum.
+    """
+    centroid, order, spread = cluster
+    dists = [abs(centroid - c) for c, _o, _s in clusters if c != centroid]
+    dist = min(dists, default=1.0)
+    radius = max(0.3 * dist, 10.0 * spread)
+    if dists and radius >= 0.5 * dist:
+        raise IllConditionedPoles(
+            f"cluster spread {spread:.2e} too close to neighbour at "
+            f"distance {dist:.2e}")
+    coeffs = laurent_coefficients(F, centroid, order, radius)
+    return [(a / math.factorial(l - 1), centroid, l - 1)
             for l, a in enumerate(coeffs, start=1)]
 
 
@@ -236,7 +253,7 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
 
     Denominator roots come from polyroots (or the stored factor list);
     roots within 1e-8 relative distance are treated as one pole of higher
-    multiplicity, whose principal part becomes principal_terms.  An isolated
+    multiplicity, whose principal part comes from principal_part.  An isolated
     simple pole p takes the residue N(p) / prod_j (p - r_j)^{m_j} over the
     other roots: the product form of D'(p), which keeps the digits that
     expanding D and differentiating it loses when poles sit far off the real
@@ -256,26 +273,16 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
         num_mp = [mpmath.mpc(c) for c in rf.numerator[::-1]]
 
     terms = []
-    for centroid, order, spread in clusters:
-        others = [c for c, _o, _s in clusters if c is not centroid and c != centroid]
-        dist = min((abs(centroid - c) for c in others), default=1.0)
+    for cluster in clusters:
+        centroid, order, spread = cluster
         if order == 1 and spread == 0.0:
             dprime = math.prod((centroid - r) ** m for r, m in zip(raw, mult)
                                if r != centroid)
             with mpmath.workprec(106):
                 num = complex(mpmath.polyval(num_mp, centroid))
-            res = num / dprime
-            terms.append((res, centroid, 0))
-            continue
-        radius = 0.3 * dist
-        if spread > 0.0:
-            radius = max(radius, 10.0 * spread)
-        if radius >= 0.5 * dist and others:
-            raise IllConditionedPoles(
-                f"cluster spread {spread:.2e} too close to neighbour at "
-                f"distance {dist:.2e}")
-        terms += principal_terms(
-            laurent_coefficients(rf, centroid, order, radius), centroid)
+            terms.append((num / dprime, centroid, 0))
+        else:
+            terms += principal_part(rf, cluster, clusters)
     return ExponentialSum(terms=tuple(terms), provenance=rf.provenance)
 
 

@@ -180,6 +180,19 @@ def test_evolve_weak_drive_spectral():
         assert _max_error_vs_taylor(gen, level) < 1e-10
 
 
+def test_evolve_near_defective_weak_drive_takes_fallback():
+    # Weak drives with Gamma2 = Gamma3 put cond V near 1.3e5, where the
+    # eigen-expansion was 3.8e-12 from the oracle; the stepped expm is at
+    # rounding level.
+    gen = build_generator(SystemParams(
+        omega1=1.35e-6, omega_rf=3.8e-8, omega3=2.6e-7,
+        gamma2=0.681, gamma3=0.681, gamma4=1.354,
+        gamma23=0.681, gamma34=1.354, gamma24=0.0))
+    assert gen.eigensystem.cond > SPECTRAL_COND_LIMIT
+    for level in (3, 4):
+        assert _max_error_vs_taylor(gen, level) < 1e-13
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(p=stable_params(), level=st.sampled_from((1, 2, 3, 4)))
 def test_backends_agree_property(p, level):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade4.correlations import default_tau_grid
-from cascade4.dynamics import SPECTRAL_COND_LIMIT, evolve
+from cascade4.dynamics import evolve
 from cascade4.errors import InvalidLevel, InvalidParams
 from cascade4.model import (
     DIM,
@@ -146,17 +146,14 @@ def test_density_matrix_roundtrip():
 def test_evolved_states_are_density_matrices(p, level):
     # Trace and hermiticity hold by construction of the packed state;
     # positivity is what the propagator must preserve, including on the
-    # near-defective eigenbases of weak drives with Gamma2 = Gamma3.  There
-    # the eigen-expansion's absolute error grows like 5e-17 cond(V) (see
-    # SPECTRAL_COND_LIMIT), and a zero eigenvalue of the exact state was
-    # seen at -3.6e-12 for cond 2.8e5; the stepping fallback stays at 1e-16.
+    # near-defective eigenbases of weak drives with Gamma2 = Gamma3, where
+    # the eigen-expansion's error grows like 5e-17 cond(V) and the
+    # propagator steps with expm instead (see SPECTRAL_COND_LIMIT).
     gen = build_generator(p)
-    cond = gen.eigensystem.cond
-    tol = 1e-16 * cond if 1e4 < cond <= SPECTRAL_COND_LIMIT else 1e-12
     states = evolve(gen, prepare_state(level), default_tau_grid(p, n=200)).states
     for x in states:
         dm = DensityMatrix.from_state(x)
-        assert np.linalg.eigvalsh(dm.matrix)[0] >= -tol
+        assert np.linalg.eigvalsh(dm.matrix)[0] >= -1e-12
         assert dm.to_state().tobytes() == x.tobytes()
 
 

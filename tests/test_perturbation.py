@@ -7,7 +7,12 @@ from numpy.polynomial.polynomial import polyfromroots
 
 from cascade4.correlations import g2
 from cascade4.dynamics import evolve
-from cascade4.errors import NearPole, NonzeroDetuning, NotCatalogued
+from cascade4.errors import (
+    NearPole,
+    NonzeroDetuning,
+    NotCatalogued,
+    ZeroSteadyState,
+)
 from cascade4.model import P22, build_generator, prepare_state
 from cascade4.perturbation import (
     _PSI_INDEX,
@@ -458,3 +463,16 @@ def test_assembled_transform_consistency(strong_weakdrive):
         recon = sum(c * factorial(k) / (s0 - p) ** (k + 1)
                     for c, p, k in es.terms)
         assert abs(recon - F(s0)) < 1e-9 * max(abs(F(s0)), 1e-6)
+
+
+def test_both_layers_refuse_the_same_zero_denominator():
+    # Without the upper optical drive rho44 has no steady state, so g33 is
+    # undefined; the exact and both perturbative paths say so alike.
+    p = closed_cascade(omega1=0.2, omega_rf=20.0, omega3=0.0)
+    with pytest.raises(ZeroSteadyState) as exact:
+        g2(build_generator(p), (3, 3), np.array([0.0, 1.0]))
+    with pytest.raises(ZeroSteadyState) as summed:
+        analytic_g2_sum(p, "strong", (3, 3))
+    with pytest.raises(ZeroSteadyState) as talbot:
+        talbot_g2_value(p, "strong", (3, 3), 0.5)
+    assert str(exact.value) == str(summed.value) == str(talbot.value)

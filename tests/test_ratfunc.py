@@ -19,6 +19,7 @@ from cascade4.ratfunc import (
     RationalFunction,
     cluster_poles,
     invert_rational,
+    principal_part,
     talbot_invert,
     talbot_invert_rf,
     talbot_nodes_required,
@@ -273,6 +274,22 @@ def test_cluster_ambiguity_raises():
         np.array([1.0]), polyfromroots([-1.0, -1.0 * (1 + 1e-7)]))
     with pytest.raises(IllConditionedPoles):
         invert_rational(rf)
+
+
+def test_principal_part_refuses_contour_reaching_a_neighbour():
+    # A cluster spread of 0.02 widens its circle to 0.2, past half the 0.1
+    # distance to the next pole, for any F (here a plain closure, as the
+    # hierarchy passes); the isolated neighbour keeps its residue 1/0.1^2.
+    clusters = [(-1.0, 2, 0.02), (-1.1, 1, 0.0)]
+
+    def F(s):
+        return 1.0 / ((s + 1.0) ** 2 * (s + 1.1))
+
+    with pytest.raises(IllConditionedPoles):
+        principal_part(F, clusters[0], clusters)
+    ((coeff, rate, power),) = principal_part(F, clusters[1], clusters)
+    assert (rate, power) == (-1.1, 0)
+    assert abs(coeff - 100.0) < 1e-9
 
 
 def test_strictly_proper_enforced():
