@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import perturbation
-from .correlations import cs_ratio, default_tau_grid, g2, scan_tau_d
+from .correlations import PAIR_TABLE, cs_ratio, default_tau_grid, g2, scan_tau_d
 from .dynamics import evolve, steady_state
 from .errors import (
     Cascade4Error,
@@ -185,8 +185,7 @@ def _cmd_evolve(cfg, args):
     return 0
 
 
-PAIR_FLAGS = {"11": (1, 1), "33": (3, 3), "31": (3, 1), "21": (2, 1),
-              "32": (3, 2)}
+PAIR_FLAGS = {f"{i}{j}": (i, j) for i, j in PAIR_TABLE}
 
 
 def _cmd_g2(cfg, args):

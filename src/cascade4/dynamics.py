@@ -46,9 +46,6 @@ class Trajectory:
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
             raise InvalidArgument("times must be strictly increasing")
 
-    def component(self, index):
-        return self.states[:, index]
-
 
 def steady_state(gen: AffineGenerator) -> np.ndarray:
     """The fixed point of A x = -b, solved once per generator (read-only).

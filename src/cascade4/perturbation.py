@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyfromroots
 # mpmath is imported inside the functions that need it, so that the exact
 # dynamics (import cascade4, g2, scan_tau_d) never loads it.
 
@@ -106,23 +105,20 @@ def _bars(params):
     return params.gamma2 / 2.0, params.gamma3 / 2.0, params.gamma4 / 2.0
 
 
-def _is_mp(s):
-    import mpmath
-    return isinstance(s, (mpmath.mpc, mpmath.mpf))
-
-
 # ---------------------------------------------------------------------------
 # The Dyson chain on the split generator.
 # ---------------------------------------------------------------------------
 
 def _split(params, regime):
-    """(A0, A1, b0, b1): the generator without its perturbative drives, and
-    the part those drives add."""
+    """(A0, A1, drives): the generator without its perturbative drives, the
+    part those drives add, and the drive constant b_k of each Dyson term:
+    b0, then b1 = b - b0, then zero."""
     off = ({"omega1": 0.0, "omega3": 0.0} if regime is Regime.STRONG_RF
            else {"omega_rf": 0.0})
     full = build_generator(params)
     base = build_generator(replace(params, **off))
-    return base.A, full.A - base.A, base.b, full.b - base.b
+    b1 = full.b - base.b
+    return base.A, full.A - base.A, (base.b, b1, 0 * b1)
 
 
 def _structure(regime):
@@ -135,21 +131,25 @@ def _structure(regime):
     exact zeros in these supports.
     """
     probe = SystemParams(omega1=1.0, omega_rf=1.0, omega3=1.0, gamma24=1.0)
-    a0, a1, b0, b1 = _split(probe, regime)
+    a0, a1, drives = _split(probe, regime)
     link = (a0 != 0) | (a0 != 0).T | np.eye(DIM, dtype=bool)
     for _ in range(4):      # paths of up to 16 > DIM steps
         link = (link.astype(int) @ link) > 0
-    m0 = link[np.isin(np.arange(DIM), (P22, P33, P44)) | (b0 != 0)].any(axis=0)
-    m1 = link[(a1[:, m0] != 0).any(axis=1) | (b1 != 0)].any(axis=0)
-    m2 = link[(a1[:, m1] != 0).any(axis=1)].any(axis=0)
-    blocks = sorted({tuple(np.flatnonzero(row)) for row in link})
-    return link, (m0, m1, m2), blocks
+    sources = np.isin(np.arange(DIM), (P22, P33, P44))
+    masks = []
+    for b in drives:      # term k is fed by A1 y_{k-1} + b_k / s
+        masks.append(link[sources | (b != 0)].any(axis=0))
+        sources = (a1[:, masks[-1]] != 0).any(axis=1)
+    blocks = sorted({tuple(map(int, np.flatnonzero(row))) for row in link})
+    return link, tuple(masks), blocks
 
 
 def _factor(s, m):
     """Solver for (s - m) y = r at machine precision, at every s of an array.
 
-    The condition check applies at each sample; the worst one is reported.
+    r is a sequence of components, each a scalar or shaped like s; the
+    solution comes back the same way.  The condition check applies at each
+    sample; the worst one is reported.
     """
     a = s[..., None, None] * np.eye(len(m)) - m
     sv = np.linalg.svd(a, compute_uv=False)
@@ -158,7 +158,14 @@ def _factor(s, m):
     if not cond <= COND_LIMIT:
         raise NearPole(f"hierarchy block condition {cond:.2e} exceeds 1e12")
     inv = np.linalg.inv(a)
-    return lambda rhs: (inv @ rhs[..., None])[..., 0]
+
+    def solve(rhs):
+        r = np.zeros(a.shape[:-1], dtype=complex)
+        for j, v in enumerate(rhs):
+            r[..., j] = v
+        return np.moveaxis((inv @ r[..., None])[..., 0], -1, 0)
+
+    return solve
 
 
 def _factor_mp(s, m):
@@ -205,85 +212,59 @@ class _Dyson:
     """The terms y0, y1, y2 of one parameter set, evaluated at any s.
 
     `masks[k]` selects which of the `blocks` of A0 to solve for in term k.
-    At complex128 s may be an array: each term then has shape s.shape + (DIM,).
-    At mpmath s the chain runs on plain lists of mpf/mpc and each term comes
-    back as a length-DIM object array.
+    Each term comes back as a DIM-long list: of arrays shaped like s at
+    complex128 s (which may be an array), of mpc at mpmath s.
     """
 
     def __init__(self, params, regime, blocks, masks):
-        import mpmath
-        a0, a1, self.b0, self.b1 = _split(params, regime)
+        a0, a1, drives = _split(params, regime)
         blocks = [b for b in blocks if any(mask[b[0]] for mask in masks)]
-        self.blocks = {b[0]: a0[np.ix_(b, b)] for b in blocks}
-        self.terms = [[np.array(b) for b in blocks if mask[b[0]]]
-                      for mask in masks]
-        self.supports = [np.flatnonzero(mask) for mask in masks]
-        self.couplings = [a1[np.ix_(self.supports[k + 1], self.supports[k])]
-                          for k in (0, 1)]
-        # The same data for the mpmath chain, converted once.  A double is
-        # exact at 53 bits, so these values serve every working precision.
-        with mpmath.workprec(53):
-            self.mp_blocks = {key: [[mpmath.mpf(v) if v else 0 for v in row]
-                                    for row in m.tolist()]
-                              for key, m in self.blocks.items()}
-            self.mp_couplings = [
-                [(int(sup[i]), int(prev[j]), mpmath.mpf(a[i, j]))
-                 for i, j in zip(*np.nonzero(a))]
-                for a, sup, prev in zip(self.couplings, self.supports[1:],
-                                        self.supports)]
-            self.mp_b = [[(int(i), mpmath.mpf(b[i])) for i in np.flatnonzero(b)]
-                         for b in (self.b0, self.b1)]
+        self.terms = [[b for b in blocks if mask[b[0]]] for mask in masks]
+        # Per term k: the A1 entries (i, j, a) from term k-1's support into
+        # term k's, and the entries (i, b) of its drive b_k.
+        prevs = (np.zeros(DIM, dtype=bool),) + tuple(masks[:-1])
+        couplings = [[(int(i), int(j), a1[i, j]) for i, j in zip(*np.nonzero(a1))
+                      if mask[i] and prev[j]] for prev, mask in zip(prevs, masks)]
+        drives = [[(int(i), b[i]) for i in np.flatnonzero(b)] for b in drives]
+        self.data = ({b[0]: a0[np.ix_(b, b)] for b in blocks}, couplings, drives)
+        self.mp_data = None
+
+    def _mp(self):
+        """self.data as mpf, made once.  A double is exact at 53 bits, so
+        these values serve every working precision; the blocks keep exact
+        zeros as int 0 for _factor_mp to skip."""
+        if self.mp_data is None:
+            import mpmath
+            blocks, couplings, drives = self.data
+            with mpmath.workprec(53):
+                self.mp_data = (
+                    {key: [[mpmath.mpf(v) if v else 0 for v in row]
+                           for row in m.tolist()] for key, m in blocks.items()},
+                    [[(i, j, mpmath.mpf(a)) for i, j, a in c] for c in couplings],
+                    [[(i, mpmath.mpf(b)) for i, b in d] for d in drives])
+        return self.mp_data
 
     def __call__(self, s, x0):
-        if _is_mp(s):
-            return self._call_mp(s, x0)
-        s = np.asarray(s, dtype=complex)
-        solvers = {key: _factor(s, m) for key, m in self.blocks.items()}
-
-        def resolve(k, rhs):     # R0 rhs on the blocks of term k
-            y = np.zeros(rhs.shape, dtype=complex)
-            for idx in self.terms[k]:
-                y[..., idx] = solvers[idx[0]](rhs[..., idx])
-            return y
-
-        def couple(k, y):        # A1 y, kept on the support of term k
-            rhs = np.zeros(y.shape, dtype=complex)
-            sup, prev = self.supports[k], self.supports[k - 1]
-            rhs[..., sup] = y[..., prev] @ self.couplings[k - 1].T
-            return rhs
-
-        s = s[..., None]
-        y0 = resolve(0, x0 + self.b0 / s)
-        y1 = resolve(1, couple(1, y0) + self.b1 / s)
-        y2 = resolve(2, couple(2, y1))
-        return y0, y1, y2
-
-    def _call_mp(self, s, x0):
-        solvers = {key: _factor_mp(s, m) for key, m in self.mp_blocks.items()}
-
-        def resolve(k, rhs):
+        import mpmath
+        if isinstance(s, (mpmath.mpc, mpmath.mpf)):
+            factor, (blocks, couplings, drives) = _factor_mp, self._mp()
+        else:
+            s = np.asarray(s, dtype=complex)
+            factor, (blocks, couplings, drives) = _factor, self.data
+        solvers = {key: factor(s, m) for key, m in blocks.items()}
+        ys, rhs = [], x0.tolist()
+        for term, coupling, drive in zip(self.terms, couplings, drives):
+            for i, j, a in coupling:
+                rhs[i] += a * ys[-1][j]
+            for i, b in drive:
+                rhs[i] += b / s
             y = [0] * DIM
-            for idx in self.terms[k]:
+            for idx in term:      # R0 rhs, block by block
                 for i, v in zip(idx, solvers[idx[0]]([rhs[i] for i in idx])):
                     y[i] = v
-            return y
-
-        def couple(k, y):
+            ys.append(y)
             rhs = [0] * DIM
-            for i, j, a in self.mp_couplings[k - 1]:
-                if y[j]:
-                    rhs[i] += a * y[j]
-            return rhs
-
-        def drive(rhs, k):       # rhs + b_k / s
-            for i, b in self.mp_b[k]:
-                rhs[i] += b / s
-            return rhs
-
-        y0 = resolve(0, drive(x0.tolist(), 0))
-        y1 = resolve(1, drive(couple(1, y0), 1))
-        y2 = resolve(2, couple(2, y1))
-        return tuple(np.array(y, dtype=object) for y in (y0, y1, y2))
+        return ys
 
 
 @dataclass(frozen=True)
@@ -338,7 +319,7 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
 
     def F(s):
         y0, _y1, y2 = dyson(s, x0)   # populations have no first-order part
-        return y0[..., idx] + y2[..., idx]
+        return y0[idx] + y2[idx]
 
     return F
 
@@ -361,17 +342,8 @@ class RootSet:
     quadratic: np.ndarray   # strong: alpha_{1,2}; weak: alpha-bar analogues
     cubic: np.ndarray       # strong: alpha_{3..5}; weak: alpha-bar_{3..5}
     quartic: np.ndarray     # weak only: alpha-bar_{6..9}; empty for strong
-    helpers: dict
     printed: dict
     mismatch: dict
-
-    def all_roots(self):
-        return np.concatenate([self.quadratic, self.cubic, self.quartic])
-
-    def denominator_poly(self, which):
-        roots = {"quadratic": self.quadratic, "cubic": self.cubic,
-                 "quartic": self.quartic}[which]
-        return polyfromroots(roots)
 
 
 def _pair_block_roots(gamma_a, gamma_b, coupling):
@@ -404,7 +376,7 @@ def _printed_cubic(bar_sum, orf):
     a5 = (-2.0 * bar_sum / (3.0 * alpha)
           + 12.0 * (1 - 1j * np.sqrt(3.0)) * orf ** 2
           - (1 + 1j * np.sqrt(3.0)) / alpha)
-    return np.array([a3, a4, a5]), alpha
+    return np.array([a3, a4, a5])
 
 
 def _matched_distance(numeric, printed):
@@ -430,8 +402,7 @@ def root_set(params: SystemParams, regime) -> RootSet:
         phi = np.sqrt(complex(4 * p.omega_rf ** 2 - (b2 - b3) ** 2))
         printed_quad = np.sort_complex(
             np.array([-b2 - b3 + 1j * phi, -b2 - b3 - 1j * phi]))
-        printed_cubic, alpha_aux = _printed_cubic(b2 + b3, p.omega_rf)
-        helpers = {"phi": phi, "alpha_aux": alpha_aux}
+        printed_cubic = _printed_cubic(b2 + b3, p.omega_rf)
         printed = {"quadratic": printed_quad, "cubic": printed_cubic}
         mismatch = {
             "quadratic": _matched_distance(quad, printed_quad),
@@ -439,7 +410,7 @@ def root_set(params: SystemParams, regime) -> RootSet:
         }
         return RootSet(regime=regime, quadratic=quad, cubic=cubic,
                        quartic=np.array([], dtype=complex),
-                       helpers=helpers, printed=printed, mismatch=mismatch)
+                       printed=printed, mismatch=mismatch)
 
     # Weak rf: the quadratic is the damped optical-drive pair behind d2p;
     # the cubic is the strong-rf one under (2,3,rf) -> (3,4, omega3); the
@@ -467,10 +438,9 @@ def root_set(params: SystemParams, regime) -> RootSet:
         -ssum - 1j * np.sqrt(complex(phi3 - 2 * phi1 * phi2)),
         -ssum + 1j * np.sqrt(complex(phi3 - 2 * phi1 * phi2)),
     ]))
-    printed_cubic, alpha_aux = _printed_cubic(b3 + b4, o3)
+    printed_cubic = _printed_cubic(b3 + b4, o3)
     printed_quad = np.sort_complex(
         np.array([-b2 + 2j * o1, -b2 - 2j * o1]))
-    helpers = {"phi1": phi1, "phi2": phi2, "phi3": phi3, "alpha_aux": alpha_aux}
     printed = {"quadratic": printed_quad, "cubic": printed_cubic,
                "quartic": printed_quartic}
     mismatch = {
@@ -479,7 +449,7 @@ def root_set(params: SystemParams, regime) -> RootSet:
         "quartic": _matched_distance(quartic, printed_quartic),
     }
     return RootSet(regime=regime, quadratic=quad, cubic=cubic, quartic=quartic,
-                   helpers=helpers, printed=printed, mismatch=mismatch)
+                   printed=printed, mismatch=mismatch)
 
 
 # ---------------------------------------------------------------------------

@@ -193,14 +193,6 @@ class ExponentialSum:
     def value_at_zero(self):
         return sum(c for c, _r, p in self.terms if p == 0)
 
-    def constant_term(self):
-        return sum(c for c, r, p in self.terms if p == 0 and abs(r) < 1e-12)
-
-    def significant_rates(self, rel=1e-9):
-        scale = max((abs(c) for c, _r, _p in self.terms), default=0.0)
-        return sorted({(round(r.real, 9), round(abs(r.imag), 9))
-                       for c, r, _p in self.terms if abs(c) > rel * scale})
-
 
 # Trapezoid nodes on each Laurent-coefficient circle.
 CONTOUR_POINTS = 64
@@ -358,16 +350,16 @@ def _talbot_rule(nodes, dps):
         return tuple(z), tuple(w), zd, wd
 
 
-def talbot_invert(F, t, nodes=32, dps=None):
+def talbot_invert(F, t, nodes=32):
     """Inverse Laplace transform at a single t > 0 by the fixed-Talbot rule.
 
     The contour parameter is r = 2*nodes/5; rounding amplification grows
-    like exp(r), so the working precision is raised with the node count
-    (mpmath).  The original f(t) is assumed real, i.e. F(conj s) = conj
-    F(s): only the upper contour half is sampled.  For transforms with poles
-    far off the real axis the node count must grow (see
-    talbot_nodes_required), both to keep the contour outside the poles and
-    to resolve the oscillation they imprint.
+    like exp(r), so the mpmath working precision is raised with the node
+    count, to 20 + ceil(0.19 nodes) digits.  The original f(t) is assumed
+    real, i.e. F(conj s) = conj F(s): only the upper contour half is
+    sampled.  For transforms with poles far off the real axis the node
+    count must grow (see talbot_nodes_required), both to keep the contour
+    outside the poles and to resolve the oscillation they imprint.
 
     F is called in two ways and must support both: with an mpmath.mpc
     scalar (returning any scalar mpmath/complex type), once per node whose
@@ -387,8 +379,7 @@ def talbot_invert(F, t, nodes=32, dps=None):
     import mpmath
     if t <= 0:
         raise InvalidArgument("talbot_invert requires t > 0")
-    if dps is None:
-        dps = 20 + int(np.ceil(0.19 * nodes))
+    dps = 20 + int(np.ceil(0.19 * nodes))
     z, w, zd, wd = _talbot_rule(nodes, dps)
     with mpmath.workdps(dps):
         tmp = mpmath.mpf(t)

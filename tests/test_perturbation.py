@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyfromroots
@@ -171,6 +172,25 @@ def test_observable_closure_broadcasts(gammas):
                 assert abs(value - F(z)) <= 1e-13 * abs(F(z))
 
 
+@pytest.mark.parametrize("gammas", ["unit", "physical"])
+def test_observable_closure_same_at_mpc_and_complex(gammas):
+    # the heavy fixed-Talbot nodes call the closure with mpmath scalars, the
+    # contour residues with complex128: both must give the same transform
+    points = ((closed_cascade(0.2, 20.0, 0.2, gammas), "strong"),
+              (closed_cascade(4.0, 0.2, 4.0, gammas), "weak"))
+    pairs = sorted({(init, obs) for _reg, init, obs in APPENDIX_CATALOGUE})
+    assert len(pairs) == 5
+    for params, regime in points:
+        for init, observable in pairs:
+            F = laplace_observable(params, regime, init, observable)
+            for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 1 + 30j, 5 + 40j,
+                      1e-3 + 0.01j):
+                want = F(complex(z))
+                with mpmath.workdps(30):
+                    got = complex(F(mpmath.mpc(z)))
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_talbot_inversion_of_hierarchy_matches_exact(strong_weakdrive):
     # strong rf, prepared in |3>, rho22(t) against exact dynamics, 3% rel
     p = strong_weakdrive
@@ -207,21 +227,15 @@ def test_roots_nonpositive_and_satisfy_denominators(strong_weakdrive,
     for params, regime in ((strong_weakdrive, "strong"),
                            (weak_rf_point, "weak")):
         rs = root_set(params, regime)
-        roots = rs.all_roots()
-        assert np.all(roots.real <= 1e-12)
-        # every root has a conjugate partner in the set
-        pool = list(roots)
-        for z in roots:
-            k = int(np.argmin([abs(np.conj(z) - w) for w in pool]))
-            assert abs(np.conj(z) - pool[k]) < 1e-9
-        for which in ("quadratic", "cubic", "quartic"):
-            group = getattr(rs, which)
-            if len(group) == 0:
-                continue
-            poly = rs.denominator_poly(which)
-            scale = np.max(np.abs(poly))
+        for group in (rs.quadratic, rs.cubic, rs.quartic):
+            assert np.all(group.real <= 1e-12)
+            # every root has a conjugate partner in its group, so the
+            # denominator built from the group is real
             for z in group:
-                assert abs(np.polyval(poly[::-1], z)) < 1e-8 * scale
+                assert np.min(np.abs(np.conj(z) - group)) < 1e-9
+            if len(group):
+                poly = polyfromroots(group)
+                assert np.max(np.abs(poly.imag)) < 1e-9 * np.max(np.abs(poly))
 
 
 def test_hierarchy_pole_inventory_nonpositive(strong_weakdrive, weak_rf_point):

@@ -321,13 +321,11 @@ def test_exponential_sum_empty_inputs():
     es = ExponentialSum(terms=((1.0 + 0j, -1.0 + 2j, 0), (1.0 - 0j, -1.0 - 2j, 0)))
     out = es(np.array([]))
     assert out.shape == (0,) and out.dtype == float
-    assert ExponentialSum(terms=()).significant_rates() == []
 
 
 def test_exponential_sum_value_at_zero():
     es = ExponentialSum(terms=((1.0, 0.0, 0), (-1.0, -1.0, 0), (0.5, -2.0, 1)))
     assert es.value_at_zero() == 0.0  # t^1 term does not count at t=0
-    assert es.constant_term() == 1.0
 
 
 def test_cluster_poles_merges_exact_duplicates():

@@ -40,6 +40,8 @@ def test_report_passes_and_is_deterministic(fig2_unit):
     rep1 = run_validation(fig2_unit)
     rep2 = run_validation(fig2_unit)
     assert not rep1.failed
+    cs = next(c for c in rep1.checks if c.name == "cs_ratio_bracket")
+    assert cs.status == "pass"
     assert len(rep1.checks) == len(rep2.checks)
     for c1, c2 in zip(rep1.checks, rep2.checks):
         assert c1.name == c2.name
@@ -53,6 +55,7 @@ def test_report_zero_drive_records_undefined_correlations():
     assert "correlations_defined" in names
     info = next(c for c in rep.checks if c.name == "correlations_defined")
     assert info.status == "info"
+    assert "cs_ratio_bracket" not in names
     assert not rep.failed
 
 
