@@ -6,6 +6,7 @@ propagate, read off the population radiating the second photon, and divide
 by that population's steady-state value.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,12 +178,20 @@ def g31_peak_delay(params: SystemParams, coarse_n=1600):
     gen = build_generator(params)
     level, obs = PAIR_TABLE[(3, 1)]
     _steady_norm(gen, (3, 1))      # ZeroSteadyState before any search
-    taus = default_tau_grid(params, tau_max=min(6.0 / params.min_gamma, 40.0),
-                            n=coarse_n)
+    taus = _peak_grid(params.min_gamma, coarse_n)
     rows = np.array([gen.A[obs], gen.A[obs] @ gen.A])
     derivatives = _projector(gen, prepare_state(level), rows)
     lo, hi = _first_descent(taus, lambda t: derivatives(t)[:, 0])
     return _slope_root(derivatives, lo, hi)
+
+
+@functools.lru_cache(maxsize=4)
+def _peak_grid(min_gamma, coarse_n):
+    # g31_peak_delay's search grid, read-only: a delay scan keeps min Gamma
+    # and coarse_n, so every sweep point shares one grid.
+    taus = default_tau_grid(None, tau_max=min(6.0 / min_gamma, 40.0), n=coarse_n)
+    taus.setflags(write=False)
+    return taus
 
 
 def _first_descent(taus, slope):

@@ -13,10 +13,11 @@ and term k is exactly order k in the perturbative drives.  On resonance A0
 splits into small connected blocks (the real and imaginary parts of the
 coherences separate), so an evaluation factors each block a term reaches
 once and reuses the factors for all three terms.  Every step is analytic in
-s, so the chain can be evaluated at any complex or mpmath s, which is what
-the Talbot inversion and the contour residue extraction need.  The pole
-inventory comes from the same split: the population block of A0 acts at
-order 0 and again around the loop, the blocks that A1 couples to it once.
+s, so the chain can be evaluated at any complex, Fixed or mpmath s, which
+is what the Talbot inversion and the contour residue extraction need.  The
+pole inventory comes from the same split: the population block of A0 acts
+at order 0 and again around the loop, the blocks that A1 couples to it
+once.
 
 The population rates entering these systems are the ones of the exact master
 equation.  The published versions of the same systems halve the population
@@ -30,8 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
-# mpmath is imported inside the functions that need it, so that the exact
-# dynamics (import cascade4, g2, scan_tau_d) never loads it.
+# mpmath is imported inside the functions that need it, so that neither the
+# exact dynamics (import cascade4, g2, scan_tau_d) nor the residue path
+# (analytic sums, invert_rational) loads it.
 
 from .correlations import PAIR_TABLE, CorrelationSeries, _steady_norm
 from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued
@@ -59,6 +61,7 @@ from .model import (
 )
 from .ratfunc import (
     ExponentialSum,
+    Fixed,
     RationalFunction,
     cluster_poles,
     principal_part,
@@ -83,6 +86,9 @@ class Regime(enum.Enum):
         raise InvalidArgument(f"unknown regime {value!r}")
 
 
+# Largest 1-norm condition number ||a||_1 ||a^-1||_1 of a block s - A0 that
+# _factor accepts; on these blocks of at most 5x5 it is within a factor 5
+# of the 2-norm condition number.
 COND_LIMIT = 1e12
 
 PSI_NAMES = ("psi1", "psi2", "psi3", "psi4", "psi5", "psi6",
@@ -152,12 +158,15 @@ def _factor(s, m):
     sample; the worst one is reported.
     """
     a = s[..., None, None] * np.eye(len(m)) - m
-    sv = np.linalg.svd(a, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.max(sv[..., 0] / sv[..., -1])
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise NearPole("singular hierarchy block at this s") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.max(np.linalg.norm(a, 1, axis=(-2, -1))
+                      * np.linalg.norm(inv, 1, axis=(-2, -1)))
     if not cond <= COND_LIMIT:
-        raise NearPole(f"hierarchy block condition {cond:.2e} exceeds 1e12")
-    inv = np.linalg.inv(a)
+        raise NearPole(f"hierarchy block 1-norm condition {cond:.2e} exceeds 1e12")
 
     def solve(rhs):
         r = np.zeros(a.shape[:-1], dtype=complex)
@@ -169,10 +178,11 @@ def _factor(s, m):
 
 
 def _factor_mp(s, m):
-    """Solver for (s - m) y = r at mpmath precision (pivoted LU).
+    """Solver for (s - m) y = r in the arithmetic of a scalar s: a
+    ratfunc.Fixed or an mpmath number (pivoted LU).
 
-    `m` is a list of rows of mpf entries, with exact zeros as int 0 so that
-    products with them can be skipped.
+    `m` is a list of rows of entries of that type, with exact zeros as int 0
+    so that products with them can be skipped.
     """
     n = len(m)
     lu = [[s - v if i == j else -v for j, v in enumerate(row)]
@@ -213,7 +223,12 @@ class _Dyson:
 
     `masks[k]` selects which of the `blocks` of A0 to solve for in term k.
     Each term comes back as a DIM-long list: of arrays shaped like s at
-    complex128 s (which may be an array), of mpc at mpmath s.
+    complex128 s (which may be an array), of Fixed at a ratfunc.Fixed s (the
+    heavy fixed-Talbot nodes), of mpc at mpmath s (the all-mpmath oracle).
+    The type of s picks only the block solver and the value copies: _factor
+    on the double values, or _factor_mp on Fixed or mpf copies of the block,
+    coupling and drive values, made once per type.  s is tested for Fixed
+    and complex first, so the residue path never imports mpmath.
     """
 
     def __init__(self, params, regime, blocks, masks):
@@ -227,30 +242,35 @@ class _Dyson:
                       if mask[i] and prev[j]] for prev, mask in zip(prevs, masks)]
         drives = [[(int(i), b[i]) for i in np.flatnonzero(b)] for b in drives]
         self.data = ({b[0]: a0[np.ix_(b, b)] for b in blocks}, couplings, drives)
-        self.mp_data = None
+        self.copies = {}
 
-    def _mp(self):
-        """self.data as mpf, made once.  A double is exact at 53 bits, so
-        these values serve every working precision; the blocks keep exact
-        zeros as int 0 for _factor_mp to skip."""
-        if self.mp_data is None:
-            import mpmath
+    def _copy(self, kind):
+        """self.data with every value converted by `kind` (a Fixed class or
+        mpmath.mpf), made once per kind.  A double is exact as an mpf at 53
+        bits or more and on the Talbot grids (over 130 fractional bits)
+        for the magnitudes of these rates and drives, so the copies keep
+        every digit; the blocks keep exact zeros as int 0 for _factor_mp to
+        skip."""
+        if kind not in self.copies:
             blocks, couplings, drives = self.data
-            with mpmath.workprec(53):
-                self.mp_data = (
-                    {key: [[mpmath.mpf(v) if v else 0 for v in row]
-                           for row in m.tolist()] for key, m in blocks.items()},
-                    [[(i, j, mpmath.mpf(a)) for i, j, a in c] for c in couplings],
-                    [[(i, mpmath.mpf(b)) for i, b in d] for d in drives])
-        return self.mp_data
+            self.copies[kind] = (
+                {key: [[kind(v) if v else 0 for v in row] for row in m.tolist()]
+                 for key, m in blocks.items()},
+                [[(i, j, kind(a)) for i, j, a in c] for c in couplings],
+                [[(i, kind(b)) for i, b in d] for d in drives])
+        return self.copies[kind]
 
     def __call__(self, s, x0):
-        import mpmath
-        if isinstance(s, (mpmath.mpc, mpmath.mpf)):
-            factor, (blocks, couplings, drives) = _factor_mp, self._mp()
-        else:
+        if isinstance(s, Fixed):
+            factor, (blocks, couplings, drives) = _factor_mp, self._copy(type(s))
+        elif isinstance(s, (complex, float, int, np.ndarray, np.number)):
             s = np.asarray(s, dtype=complex)
             factor, (blocks, couplings, drives) = _factor, self.data
+        else:       # an mpmath scalar
+            import mpmath
+            with mpmath.workprec(53):     # exact for doubles
+                blocks, couplings, drives = self._copy(mpmath.mpf)
+            factor = _factor_mp
         solvers = {key: factor(s, m) for key, m in blocks.items()}
         ys, rhs = [], x0.tolist()
         for term, coupling, drive in zip(self.terms, couplings, drives):
@@ -305,8 +325,9 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
     """Closure F(s) for one population transform.
 
     F accepts a complex scalar, a complex array (one value per element, as
-    the contour residues and the light fixed-Talbot nodes use it) or an
-    mpmath mpc (the heavy fixed-Talbot nodes).
+    the contour residues and talbot_invert's array call use it), a
+    ratfunc.Fixed (the heavy fixed-Talbot nodes, answered in the same Fixed
+    type) or an mpmath mpc (answered at the working precision).
     """
     regime = Regime.coerce(regime)
     _require_resonant(params)

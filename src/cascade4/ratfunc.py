@@ -13,14 +13,255 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyfromroots, polyroots, polyval
-# mpmath is imported inside the functions that need it, so that the exact
-# dynamics (import cascade4, g2, scan_tau_d) never loads it.
+# mpmath is imported inside the functions that need it, so that neither the
+# exact dynamics (import cascade4, g2, scan_tau_d) nor the residue path
+# (analytic sums, invert_rational) loads it.
 
 from .errors import IllConditionedPoles, InvalidArgument, NonFiniteTransform
 
 CLUSTER_TOL = 1e-8
 CLUSTER_TOL_UPPER = 1e-6
 CLUSTER_SCALE_FLOOR = 1e-2
+
+
+class Fixed:
+    """Complex fixed-point scalar (re + i im) / 2**prec with Python int re, im.
+
+    Each precision is its own subclass, made by fixed_type(prec); calling
+    one, as in fixed_type(200)(x), rounds x down onto its grid.  That is
+    exact for int, and for a float, complex or mpmath number with at most
+    prec fractional bits.  + and - are exact; * and / round each component
+    down once (an integer power is repeated products).  An int, float or
+    complex operand is converted first, a Fixed of another precision takes
+    this operand's precision, and an mpmath operand is left to mpmath, which
+    converts a Fixed through the _mpmath_ hook and returns an mpmath number.
+    abs() is a float; real and imag are Fixed.  This is CPython int
+    arithmetic: against mpc arithmetic on mpmath's pure-Python backend it
+    makes a heavy Talbot node more than twice as cheap.
+    """
+
+    __slots__ = ("re", "im")
+    prec = 0
+    one = 1
+    zero = None
+    __array_ufunc__ = None      # numpy scalars defer to the reflected operators
+
+    def __new__(cls, value=0):
+        if type(value) is cls:
+            return value
+        p = cls.prec
+        if isinstance(value, Fixed):
+            return _make(cls, _shift(value.re, p - value.prec),
+                         _shift(value.im, p - value.prec))
+        if isinstance(value, int):
+            return _make(cls, int(value) << p, 0)
+        if isinstance(value, (float, complex)):
+            return _make(cls, _on_grid(value.real, p), _on_grid(value.imag, p))
+        if hasattr(value, "_mpc_"):
+            re, im = value._mpc_
+            return _make(cls, _mpf_on_grid(re, p), _mpf_on_grid(im, p))
+        if hasattr(value, "_mpf_"):
+            return _make(cls, _mpf_on_grid(value._mpf_, p), 0)
+        raise TypeError(f"cannot convert {type(value).__name__} to Fixed")
+
+    @classmethod
+    def _operand(cls, x):
+        if isinstance(x, (int, float, complex, Fixed)):
+            return cls(x) if x else cls.zero
+        return NotImplemented
+
+    # Each operator converts a foreign operand first; the common case, two
+    # operands of one class, costs a type test only.
+
+    def __add__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            other = cls._operand(other)
+            if other is NotImplemented:
+                return other
+        v = _new(cls)
+        v.re = self.re + other.re
+        v.im = self.im + other.im
+        return v
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            other = cls._operand(other)
+            if other is NotImplemented:
+                return other
+        v = _new(cls)
+        v.re = self.re - other.re
+        v.im = self.im - other.im
+        return v
+
+    def __rsub__(self, other):
+        other = type(self)._operand(other)
+        if other is NotImplemented:
+            return other
+        return other - self
+
+    def __mul__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            other = cls._operand(other)
+            if other is NotImplemented:
+                return other
+        a, b, c, d = self.re, self.im, other.re, other.im
+        p = cls.prec
+        v = _new(cls)
+        v.re = (a * c - b * d) >> p
+        v.im = (a * d + b * c) >> p
+        return v
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            other = cls._operand(other)
+            if other is NotImplemented:
+                return other
+        a, b, c, d = self.re, self.im, other.re, other.im
+        p = cls.prec
+        v = _new(cls)
+        if d:
+            den = c * c + d * d
+            v.re = ((a * c + b * d) << p) // den
+            v.im = ((b * c - a * d) << p) // den
+        else:
+            v.re = (a << p) // c
+            v.im = (b << p) // c
+        return v
+
+    def __rtruediv__(self, other):
+        other = type(self)._operand(other)
+        if other is NotImplemented:
+            return other
+        return other / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return 1 / self ** -n
+        out = type(self)(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __neg__(self):
+        v = _new(type(self))
+        v.re = -self.re
+        v.im = -self.im
+        return v
+
+    def __abs__(self):
+        return abs(complex(self))
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            other = type(self)._operand(other)
+            if other is NotImplemented:
+                return other
+        return self.re == other.re and self.im == other.im
+
+    __hash__ = None
+
+    @property
+    def real(self):
+        return _make(type(self), self.re, 0)
+
+    @property
+    def imag(self):
+        return _make(type(self), self.im, 0)
+
+    def __complex__(self):
+        one = type(self).one
+        return complex(self.re / one, self.im / one)
+
+    def __float__(self):
+        if self.im:
+            raise TypeError("cannot convert a complex Fixed to float")
+        return self.re / type(self).one
+
+    def _mpmath_(self, prec, rounding):
+        from mpmath import mp
+        from mpmath.libmp import from_man_exp
+        p = type(self).prec
+        return mp.make_mpc((from_man_exp(self.re, -p, prec, rounding),
+                            from_man_exp(self.im, -p, prec, rounding)))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({complex(self)!r})"
+
+
+_new = object.__new__
+
+
+def _make(cls, re, im):
+    v = _new(cls)
+    v.re = re
+    v.im = im
+    return v
+
+
+def _shift(n, bits):
+    return n << bits if bits >= 0 else n >> -bits
+
+
+def _on_grid(x, p):
+    n, d = float(x).as_integer_ratio()      # d is a power of two
+    return (n << p) // d
+
+
+def _mpf_on_grid(mpf, p):
+    sign, man, exp, bc = mpf
+    if not man and (exp or bc):
+        raise ValueError("cannot convert an infinite or nan mpmath value to Fixed")
+    return _shift(-man if sign else man, exp + p)
+
+
+@functools.cache
+def fixed_type(prec):
+    """The Fixed subclass of `prec` fractional bits.
+
+    One class per precision, kept for the life of the process: the fast
+    paths compare classes, and the callers here round their precisions to
+    a few distinct values.
+    """
+    cls = type(f"Fixed{prec}", (Fixed,),
+               {"__slots__": (), "prec": prec, "one": 1 << prec})
+    cls.zero = _make(cls, 0, 0)
+    return cls
+
+
+def _horner(coeffs, s):
+    """sum_k c_k s^(n-k) for a Fixed s, where coeffs lists the (re, im) ints
+    of each c_k on the grid of s, highest power first."""
+    p, sr, si = s.prec, s.re, s.im
+    ar, ai = coeffs[0]
+    for cr, ci in coeffs[1:]:
+        ar, ai = ((ar * sr - ai * si) >> p) + cr, ((ar * si + ai * sr) >> p) + ci
+    return _make(type(s), ar, ai)
+
+
+def _grid_coeffs(kind, c):
+    """(re, im) ints of ascending coefficients c on the grid of `kind`,
+    highest power first, for _horner."""
+    return [(v.re, v.im) for v in map(kind, c[::-1])]
+
+
+def _frac_bits(z):
+    """Fractional bits of a complex double: its binary expansion's length
+    after the point, 0 for integers."""
+    return max(float(v).as_integer_ratio()[1].bit_length() - 1
+               for v in (z.real, z.imag))
 
 
 def _trim(c, rel=1e-13):
@@ -62,6 +303,8 @@ class RationalFunction:
     def make(cls, numerator, denominator, provenance="", den_factors=None):
         num = _realify(_trim(numerator))
         den = _realify(_trim(denominator))
+        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+            raise InvalidArgument("rational function coefficients must be finite")
         if len(den) < 2:
             raise InvalidArgument("denominator must have degree >= 1")
         if len(num) >= len(den):
@@ -249,11 +492,11 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     simple pole p takes the residue N(p) / prod_j (p - r_j)^{m_j} over the
     other roots: the product form of D'(p), which keeps the digits that
     expanding D and differentiating it loses when poles sit far off the real
-    axis.  N(p) is evaluated at 106 bits from the same double coefficients,
-    since a pole next to a root of N makes double-precision Horner cancel
-    (1.6e-8 relative was seen).
+    axis.  N(p) is evaluated exactly from the same double coefficients, by
+    Horner in Fixed arithmetic with as many fractional bits as its terms
+    carry, and rounded to complex128 once: a pole next to a root of N makes
+    double-precision Horner cancel (1.6e-8 relative was seen).
     """
-    import mpmath
     if rf.den_factors is not None:
         raw = [r for r, _m in rf.den_factors]
         mult = [m for _r, m in rf.den_factors]
@@ -261,8 +504,8 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
         raw = list(polyroots(rf.denominator))
         mult = [1] * len(raw)
     clusters = cluster_poles(raw, mult)
-    with mpmath.workprec(53):     # exact for double coefficients
-        num_mp = [mpmath.mpc(c) for c in rf.numerator[::-1]]
+    degree = len(rf.numerator) - 1
+    num_bits = max(map(_frac_bits, rf.numerator))
 
     terms = []
     for cluster in clusters:
@@ -270,8 +513,11 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
         if order == 1 and spread == 0.0:
             dprime = math.prod((centroid - r) ** m for r, m in zip(raw, mult)
                                if r != centroid)
-            with mpmath.workprec(106):
-                num = complex(mpmath.polyval(num_mp, centroid))
+            # a multiple of 64 bits, so that few Fixed classes are made
+            bits = num_bits + degree * _frac_bits(centroid)
+            kind = fixed_type(-(-bits // 64) * 64)
+            num = complex(_horner(_grid_coeffs(kind, rf.numerator),
+                                  kind(centroid)))
             terms.append((num / dprime, centroid, 0))
         else:
             terms += principal_part(rf, cluster, clusters)
@@ -289,14 +535,18 @@ def talbot_nodes_required(t, max_imag):
 
 
 # Fixed-Talbot nodes whose weight |w_k| is at most this are evaluated in one
-# complex128 call instead of at mpmath precision.  Each such term is below
+# complex128 call instead of in Fixed arithmetic.  Each such term is below
 # 1e-3 |F(z_k/t)|, and double arithmetic puts a few ulps on it (the weight
 # picks up ~|Re z_k| ulps through e^{z_k}), so the light half adds an
 # absolute error near 1e-18 of |F| on the contour.  That is below the last
 # bit of f(t) unless f(t) is itself many orders smaller than F there; the
-# all-mpmath sum is exact to ~1e-20 |F| or better.  At 32-250 nodes,
-# 37-48 % of the nodes leave the mpmath half.
+# heavy half is exact to ~1e-20 |F| or better.  At 32-250 nodes, 37-48 %
+# of the nodes are light.
 DOUBLE_WEIGHT = 1e-3
+# Fixed bits beyond the working precision: the heavy-node table carries
+# ceil(dps log2 10) + GUARD_BITS fractional bits, and talbot_invert adds the
+# bits that |F| at the heavy nodes lacks of 1.
+GUARD_BITS = 64
 
 
 @functools.lru_cache(maxsize=4)
@@ -308,10 +558,11 @@ def _talbot_rule(nodes, dps):
     weights w_k = e^{z_k} (1 + i(theta_k (1 + cot^2 theta_k) - cot theta_k))
     (w_0 = e^r / 2).  All weights are first computed in double precision to
     split the rule: returns (z, w, zd, wd), the nodes with |w_k| >
-    DOUBLE_WEIGHT as mpmath tuples and the rest as read-only complex128
-    arrays.  Double nodes whose weight underflows to 0 are dropped.  A few
-    tables are kept, since the callers evaluate many transforms at the same
-    handful of times.
+    DOUBLE_WEIGHT as tuples of Fixed (computed by mpmath at `dps` digits and
+    put on a grid of ceil(dps log2 10) + GUARD_BITS fractional bits in the
+    same pass) and the rest as read-only complex128 arrays.  Double nodes
+    whose weight underflows to 0 are dropped.  A few tables are kept, since
+    the callers evaluate many transforms at the same handful of times.
     """
     import mpmath
     k = np.arange(1, nodes)
@@ -336,81 +587,107 @@ def _talbot_rule(nodes, dps):
     zd, wd = zd[live], wd[live]
     zd.setflags(write=False)
     wd.setflags(write=False)
+    kind = fixed_type(math.ceil(dps * math.log2(10)) + GUARD_BITS)
     with mpmath.workdps(dps):
         r = mpmath.mpf(2 * nodes) / 5
-        z = [mpmath.mpc(r)]
-        w = [mpmath.exp(r) / 2]
+        z = [kind(r)]
+        w = [kind(mpmath.exp(r) / 2)]
         for k in np.flatnonzero(~double) + 1:
             theta = mpmath.pi * int(k) / nodes
             cos, sin = mpmath.cos_sin(theta)
             cot = cos / sin
             zk = r * theta * mpmath.mpc(cot, 1)
-            z.append(zk)
-            w.append(mpmath.exp(zk) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot))
-        return tuple(z), tuple(w), zd, wd
+            z.append(kind(zk))
+            w.append(kind(mpmath.exp(zk) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot)))
+    return tuple(z), tuple(w), zd, wd
 
 
 def talbot_invert(F, t, nodes=32):
     """Inverse Laplace transform at a single t > 0 by the fixed-Talbot rule.
 
     The contour parameter is r = 2*nodes/5; rounding amplification grows
-    like exp(r), so the mpmath working precision is raised with the node
-    count, to 20 + ceil(0.19 nodes) digits.  The original f(t) is assumed
-    real, i.e. F(conj s) = conj F(s): only the upper contour half is
-    sampled.  For transforms with poles far off the real axis the node
-    count must grow (see talbot_nodes_required), both to keep the contour
-    outside the poles and to resolve the oscillation they imprint.
+    like exp(r), so the working precision is raised with the node count,
+    to 20 + ceil(0.19 nodes) digits.  The original f(t) is assumed real,
+    i.e. F(conj s) = conj F(s): only the upper contour half is sampled.  For
+    transforms with poles far off the real axis the node count must grow
+    (see talbot_nodes_required), both to keep the contour outside the poles
+    and to resolve the oscillation they imprint.
 
-    F is called in two ways and must support both: with an mpmath.mpc
-    scalar (returning any scalar mpmath/complex type), once per node whose
-    weight exceeds DOUBLE_WEIGHT, and once with a complex128 array holding
-    every other node (returning one value per element).  The light nodes lie
-    far into the left half-plane, where each weighted term is below 1e-3
-    |F|; summing them in double adds an absolute error near 1e-18 of |F| on
-    the contour, which does not shrink with f(t) (see DOUBLE_WEIGHT).  A
-    non-finite value from the array call raises NonFiniteTransform rather
-    than being summed.
+    F is called in two ways and must support both.  First, once with a
+    complex128 array holding every node (one value per element).  The light
+    nodes, whose weight is at most DOUBLE_WEIGHT, lie far into the left
+    half-plane, where each weighted term is below 1e-3 |F|; their sum in
+    double adds an absolute error near 1e-18 of |F| on the contour, which
+    does not shrink with f(t) (see DOUBLE_WEIGHT).  A non-finite value there
+    raises NonFiniteTransform rather than being summed.  Then once per heavy
+    node with a Fixed scalar s, returning a Fixed, an int, float or complex,
+    or an mpmath number (a transform written with mpmath functions gets s
+    through the _mpmath_ hook, evaluated at the working precision).  The
+    Fixed grid has ceil(dps log2 10) + GUARD_BITS fractional bits plus the
+    bits that max |F| over the heavy nodes, read from the array call, lacks
+    of 1, so that scaling F scales f(t) without losing digits.  The terms
+    Re(w_k F(s_k)) are added as one exact integer and f(t) is rounded to a
+    double once.
 
     The nodes z_k = s_k t and weights w_k do not depend on t; they come from
-    a small table cached per (nodes, dps), so a call costs one division
-    z_k / t, one F evaluation and one product per mp node, and one array
-    call for the rest.
+    a small table cached per (nodes, dps), so a call costs one array call,
+    and one division z_k / t, one F evaluation and one product per heavy
+    node.
     """
     import mpmath
     if t <= 0:
         raise InvalidArgument("talbot_invert requires t > 0")
     dps = 20 + int(np.ceil(0.19 * nodes))
     z, w, zd, wd = _talbot_rule(nodes, dps)
-    with mpmath.workdps(dps):
-        tmp = mpmath.mpf(t)
-        total = mpmath.mpf(0)
+    zh = np.array([complex(zk) for zk in z])
+    values = np.asarray(F(np.concatenate([zh, zd]) / float(t)), dtype=complex)
+    heavy, values = values[:len(z)], values[len(z):]
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteTransform(
+            f"transform is not finite at {np.sum(~np.isfinite(values))} "
+            f"of {len(zd)} double-precision Talbot nodes (t = {t:g})")
+    light = float(np.sum((wd * values).real))
+    # the grid gains the bits that max |F| at the heavy nodes lacks of 1,
+    # in steps of 32 so that few Fixed classes are made
+    scale = np.max(np.abs(heavy[np.isfinite(heavy)]), initial=0.0)
+    extra = max(0, -math.frexp(scale)[1])
+    kind = fixed_type(z[0].prec + 32 * -(-extra // 32))
+    total, tk = 0, kind(t)
+    with mpmath.workdps(dps):       # for a transform that calls mpmath
         for zk, wk in zip(z, w):
-            total += (wk * F(zk / tmp)).real
-        if len(zd):
-            values = np.asarray(F(zd / float(t)), dtype=complex)
-            if not np.all(np.isfinite(values)):
+            value = F(kind(zk) / tk)
+            try:
+                value = kind(value)
+            except (OverflowError, ValueError) as exc:
                 raise NonFiniteTransform(
-                    f"transform is not finite at {np.sum(~np.isfinite(values))} "
-                    f"of {len(zd)} double-precision Talbot nodes (t = {t:g})")
-            total += float(np.sum((wd * values).real))
-        return float(2 * total / (5 * tmp))
+                    f"transform is not finite at a Talbot node (t = {t:g})") from exc
+            wk = kind(wk)
+            total += wk.re * value.re - wk.im * value.im
+    # f(t) = 2 (total / 2^2P + light) / (5 t), rounded once
+    p2 = 2 * kind.prec
+    num, den = light.as_integer_ratio()
+    tn, td = float(t).as_integer_ratio()
+    return 2 * td * (total * den + (num << p2)) / (5 * tn * den << p2)
 
 
 def talbot_invert_rf(rf: RationalFunction, t):
     """Talbot inversion of a rational function, choosing nodes from its poles.
 
-    The mp nodes use mpmath.polyval on the coefficients converted to mpc
-    once per call; the array of light nodes goes through
+    The heavy nodes run Horner on Fixed copies of the double coefficients,
+    made once per call (exact unless a coefficient has more fractional bits
+    than the grid); the array of all nodes goes through
     RationalFunction.__call__ at complex128.
     """
-    import mpmath
-    with mpmath.workprec(53):     # exact for double coefficients
-        num = [mpmath.mpc(c) for c in rf.numerator[::-1]]
-        den = [mpmath.mpc(c) for c in rf.denominator[::-1]]
+    copies = {}
 
     def F(s):
         if isinstance(s, np.ndarray):
             return rf(s)
-        return mpmath.polyval(num, s) / mpmath.polyval(den, s)
+        kind = type(s)
+        if kind not in copies:
+            copies[kind] = [_grid_coeffs(kind, p)
+                            for p in (rf.numerator, rf.denominator)]
+        num, den = copies[kind]
+        return _horner(num, s) / _horner(den, s)
 
     return talbot_invert(F, t, nodes=talbot_nodes_required(t, rf.max_imag_pole()))

@@ -7,6 +7,7 @@ from cascade4.correlations import (
     PAIR_TABLE,
     CorrelationSeries,
     _first_descent,
+    _peak_grid,
     cs_ratio,
     default_tau_grid,
     g2,
@@ -33,6 +34,22 @@ def test_default_tau_grid_shape(fig2_unit):
     assert abs(taus[-1] - 10.0 / fig2_unit.min_gamma) < 1e-12
     lin = default_tau_grid(fig2_unit, tau_max=5.0, n=100, spacing="linear")
     assert np.allclose(np.diff(lin), lin[1] - lin[0])
+
+
+def test_peak_grid_cached_read_only(fig2_unit):
+    # g31_peak_delay shares one read-only grid per (min Gamma, coarse_n);
+    # default_tau_grid still hands out a fresh writable array each call
+    tau_max = min(6.0 / fig2_unit.min_gamma, 40.0)
+    grid = _peak_grid(fig2_unit.min_gamma, 1600)
+    assert grid is _peak_grid(fig2_unit.min_gamma, 1600)
+    assert not grid.flags.writeable
+    fresh = default_tau_grid(fig2_unit, tau_max=tau_max, n=1600)
+    assert fresh.flags.writeable
+    assert fresh is not default_tau_grid(fig2_unit, tau_max=tau_max, n=1600)
+    assert np.array_equal(grid, fresh)
+    td = g31_peak_delay(fig2_unit)
+    _peak_grid.cache_clear()
+    assert g31_peak_delay(fig2_unit) == td
 
 
 def test_g31_zero_at_zero_delay():

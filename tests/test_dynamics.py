@@ -222,13 +222,27 @@ def test_unstable_generator_refused():
 LAZY_MODULES = ("scipy.integrate", "scipy.optimize", "mpmath")
 
 
-def test_import_and_delay_scan_leave_lazy_modules_unloaded():
+def lazy_modules_loaded_by(code):
+    """The LAZY_MODULES that a fresh interpreter has loaded after `code`."""
     src = os.path.dirname(os.path.dirname(cascade4.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, cascade4\n"
-            "cascade4.scan_tau_d(cascade4.preset('fig2', 'unit'), 'omega_rf',"
-            " [4.0, 12.0])\n"
+    code = ("import sys, cascade4\n" + code +
             f"print(' '.join(m for m in {LAZY_MODULES!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+def test_import_and_delay_scan_leave_lazy_modules_unloaded():
+    assert lazy_modules_loaded_by(
+        "cascade4.scan_tau_d(cascade4.preset('fig2', 'unit'), 'omega_rf',"
+        " [4.0, 12.0])\n") == []
+
+
+def test_residue_path_leaves_mpmath_unloaded():
+    # the analytic sums and the partial-fraction engine never touch mpmath
+    assert "mpmath" not in lazy_modules_loaded_by(
+        "from cascade4 import perturbation as pt, ratfunc\n"
+        "p = cascade4.preset('fig2', 'unit')\n"
+        "pt.analytic_g2_sum(p, 'strong', (3, 1))\n"
+        "ratfunc.invert_rational(pt.appendix_rational(p, 'strong', 3, 'rho22'))\n")

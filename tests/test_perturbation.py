@@ -30,7 +30,7 @@ from cascade4.perturbation import (
     root_set,
     talbot_g2_value,
 )
-from cascade4.ratfunc import invert_rational, talbot_invert_rf
+from cascade4.ratfunc import fixed_type, invert_rational, talbot_invert_rf
 
 from conftest import closed_cascade
 
@@ -189,6 +189,24 @@ def test_observable_closure_same_at_mpc_and_complex(gammas):
                 with mpmath.workdps(30):
                     got = complex(F(mpmath.mpc(z)))
                 assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("gammas", ["unit", "physical"])
+def test_observable_closure_same_at_fixed_and_mpc(gammas):
+    # the heavy fixed-Talbot nodes call the closure with Fixed scalars; the
+    # all-mpmath chain at 60 digits is the reference
+    kind = fixed_type(240)
+    points = ((closed_cascade(0.2, 20.0, 0.2, gammas), "strong"),
+              (closed_cascade(4.0, 0.2, 4.0, gammas), "weak"))
+    for params, regime in points:
+        for init, observable in ((3, "rho22"), (3, "rho44"), (1, "rho22")):
+            F = laplace_observable(params, regime, init, observable)
+            for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 5 + 40j, 1e-3 + 0.01j):
+                got = F(kind(z))
+                assert type(got) is kind
+                with mpmath.workdps(60):
+                    want = F(mpmath.mpc(z))
+                    assert abs(mpmath.mpmathify(got) - want) <= 1e-50 * abs(want)
 
 
 def test_talbot_inversion_of_hierarchy_matches_exact(strong_weakdrive):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots
 
-from cascade4.errors import IllConditionedPoles, NonFiniteTransform
+from cascade4.errors import IllConditionedPoles, InvalidArgument, NonFiniteTransform
 from cascade4.perturbation import (
     appendix_rational,
     hierarchy_poles,
@@ -16,8 +16,10 @@ from cascade4.ratfunc import (
     _talbot_rule,
     DOUBLE_WEIGHT,
     ExponentialSum,
+    Fixed,
     RationalFunction,
     cluster_poles,
+    fixed_type,
     invert_rational,
     principal_part,
     talbot_invert,
@@ -143,6 +145,33 @@ def test_talbot_g2_value_matches_all_mp_sum(gammas, regime, drives):
 
 
 @st.composite
+def perturbative_point(draw):
+    """Parameters drawn like the perturbative benchmark inputs: weak optical
+    drives under a strong rf drive, or the converse."""
+    gammas = draw(st.sampled_from(("unit", "physical")))
+    if draw(st.booleans()):
+        orf = draw(st.floats(10.0, 30.0))
+        drives = (orf * draw(st.floats(0.005, 0.02)), orf,
+                  orf * draw(st.floats(0.005, 0.02)))
+        return "strong", closed_cascade(*drives, gammas=gammas)
+    o1, o3 = draw(st.floats(2.0, 6.0)), draw(st.floats(2.0, 6.0))
+    orf = min(o1, o3) * draw(st.floats(0.02, 0.05))
+    return "weak", closed_cascade(o1, orf, o3, gammas=gammas)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(point=perturbative_point(), tau=st.sampled_from((0.3, 1.5)))
+def test_talbot_g2_value_matches_all_mp_sum_property(point, tau):
+    regime, p = point
+    F = laplace_observable(p, regime, 3, "rho22")
+    max_im = max(abs(q.imag) for q, _m in hierarchy_poles(p, regime))
+    nodes = talbot_nodes_required(tau, max_im)
+    want = talbot_direct(F, tau, nodes, dps=30 + int(np.ceil(0.19 * nodes)))
+    got = talbot_g2_value(p, regime, (3, 1), tau, ss=1.0)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@st.composite
 def stable_rational(draw):
     """Real-valued transforms with poles in Re s < 0, some repeated."""
     factors = []
@@ -183,6 +212,100 @@ def test_talbot_non_finite_transform_raises():
         return mpmath.exp(-s) / (s + 1)
     with pytest.raises(NonFiniteTransform):
         talbot_invert(F, 0.25)
+
+
+def test_talbot_non_finite_heavy_value_raises():
+    # a transform that is finite on the array but not at a heavy node
+    def F(s):
+        if isinstance(s, np.ndarray):
+            return 1 / (s + 1)
+        return mpmath.inf
+    with pytest.raises(NonFiniteTransform):
+        talbot_invert(F, 1.0)
+
+
+def fixed_operands():
+    """Complex operands from 1e-30 to 1e30 in modulus, all four sign
+    quadrants, plus real ones."""
+    rng = np.random.default_rng(12)
+    out = []
+    for e in np.linspace(-30, 30, 13):
+        for sr, si in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            m = rng.uniform(1, 10, 2) * 10.0 ** e
+            out.append(complex(sr * m[0], si * m[1] * 10.0 ** rng.uniform(-3, 3)))
+        out.append(float(rng.choice((-1, 1)) * rng.uniform(1, 10) * 10.0 ** e))
+    return out
+
+
+@pytest.mark.parametrize("prec", [256, 320])
+def test_fixed_arithmetic_matches_mpmath(prec):
+    # each result against the exact operation on the represented values,
+    # evaluated by mpmath at twice the grid's precision: + and - are exact,
+    # * and / are off by less than one grid step per component
+    kind = fixed_type(prec)
+    ulp = mpmath.ldexp(1, -prec)
+    values = [kind(v) for v in fixed_operands()]
+    pivot = kind(3e-30 - 7e-31j)          # a small pivot
+    with mpmath.workprec(2 * prec):
+        exact = [mpmath.mpmathify(v) for v in values]
+        assert all(complex(v) == complex(x) for v, x in zip(values, exact))
+        pairs = [(i, j) for i in range(len(values)) for j in range(0, len(values), 5)]
+        pairs += [(i, None) for i in range(len(values))]
+        for i, j in pairs:
+            a, b = values[i], values[j] if j is not None else pivot
+            xa, xb = exact[i], mpmath.mpmathify(b)
+            assert mpmath.mpmathify(a + b) == xa + xb
+            assert mpmath.mpmathify(a - b) == xa - xb
+            for got, want in ((a * b, xa * xb), (a / b, xa / xb)):
+                err = mpmath.mpmathify(got) - want
+                assert isinstance(got, Fixed)
+                assert -ulp < err.real <= 0 and -ulp < err.imag <= 0
+
+
+def test_fixed_mixes_with_python_and_mpmath_numbers():
+    kind = fixed_type(200)
+    x = kind(1.5 - 2.25j)
+    assert complex(x + 2) == 3.5 - 2.25j and complex(2 - x) == 0.5 + 2.25j
+    assert complex(0.5 * x) == 0.75 - 1.125j and complex(x * (1 + 1j)) == 3.75 - 0.75j
+    assert complex(3 / kind(2)) == 1.5 and complex(x ** 2) == complex(1.5 - 2.25j) ** 2
+    assert complex(-x) == -1.5 + 2.25j and abs(kind(3 + 4j)) == 5.0
+    assert not kind(0) and x and x == 1.5 - 2.25j and kind(2) == 2
+    assert float(x.real) == 1.5 and float(x.imag) == -2.25
+    with mpmath.workdps(40):
+        # mpmath takes a Fixed through its _mpmath_ hook, at its own precision
+        y = mpmath.mpf(2) * x
+        assert isinstance(y, mpmath.mpc) and y == mpmath.mpc(3, -4.5)
+        assert abs(mpmath.sqrt(kind(2)) - mpmath.sqrt(2)) < 1e-39
+        third = mpmath.mpf(1) / 3        # 136 bits: exact on the grid
+        assert mpmath.mpmathify(kind(third)) == third
+    with pytest.raises(ValueError):
+        kind(mpmath.inf)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.7])
+def test_talbot_rf_scale_invariant(t):
+    # the Fixed grid follows |F| at the heavy nodes: scaling the numerator
+    # by 10^-k scales f(t) without losing digits
+    factors = [(-1.0, 1), (-0.5 + 3j, 1), (-0.5 - 3j, 1)]
+    num = np.array([1.0, 0.3, -0.2])
+    base = talbot_invert_rf(RationalFunction.from_factors(num, factors), t)
+    for k in (0, 10, 20, 30):
+        scaled = talbot_invert_rf(
+            RationalFunction.from_factors(num * 10.0 ** -k, factors), t)
+        want = base * 10.0 ** -k
+        assert abs(scaled - want) <= 1e-15 * abs(want)
+
+
+def test_talbot_branch_cut_transform():
+    # F = 1/sqrt(s): mpmath.sqrt at the heavy nodes (through _mpmath_),
+    # np.sqrt on the array; f(t) = 1/sqrt(pi t)
+    def F(s):
+        if isinstance(s, np.ndarray):
+            return 1 / np.sqrt(s)
+        return 1 / mpmath.sqrt(s)
+    for t in (0.05, 1.0, 7.5):
+        want = 1 / np.sqrt(np.pi * t)
+        assert abs(talbot_invert(F, t) - want) <= 1e-12 * want
 
 
 def test_invert_two_simple_poles():
@@ -295,6 +418,15 @@ def test_principal_part_refuses_contour_reaching_a_neighbour():
 def test_strictly_proper_enforced():
     with pytest.raises(ValueError):
         RationalFunction.make(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_refused(bad):
+    # the exact residue numerator has no value for them; refuse up front
+    with pytest.raises(InvalidArgument):
+        RationalFunction.make(np.array([bad, 1.0]), polyfromroots([-1.0, -2.0]))
+    with pytest.raises(InvalidArgument):
+        RationalFunction.make(np.array([1.0]), np.array([2.0, bad, 1.0]))
 
 
 def test_monic_normalization_and_eval():
