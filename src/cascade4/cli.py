@@ -6,6 +6,7 @@ quantities are in units of gamma = 2*pi MHz.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -136,15 +137,17 @@ def _fmt(value, precision):
     return format(value, f".{precision}g")
 
 
-def _write_csv(path, header, rows, comments, precision):
-    lines = [f"# {c}" for c in comments]
+def _write_csv(cfg, header, rows, title, *comments, path=None):
+    """Write rows under '# cascade4 <title>', the units line and `comments`,
+    to `path` or else cfg.path, with cfg.precision significant digits."""
+    lines = [f"# {c}" for c in (f"cascade4 {title}", UNITS_COMMENT, *comments)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell, precision)
+            cell if isinstance(cell, str) else _fmt(cell, cfg.precision)
             for cell in row))
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path or cfg.path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OutputError(str(exc)) from exc
@@ -167,9 +170,8 @@ def _state_row(x):
 def _cmd_steady(cfg, args):
     gen = build_generator(cfg.system)
     x = steady_state(gen)
-    _write_csv(cfg.path, STATE_HEADER, [_state_row(x)],
-               ["cascade4 steady", UNITS_COMMENT, _param_comment(cfg.system)],
-               cfg.precision)
+    _write_csv(cfg, STATE_HEADER, [_state_row(x)], "steady",
+               _param_comment(cfg.system))
     return 0
 
 
@@ -178,10 +180,8 @@ def _cmd_evolve(cfg, args):
     taus = cfg.tau_grid()
     traj = evolve(gen, prepare_state(args.init), taus, backend=cfg.backend)
     rows = [[t] + _state_row(x) for t, x in zip(traj.times, traj.states)]
-    _write_csv(cfg.path, ("tau",) + STATE_HEADER, rows,
-               [f"cascade4 evolve from level |{args.init}>", UNITS_COMMENT,
-                _param_comment(cfg.system)],
-               cfg.precision)
+    _write_csv(cfg, ("tau",) + STATE_HEADER, rows,
+               f"evolve from level |{args.init}>", _param_comment(cfg.system))
     return 0
 
 
@@ -194,11 +194,9 @@ def _cmd_g2(cfg, args):
     series = g2(gen, pair, cfg.tau_grid(), backend=cfg.backend)
     name = f"g{args.pair}"
     rows = list(zip(series.taus, series.values))
-    _write_csv(cfg.path, ("tau", name), rows,
-               [f"cascade4 g2 pair {pair}", UNITS_COMMENT,
-                _param_comment(cfg.system),
-                f"steady-state denominator = {float(series.norm):.12g}"],
-               cfg.precision)
+    _write_csv(cfg, ("tau", name), rows, f"g2 pair {pair}",
+               _param_comment(cfg.system),
+               f"steady-state denominator = {float(series.norm):.12g}")
     return 0
 
 
@@ -215,10 +213,8 @@ def _cmd_cs(cfg, args):
     result, columns = _cs_columns(build_generator(cfg.system), taus,
                                   cfg.cs_definition, cfg.backend)
     rows = list(zip(taus, *columns))
-    _write_csv(cfg.path, ("tau", "g11", "g33", "g31", "R"), rows,
-               [f"cascade4 cs ({result.definition})", UNITS_COMMENT,
-                _param_comment(cfg.system)],
-               cfg.precision)
+    _write_csv(cfg, ("tau", "g11", "g33", "g31", "R"), rows,
+               f"cs ({result.definition})", _param_comment(cfg.system))
     print(f"r_max = {_fmt(result.r_max, cfg.precision)} at "
           f"tau = {_fmt(result.tau_at_max, cfg.precision)}")
     return 0
@@ -239,10 +235,8 @@ def _cmd_taud_scan(cfg, args):
     scan = scan_tau_d(cfg.system, args.sweep, grid)
     rows = [[v, scan.swept_field, td]
             for v, td in zip(scan.field_values, scan.tau_d)]
-    _write_csv(cfg.path, ("field", "sweep_name", "tau_d"), rows,
-               ["cascade4 taud-scan", UNITS_COMMENT,
-                _param_comment(cfg.system)],
-               cfg.precision)
+    _write_csv(cfg, ("field", "sweep_name", "tau_d"), rows, "taud-scan",
+               _param_comment(cfg.system))
     for idx, err in scan.failures:
         print(f"point {idx} ({scan.field_values[idx]:g}): {err}",
               file=sys.stderr)
@@ -263,17 +257,13 @@ def _cmd_roots(cfg, args):
             else:
                 row += ["", "", ""]
             rows.append(row)
-    _write_csv(cfg.path, ("group", "index", "re", "im",
-                          "printed_re", "printed_im", "printed_mismatch"),
-               rows,
-               [f"cascade4 roots ({args.regime})", UNITS_COMMENT,
-                _param_comment(cfg.system)],
-               cfg.precision)
+    _write_csv(cfg, ("group", "index", "re", "im",
+                     "printed_re", "printed_im", "printed_mismatch"),
+               rows, f"roots ({args.regime})", _param_comment(cfg.system))
     return 0
 
 
 def _figures_dir(cfg):
-    import os
     path = cfg.path
     if path.endswith(".csv"):
         path = os.path.dirname(path) or "."
@@ -286,13 +276,10 @@ def _figures_dir(cfg):
 
 def _cmd_figures(cfg, args):
     """Regenerate the data behind the published correlation plots."""
-    import os
     outdir = _figures_dir(cfg)
     gammas = args.gammas
     p2 = preset("fig2", gammas)
-
-    taus = default_tau_grid(p2, tau_max=cfg.tau_max, n=cfg.tau_points,
-                            spacing=cfg.spacing)
+    taus = cfg.tau_grid()
     gen = build_generator(p2)
     rows = list(zip(
         taus,
@@ -300,45 +287,39 @@ def _cmd_figures(cfg, args):
         g2(gen, (3, 2), taus).values,
         g2(gen, (2, 1), taus).values,
     ))
-    _write_csv(os.path.join(outdir, "fig2.csv"),
-               ("tau", "g31", "g32", "g21"), rows,
-               ["cascade4 figures: cross-correlations", UNITS_COMMENT,
-                _param_comment(p2)], cfg.precision)
+    _write_csv(cfg, ("tau", "g31", "g32", "g21"), rows,
+               "figures: cross-correlations", _param_comment(p2),
+               path=os.path.join(outdir, "fig2.csv"))
 
     sweeps = (
-        ("omega1", preset("fig2", gammas).with_drives(omega_rf=12.0, omega3=4.0)),
-        ("omega2", preset("fig2", gammas).with_drives(omega1=4.0, omega3=4.0)),
-        ("omega3", preset("fig2", gammas).with_drives(omega1=4.0, omega_rf=4.0)),
+        ("omega1", p2.with_drives(omega_rf=12.0, omega3=4.0)),
+        ("omega2", p2.with_drives(omega1=4.0, omega3=4.0)),
+        ("omega3", p2.with_drives(omega1=4.0, omega_rf=4.0)),
     )
     rows = []
     grid = np.linspace(4.0, 20.0, 9)
     for name, base in sweeps:
         scan = scan_tau_d(base, name, grid)
         rows += [[v, name, td] for v, td in zip(scan.field_values, scan.tau_d)]
-    _write_csv(os.path.join(outdir, "fig3.csv"),
-               ("field", "sweep_name", "tau_d"), rows,
-               ["cascade4 figures: emission delay vs drive strengths",
-                UNITS_COMMENT], cfg.precision)
+    _write_csv(cfg, ("field", "sweep_name", "tau_d"), rows,
+               "figures: emission delay vs drive strengths",
+               path=os.path.join(outdir, "fig3.csv"))
 
     rows = []
     for orf in (4.0, 10.0, 20.0):
-        gen = build_generator(preset("fig2", gammas).with_drives(omega_rf=orf))
+        gen = build_generator(p2.with_drives(omega_rf=orf))
         _result, columns = _cs_columns(gen, taus, cfg.cs_definition)
         rows += [[orf, *row] for row in zip(taus, *columns)]
-    _write_csv(os.path.join(outdir, "fig4.csv"),
-               ("omega_rf", "tau", "g11", "g33", "g31", "R"), rows,
-               ["cascade4 figures: auto/cross correlations and ratio R",
-                UNITS_COMMENT, f"gamma preset: {gammas}"], cfg.precision)
+    _write_csv(cfg, ("omega_rf", "tau", "g11", "g33", "g31", "R"), rows,
+               "figures: auto/cross correlations and ratio R",
+               f"gamma preset: {gammas}", path=os.path.join(outdir, "fig4.csv"))
     return 0
 
 
 def _cmd_validate(cfg, args):
     report = run_validation(cfg.system)
-    rows = list(report.rows())
-    _write_csv(cfg.path, ("check", "status", "value", "tolerance", "source"),
-               [[n, s, v, t, src] for n, s, v, t, src in rows],
-               ["cascade4 validation report", UNITS_COMMENT,
-                _param_comment(cfg.system)], cfg.precision)
+    _write_csv(cfg, ("check", "status", "value", "tolerance", "source"),
+               report.rows(), "validation report", _param_comment(cfg.system))
     print(report.to_text())
     return 1 if report.failed else 0
 
@@ -356,42 +337,29 @@ def build_parser():
                     "gamma = 2*pi MHz).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("steady", parents=[common],
-                   help="steady-state density matrix")
-    p = sub.add_parser("evolve", parents=[common],
-                       help="time evolution from |init><init|")
+    def command(name, run, summary):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    command("steady", _cmd_steady, "steady-state density matrix")
+    p = command("evolve", _cmd_evolve, "time evolution from |init><init|")
     p.add_argument("--init", type=int, default=1, choices=(1, 2, 3, 4))
-    p = sub.add_parser("g2", parents=[common], help="one correlation function")
+    p = command("g2", _cmd_g2, "one correlation function")
     p.add_argument("--pair", required=True, choices=sorted(PAIR_FLAGS))
-    sub.add_parser("cs", parents=[common], help="Cauchy-Schwarz ratio R(tau)")
-    p = sub.add_parser("taud-scan", parents=[common],
-                       help="peak delay vs drive strength")
+    command("cs", _cmd_cs, "Cauchy-Schwarz ratio R(tau)")
+    p = command("taud-scan", _cmd_taud_scan, "peak delay vs drive strength")
     p.add_argument("--sweep", required=True,
                    choices=("omega1", "omega2", "omega_rf", "omega3"))
     p.add_argument("--start", type=float, default=4.0)
     p.add_argument("--stop", type=float, default=20.0)
     p.add_argument("--points", type=int, default=9)
-    p = sub.add_parser("roots", parents=[common],
-                       help="analytic root sets vs printed forms")
+    p = command("roots", _cmd_roots, "analytic root sets vs printed forms")
     p.add_argument("--regime", required=True, choices=("strong", "weak"))
-    p = sub.add_parser("figures", parents=[common],
-                       help="regenerate fig2/fig3/fig4 data files")
+    p = command("figures", _cmd_figures, "regenerate fig2/fig3/fig4 data files")
     p.add_argument("--gammas", default="unit", choices=sorted(GAMMA_PRESETS))
-    sub.add_parser("validate", parents=[common],
-                   help="run the validation suite")
+    command("validate", _cmd_validate, "run the validation suite")
     return parser
-
-
-COMMANDS = {
-    "steady": _cmd_steady,
-    "evolve": _cmd_evolve,
-    "g2": _cmd_g2,
-    "cs": _cmd_cs,
-    "taud-scan": _cmd_taud_scan,
-    "roots": _cmd_roots,
-    "figures": _cmd_figures,
-    "validate": _cmd_validate,
-}
 
 
 def run(argv) -> int:
@@ -415,7 +383,7 @@ def run(argv) -> int:
         return 2
 
     try:
-        return COMMANDS[args.command](cfg, args)
+        return args.run(cfg, args)
     except RangeError as exc:
         print(f"cascade4: invalid argument: {exc}", file=sys.stderr)
         return 2

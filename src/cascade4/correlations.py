@@ -77,6 +77,8 @@ def default_tau_grid(params: SystemParams, tau_max=None, n=2000, spacing="log_li
     """
     if tau_max is None:
         tau_max = 10.0 / params.min_gamma
+    if not 0.0 < tau_max < np.inf:
+        raise InvalidArgument(f"tau_max must be positive and finite, got {tau_max}")
     if n < 16:
         raise InvalidArgument("need at least 16 grid points")
     if spacing == "linear":

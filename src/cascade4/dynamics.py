@@ -64,7 +64,7 @@ def steady_state(gen: AffineGenerator) -> np.ndarray:
 
 
 def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
-    """Propagate x0 along `times` (ascending, times[0] >= 0).
+    """Propagate x0 along `times` (finite, ascending, times[0] >= 0).
 
     x0 is the state at t = 0 regardless of where the grid starts, and a
     grid point at t = 0 returns x0 exactly.
@@ -79,6 +79,8 @@ def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise InvalidArgument("times must be a nonempty 1-d grid")
+    if not np.all(np.isfinite(times)):
+        raise InvalidArgument("times must be finite")
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise InvalidArgument("times must be strictly increasing")
     if times[0] < 0:

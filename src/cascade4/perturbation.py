@@ -17,7 +17,8 @@ s, so the chain can be evaluated at any complex, Fixed or mpmath s, which
 is what the Talbot inversion and the contour residue extraction need.  The
 pole inventory comes from the same split: the population block of A0 acts
 at order 0 and again around the loop, the blocks that A1 couples to it
-once.
+once.  The transcribed catalogue's denominator roots are eigenvalues of
+principal sub-blocks of the same A0 (root_set).
 
 The population rates entering these systems are the ones of the exact master
 equation.  The published versions of the same systems halve the population
@@ -367,23 +368,6 @@ class RootSet:
     mismatch: dict
 
 
-def _pair_block_roots(gamma_a, gamma_b, coupling):
-    """Eigenvalues of [[-ga, -2w], [2w, -gb]]: the population-difference /
-    coherence pair behind the published quadratic."""
-    m = np.array([[-gamma_a, -2 * coupling], [2 * coupling, -gamma_b]])
-    return np.sort_complex(np.linalg.eigvals(m))
-
-
-def _population_cubic_roots(gamma_hi, gamma_lo, feed, coupling, bar_sum):
-    """Eigenvalues of the coupled (upper pop, lower pop, Im coherence) block."""
-    m = np.array([
-        [-gamma_hi, feed, -2 * coupling],
-        [0.0, -gamma_lo, 2 * coupling],
-        [coupling, -coupling, -bar_sum],
-    ])
-    return np.sort_complex(np.linalg.eigvals(m))
-
-
 def _printed_cubic(bar_sum, orf):
     """The closed-form cubic roots exactly as published (known to be
     dimensionally inconsistent; kept for the discrepancy report)."""
@@ -415,62 +399,53 @@ def root_set(params: SystemParams, regime) -> RootSet:
     _require_resonant(params)
     p = params
     b2, b3, b4 = _bars(p)
+    a0 = _split(p, regime)[0]
+
+    def block_roots(*idx):
+        return np.sort_complex(np.linalg.eigvals(a0[np.ix_(idx, idx)]))
 
     if regime is Regime.STRONG_RF:
-        quad = _pair_block_roots(p.gamma2, p.gamma3, p.omega_rf)
-        cubic = _population_cubic_roots(p.gamma3, p.gamma2, p.gamma23,
-                                        p.omega_rf, b2 + b3)
+        # The published d2 is det(s - 2B) for A0's (Re rho12, Im rho13)
+        # block B = [[-b2, -O_rf], [O_rf, -b3]]; doubling is exact.  At
+        # omega3 = 0 nothing feeds rho44, so A0's population block is
+        # triangular: the cubic d3 plus the root -gamma4.
+        roots = {"quadratic": 2 * block_roots(RE_R12, IM_R13),
+                 "cubic": block_roots(IM_R23, P22, P33),
+                 "quartic": np.array([], dtype=complex)}
         phi = np.sqrt(complex(4 * p.omega_rf ** 2 - (b2 - b3) ** 2))
-        printed_quad = np.sort_complex(
-            np.array([-b2 - b3 + 1j * phi, -b2 - b3 - 1j * phi]))
-        printed_cubic = _printed_cubic(b2 + b3, p.omega_rf)
-        printed = {"quadratic": printed_quad, "cubic": printed_cubic}
-        mismatch = {
-            "quadratic": _matched_distance(quad, printed_quad),
-            "cubic": _matched_distance(cubic, printed_cubic),
-        }
-        return RootSet(regime=regime, quadratic=quad, cubic=cubic,
-                       quartic=np.array([], dtype=complex),
-                       printed=printed, mismatch=mismatch)
-
-    # Weak rf: the quadratic is the damped optical-drive pair behind d2p;
-    # the cubic is the strong-rf one under (2,3,rf) -> (3,4, omega3); the
-    # quartic comes from the odd coherence block.
-    quad = np.sort_complex(
-        np.roots([1.0, 2 * b2, b2 ** 2 + 4 * p.omega1 ** 2]).astype(complex))
-    cubic = _population_cubic_roots(p.gamma4, p.gamma3, p.gamma34,
-                                    p.omega3, b3 + b4)
-    o1, o3 = p.omega1, p.omega3
-    modd = np.array([
-        [-(b2 + b3), -1j * o1, 1j * o3, 0.0],
-        [-1j * o1, -b3, 0.0, 1j * o3],
-        [1j * o3, 0.0, -(b2 + b4), -1j * o1],
-        [0.0, 1j * o3, -1j * o1, -b4],
-    ])
-    quartic = np.sort_complex(np.linalg.eigvals(modd))
-
-    phi1 = np.sqrt(complex(4 * o1 ** 2 - b2 ** 2))
-    phi2 = np.sqrt(complex(4 * o3 ** 2 - (b3 - b4) ** 2))
-    phi3 = 4 * (o1 ** 2 + o3 ** 2) - (b2 ** 2 + b3 ** 2 + b4 ** 2 - 2 * b3 * b4)
-    ssum = b2 + b3 + b4
-    printed_quartic = np.sort_complex(np.array([
-        -ssum - np.sqrt(complex(phi3 + 2 * phi1 * phi2)),
-        -ssum + np.sqrt(complex(phi3 + 2 * phi1 * phi2)),
-        -ssum - 1j * np.sqrt(complex(phi3 - 2 * phi1 * phi2)),
-        -ssum + 1j * np.sqrt(complex(phi3 - 2 * phi1 * phi2)),
-    ]))
-    printed_cubic = _printed_cubic(b3 + b4, o3)
-    printed_quad = np.sort_complex(
-        np.array([-b2 + 2j * o1, -b2 - 2j * o1]))
-    printed = {"quadratic": printed_quad, "cubic": printed_cubic,
-               "quartic": printed_quartic}
-    mismatch = {
-        "quadratic": _matched_distance(quad, printed_quad),
-        "cubic": _matched_distance(cubic, printed_cubic),
-        "quartic": _matched_distance(quartic, printed_quartic),
-    }
-    return RootSet(regime=regime, quadratic=quad, cubic=cubic, quartic=quartic,
-                   printed=printed, mismatch=mismatch)
+        printed = {"quadratic": np.sort_complex(
+                       np.array([-b2 - b3 + 1j * phi, -b2 - b3 - 1j * phi])),
+                   "cubic": _printed_cubic(b2 + b3, p.omega_rf)}
+    else:
+        # d2' stays the published s^2 + 2 b2 s + b2^2 + 4 O1^2: no A0 block
+        # carries it (A0's rho22 / Im rho12 pair has the roots
+        # -3 b2 / 2 +- i sqrt(4 O1^2 - b2^2 / 4)).  At omega_rf = 0, rho22
+        # and Im rho12 feed nothing back into (Im rho34, rho33, rho44), so
+        # that sub-block gives the cubic; the quartic is A0's odd coherence
+        # block.
+        o1, o3 = p.omega1, p.omega3
+        roots = {"quadratic": np.sort_complex(np.roots(
+                     [1.0, 2 * b2, b2 ** 2 + 4 * o1 ** 2]).astype(complex)),
+                 "cubic": block_roots(IM_R34, P33, P44),
+                 "quartic": block_roots(RE_R23, IM_R13, RE_R14, IM_R24)}
+        phi1 = np.sqrt(complex(4 * o1 ** 2 - b2 ** 2))
+        phi2 = np.sqrt(complex(4 * o3 ** 2 - (b3 - b4) ** 2))
+        phi3 = (4 * (o1 ** 2 + o3 ** 2)
+                - (b2 ** 2 + b3 ** 2 + b4 ** 2 - 2 * b3 * b4))
+        ssum = b2 + b3 + b4
+        printed = {
+            "quadratic": np.sort_complex(
+                np.array([-b2 + 2j * o1, -b2 - 2j * o1])),
+            "cubic": _printed_cubic(b3 + b4, o3),
+            "quartic": np.sort_complex(np.array([
+                -ssum - np.sqrt(complex(phi3 + 2 * phi1 * phi2)),
+                -ssum + np.sqrt(complex(phi3 + 2 * phi1 * phi2)),
+                -ssum - 1j * np.sqrt(complex(phi3 - 2 * phi1 * phi2)),
+                -ssum + 1j * np.sqrt(complex(phi3 - 2 * phi1 * phi2)),
+            ]))}
+    mismatch = {group: _matched_distance(roots[group], values)
+                for group, values in printed.items()}
+    return RootSet(regime=regime, **roots, printed=printed, mismatch=mismatch)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,8 @@ class ExponentialSum:
 
     def eval_complex(self, ts):
         ts = np.asarray(ts, dtype=float)
+        if not np.all((ts >= 0) & (ts < np.inf)):
+            raise InvalidArgument("exponential sums are evaluated at finite t >= 0")
         out = np.zeros(ts.shape, dtype=complex)
         for coeff, rate, power in self.terms:
             term = coeff * np.exp(rate * ts)
@@ -528,8 +530,8 @@ def talbot_nodes_required(t, max_imag):
     """Node count keeping the fixed-Talbot contour outside poles with large
     imaginary part (|Im p| up to max_imag) at time t, with enough surplus to
     resolve the resulting oscillation of the integrand; 32 without such
-    poles."""
-    if t <= 0 or max_imag <= 0:
+    poles, or for a t that talbot_invert refuses."""
+    if not 0 < t < np.inf or max_imag <= 0:
         return 32
     return int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
 
@@ -603,7 +605,8 @@ def _talbot_rule(nodes, dps):
 
 
 def talbot_invert(F, t, nodes=32):
-    """Inverse Laplace transform at a single t > 0 by the fixed-Talbot rule.
+    """Inverse Laplace transform at a single finite t > 0 by the fixed-Talbot
+    rule.
 
     The contour parameter is r = 2*nodes/5; rounding amplification grows
     like exp(r), so the working precision is raised with the node count,
@@ -635,8 +638,8 @@ def talbot_invert(F, t, nodes=32):
     node.
     """
     import mpmath
-    if t <= 0:
-        raise InvalidArgument("talbot_invert requires t > 0")
+    if not 0 < t < np.inf:
+        raise InvalidArgument(f"talbot_invert requires finite t > 0, got {t}")
     dps = 20 + int(np.ceil(0.19 * nodes))
     z, w, zd, wd = _talbot_rule(nodes, dps)
     zh = np.array([complex(zk) for zk in z])

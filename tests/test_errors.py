@@ -1,27 +1,60 @@
 """Argument errors from the library are named package errors."""
 
+import math
+
 import pytest
 
-from cascade4.correlations import scan_tau_d
+from cascade4.correlations import default_tau_grid, g2, scan_tau_d
 from cascade4.dynamics import evolve
 from cascade4.errors import Cascade4Error, InvalidArgument
 from cascade4.model import build_generator, prepare_state, preset
-from cascade4.perturbation import Regime
-from cascade4.ratfunc import talbot_invert
+from cascade4.perturbation import Regime, analytic_g2, talbot_g2_value
+from cascade4.ratfunc import RationalFunction, talbot_invert, talbot_invert_rf
 from cascade4.validation import brute_force_evolve
+
+from conftest import closed_cascade
 
 
 def _fig2_generator():
     return build_generator(preset("fig2", "unit"))
 
 
+def _strong_rf_point():
+    return closed_cascade(omega1=0.2, omega_rf=20.0, omega3=0.2)
+
+
+def _evolve_to(t):
+    return evolve(_fig2_generator(), prepare_state(1), [0.0, t])
+
+
 BAD_CALLS = {
     "correlations.scan_tau_d": lambda: scan_tau_d(preset("fig2", "unit"),
                                                   "omega1", [4.0, 0.0]),
+    "correlations.default_tau_grid: tau_max 0": lambda: default_tau_grid(
+        preset("fig2", "unit"), tau_max=0.0),
+    "correlations.default_tau_grid: tau_max nan": lambda: default_tau_grid(
+        preset("fig2", "unit"), tau_max=math.nan),
+    "correlations.default_tau_grid: tau_max -1": lambda: default_tau_grid(
+        preset("fig2", "unit"), tau_max=-1.0),
+    "correlations.g2: nan time": lambda: g2(_fig2_generator(), (3, 1),
+                                            [0.0, math.nan]),
     "dynamics.evolve": lambda: evolve(_fig2_generator(), prepare_state(1),
                                       [0.0, 1.0], backend="euler"),
+    "dynamics.evolve: nan time": lambda: _evolve_to(math.nan),
+    "dynamics.evolve: inf time": lambda: _evolve_to(math.inf),
+    "perturbation.analytic_g2: tau -1": lambda: analytic_g2(
+        _strong_rf_point(), "strong", (3, 1), [-1.0]),
+    "perturbation.talbot_g2_value: tau nan": lambda: talbot_g2_value(
+        _strong_rf_point(), "strong", (3, 1), math.nan),
     "perturbation.Regime.coerce": lambda: Regime.coerce("moderate"),
     "ratfunc.talbot_invert": lambda: talbot_invert(lambda s: 1 / s, 0.0),
+    "ratfunc.talbot_invert: t inf": lambda: talbot_invert(lambda s: 1 / s,
+                                                          math.inf),
+    "ratfunc.talbot_invert: t nan": lambda: talbot_invert(lambda s: 1 / s,
+                                                          math.nan),
+    "ratfunc.talbot_invert_rf: t inf": lambda: talbot_invert_rf(
+        RationalFunction.from_factors([1.0], [(-1 + 2j, 1), (-1 - 2j, 1)]),
+        math.inf),
     "validation.brute_force_evolve": lambda: brute_force_evolve(
         _fig2_generator(), prepare_state(1), -1.0),
 }

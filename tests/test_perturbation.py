@@ -4,6 +4,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyfromroots
 
 from cascade4.correlations import g2
@@ -14,7 +16,7 @@ from cascade4.errors import (
     NotCatalogued,
     ZeroSteadyState,
 )
-from cascade4.model import P22, build_generator, prepare_state
+from cascade4.model import P22, SystemParams, build_generator, prepare_state
 from cascade4.perturbation import (
     _PSI_INDEX,
     APPENDIX_CATALOGUE,
@@ -254,6 +256,93 @@ def test_roots_nonpositive_and_satisfy_denominators(strong_weakdrive,
             if len(group):
                 poly = polyfromroots(group)
                 assert np.max(np.abs(poly.imag)) < 1e-9 * np.max(np.abs(poly))
+
+
+# Independent oracle for root_set's block roots: the hand-typed matrices of
+# the population-difference / coherence pair, the population cubic and the
+# weak-rf odd coherence block, written from the equations of motion.
+def hand_pair_block_roots(gamma_a, gamma_b, coupling):
+    m = np.array([[-gamma_a, -2 * coupling], [2 * coupling, -gamma_b]])
+    return np.linalg.eigvals(m)
+
+
+def hand_population_cubic_roots(gamma_hi, gamma_lo, feed, coupling, bar_sum):
+    m = np.array([
+        [-gamma_hi, feed, -2 * coupling],
+        [0.0, -gamma_lo, 2 * coupling],
+        [coupling, -coupling, -bar_sum],
+    ])
+    return np.linalg.eigvals(m)
+
+
+def hand_odd_block_roots(p):
+    b2, b3, b4 = p.gamma2 / 2, p.gamma3 / 2, p.gamma4 / 2
+    o1, o3 = p.omega1, p.omega3
+    m = np.array([
+        [-(b2 + b3), -1j * o1, 1j * o3, 0.0],
+        [-1j * o1, -b3, 0.0, 1j * o3],
+        [1j * o3, 0.0, -(b2 + b4), -1j * o1],
+        [0.0, 1j * o3, -1j * o1, -b4],
+    ])
+    return np.linalg.eigvals(m)
+
+
+def hand_root_groups(p, regime):
+    b2, b3, b4 = p.gamma2 / 2, p.gamma3 / 2, p.gamma4 / 2
+    if regime == "strong":
+        return {"quadratic": hand_pair_block_roots(p.gamma2, p.gamma3, p.omega_rf),
+                "cubic": hand_population_cubic_roots(
+                    p.gamma3, p.gamma2, p.gamma23, p.omega_rf, b2 + b3)}
+    return {"cubic": hand_population_cubic_roots(
+                p.gamma4, p.gamma3, p.gamma34, p.omega3, b3 + b4),
+            "quartic": hand_odd_block_roots(p)}
+
+
+def matched_relative_distance(got, want):
+    """Largest |w - g| / |w| over a greedy nearest matching of two root
+    sets of equal size."""
+    assert len(got) == len(want)
+    got = list(got)
+    worst = 0.0
+    for w in want:
+        k = int(np.argmin([abs(w - g) for g in got]))
+        worst = max(worst, abs(w - got.pop(k)) / abs(w))
+    return worst
+
+
+@st.composite
+def regime_params(draw, regime):
+    """Resonant drives of the regime and every rate drawn, the transfer
+    rates within the decay they share (gamma23 <= Gamma3, gamma34 + gamma24
+    <= Gamma4), so that every population decays and no root sits near 0,
+    where a relative distance would measure only rounding."""
+    def strong():
+        return draw(st.floats(2.0, 30.0))
+
+    def weak():
+        return draw(st.floats(0.0, 0.3))
+
+    def fraction():
+        return draw(st.floats(0.0, 1.0))
+
+    drives = (dict(omega1=weak(), omega_rf=strong(), omega3=weak())
+              if regime == "strong" else
+              dict(omega1=strong(), omega_rf=weak(), omega3=strong()))
+    g2v, g3v, g4v = (draw(st.floats(0.1, 3.0)) for _ in range(3))
+    g34 = fraction() * g4v
+    return SystemParams(**drives, gamma2=g2v, gamma3=g3v, gamma4=g4v,
+                        gamma23=fraction() * g3v, gamma34=g34,
+                        gamma24=fraction() * (g4v - g34))
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_root_groups_match_hand_block_matrices(regime, data):
+    p = data.draw(regime_params(regime))
+    rs = root_set(p, regime)
+    for group, want in hand_root_groups(p, regime).items():
+        assert matched_relative_distance(getattr(rs, group), want) <= 1e-12, group
 
 
 def test_hierarchy_pole_inventory_nonpositive(strong_weakdrive, weak_rf_point):
