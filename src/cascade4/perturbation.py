@@ -64,6 +64,7 @@ from .ratfunc import (
     ExponentialSum,
     Fixed,
     RationalFunction,
+    closure,
     cluster_poles,
     principal_part,
     talbot_invert,
@@ -139,15 +140,12 @@ def _structure(regime):
     """
     probe = SystemParams(omega1=1.0, omega_rf=1.0, omega3=1.0, gamma24=1.0)
     a0, a1, drives = _split(probe, regime)
-    link = (a0 != 0) | (a0 != 0).T | np.eye(DIM, dtype=bool)
-    for _ in range(4):      # paths of up to 16 > DIM steps
-        link = (link.astype(int) @ link) > 0
+    link, blocks = closure((a0 != 0) | (a0 != 0).T | np.eye(DIM, dtype=bool))
     sources = np.isin(np.arange(DIM), (P22, P33, P44))
     masks = []
     for b in drives:      # term k is fed by A1 y_{k-1} + b_k / s
         masks.append(link[sources | (b != 0)].any(axis=0))
         sources = (a1[:, masks[-1]] != 0).any(axis=1)
-    blocks = sorted({tuple(map(int, np.flatnonzero(row))) for row in link})
     return link, tuple(masks), blocks
 
 
@@ -479,7 +477,7 @@ def assembled_exponential_sum(params: SystemParams, regime, init_level,
     ratfunc.principal_part."""
     regime = Regime.coerce(regime)
     F = laplace_observable(params, regime, init_level, observable)
-    clusters = cluster_poles(*zip(*hierarchy_poles(params, regime)))
+    clusters = cluster_poles(hierarchy_poles(params, regime))
     terms = [t for cluster in clusters
              for t in principal_part(F, cluster, clusters)]
     tag = f"assembled/{regime.value}/init{init_level}/{observable}"
@@ -539,9 +537,9 @@ def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None):
     """g2 at one delay via Talbot inversion of the hierarchy (no residues)."""
     init_level, observable, ss = _g2_source(params, pair, ss)
     regime = Regime.coerce(regime)
-    max_im = max(abs(z.imag) for z, _m in hierarchy_poles(params, regime))
+    nodes = talbot_nodes_required(tau, hierarchy_poles(params, regime))
     F = laplace_observable(params, regime, init_level, observable)
-    return talbot_invert(F, tau, nodes=talbot_nodes_required(tau, max_im)) / ss
+    return talbot_invert(F, tau, nodes=nodes) / ss
 
 
 # ---------------------------------------------------------------------------

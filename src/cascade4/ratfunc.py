@@ -1,10 +1,12 @@
 """Laplace-domain utilities: rational functions, exponential sums, and two
 independent inversion engines (partial fractions and fixed-Talbot quadrature).
 
-Polynomial coefficient arrays are ascending complex ndarrays (c[0] + c[1] s
-+ ...), the convention of numpy.polynomial, which supplies all polynomial
-arithmetic here: polyfromroots builds denominators from their roots, polyval
-evaluates, polyroots solves a denominator given only as coefficients.
+A rational function enters as its numerator coefficients and its list of
+(pole, multiplicity) pairs; that list is the only source of its poles, for
+the residues, the pole clusters and the Talbot node count alike.  Polynomial
+coefficient arrays are ascending complex ndarrays (c[0] + c[1] s + ...), the
+convention of numpy.polynomial: polyfromroots builds the monic denominator
+from the poles and polyval evaluates.
 """
 
 import functools
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyfromroots, polyroots, polyval
+from numpy.polynomial.polynomial import polyfromroots, polyval
 # mpmath is imported inside the functions that need it, so that neither the
 # exact dynamics (import cascade4, g2, scan_tau_d) nor the residue path
 # (analytic sums, invert_rational) loads it.
@@ -264,22 +266,11 @@ def _frac_bits(z):
                for v in (z.real, z.imag))
 
 
-def _trim(c, rel=1e-13):
-    c = np.asarray(c, dtype=complex)
-    scale = np.max(np.abs(c)) if len(c) else 0.0
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) <= rel * scale:
-        keep -= 1
-    return c[:keep].copy()
-
-
 def _realify(c, rel=1e-10):
     # Coefficients assembled from conjugate-paired numeric roots pick up tiny
     # imaginary residue; snapping it to zero keeps F(conj s) = conj F(s)
     # exact, which the one-sided Talbot fold relies on.
-    scale = np.max(np.abs(c))
+    scale = np.max(np.abs(c), initial=0.0)
     if scale > 0.0 and np.max(np.abs(c.imag)) <= rel * scale:
         return c.real.astype(complex)
     return c
@@ -287,46 +278,38 @@ def _realify(c, rel=1e-10):
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Strictly proper rational function N(s)/D(s), monic denominator.
+    """Strictly proper rational function N(s)/D(s), built from its poles.
 
-    `den_factors`, when present, lists the denominator roots with
-    multiplicities (exact product form), which lets the inversion skip the
-    polyroots solve.
+    `den_factors` lists the denominator roots with multiplicities, ((root,
+    multiplicity), ...); the denominator is their product, monic and of
+    degree equal to the pole count.  Both inversion engines read the poles
+    from this list, never from the coefficients.
     """
 
     numerator: np.ndarray
     denominator: np.ndarray
+    den_factors: tuple
     provenance: str = ""
-    den_factors: tuple = None  # ((root, multiplicity), ...) or None
-
-    @classmethod
-    def make(cls, numerator, denominator, provenance="", den_factors=None):
-        num = _realify(_trim(numerator))
-        den = _realify(_trim(denominator))
-        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
-            raise InvalidArgument("rational function coefficients must be finite")
-        if len(den) < 2:
-            raise InvalidArgument("denominator must have degree >= 1")
-        if len(num) >= len(den):
-            raise InvalidArgument(
-                f"rational function must be strictly proper "
-                f"(deg N = {len(num)-1}, deg D = {len(den)-1})")
-        lead = den[-1]
-        num = num / lead
-        den = den / lead
-        if den_factors is not None:
-            den_factors = tuple((complex(r), int(m)) for r, m in den_factors)
-        return cls(numerator=num, denominator=den, provenance=provenance,
-                   den_factors=den_factors)
 
     @classmethod
     def from_factors(cls, numerator, factors, provenance=""):
-        """Build from numerator coefficients and denominator roots."""
-        roots = []
-        for r, m in factors:
-            roots.extend([r] * m)
-        return cls.make(numerator, polyfromroots(roots), provenance,
-                        den_factors=factors)
+        """Build from ascending numerator coefficients and (root,
+        multiplicity) pairs.  Only exact trailing zeros of the numerator are
+        dropped: a small leading coefficient is part of the function."""
+        factors = tuple((complex(r), int(m)) for r, m in factors)
+        roots = [r for r, m in factors for _ in range(m)]
+        num = np.trim_zeros(_realify(np.array(numerator, dtype=complex)), "b")
+        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(roots))):
+            raise InvalidArgument("rational function coefficients must be finite")
+        if not roots:
+            raise InvalidArgument("denominator must have degree >= 1")
+        if len(num) > len(roots):
+            raise InvalidArgument(
+                f"rational function must be strictly proper "
+                f"(deg N = {len(num)-1}, deg D = {len(roots)})")
+        return cls(numerator=num if len(num) else np.zeros(1, dtype=complex),
+                   denominator=_realify(polyfromroots(roots)),
+                   den_factors=factors, provenance=provenance)
 
     def __call__(self, s):
         return polyval(s, self.numerator) / polyval(s, self.denominator)
@@ -341,58 +324,44 @@ class RationalFunction:
             return self.numerator[-1] / self.denominator[-1]
         return 0.0 + 0.0j
 
-    def max_imag_pole(self):
-        return max(abs(p.imag) for p in self.poles())
 
-    def poles(self):
-        if self.den_factors is not None:
-            return [complex(r) for r, m in self.den_factors for _ in range(m)]
-        return list(polyroots(self.denominator))
+def closure(adj):
+    """(reach, groups) of a symmetric boolean adjacency matrix with a true
+    diagonal: reach[i, j] says i and j are connected, from repeated boolean
+    squaring (paths of up to 2^k steps after k squarings), and groups lists
+    the connected index tuples, ordered by their smallest member."""
+    reach = np.asarray(adj, dtype=bool)
+    for _ in range((len(reach) - 1).bit_length()):
+        reach = reach @ reach
+    groups = sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+    return reach, groups
 
 
 def _cluster(points, rel_tol):
     """Single-linkage clusters of complex points at a relative tolerance."""
-    points = list(points)
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale = max(abs(points[i]), abs(points[j]), CLUSTER_SCALE_FLOOR)
-            if abs(points[i] - points[j]) <= rel_tol * scale:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(frozenset(g) for g in groups.values())
+    p = np.asarray(points, dtype=complex)
+    scale = np.maximum(np.maximum.outer(abs(p), abs(p)), CLUSTER_SCALE_FLOOR)
+    return closure(abs(p[:, None] - p[None, :]) <= rel_tol * scale)[1]
 
 
-def cluster_poles(poles, multiplicities=None):
-    """Group near-coincident poles; raise if the grouping is ambiguous.
+def cluster_poles(factors):
+    """Group near-coincident poles of a (pole, multiplicity) list into
+    (centroid, order, spread) clusters; raise if the grouping is ambiguous.
 
     Ambiguity means the partition changes somewhere between relative
     tolerance 1e-8 and 1e-6 -- the caller cannot tell a repeated pole from a
     close pair, so guessing is refused.
     """
-    poles = [complex(p) for p in poles]
-    if multiplicities is None:
-        multiplicities = [1] * len(poles)
+    poles = [complex(p) for p, _m in factors]
+    mult = [m for _p, m in factors]
     low = _cluster(poles, CLUSTER_TOL)
-    high = _cluster(poles, CLUSTER_TOL_UPPER)
-    if low != high:
+    if low != _cluster(poles, CLUSTER_TOL_UPPER):
         raise IllConditionedPoles(
             "pole clustering differs between tolerances 1e-8 and 1e-6")
     clusters = []
-    for group in low:
-        members = sorted(group)
-        weight = sum(multiplicities[i] for i in members)
-        centroid = sum(poles[i] * multiplicities[i] for i in members) / weight
+    for members in low:
+        weight = sum(mult[i] for i in members)
+        centroid = sum(poles[i] * mult[i] for i in members) / weight
         spread = max(abs(poles[i] - centroid) for i in members)
         clusters.append((centroid, weight, spread))
     return clusters
@@ -488,24 +457,18 @@ def principal_part(F, cluster, clusters):
 def invert_rational(rf: RationalFunction) -> ExponentialSum:
     """Partial-fraction inversion of a strictly proper rational function.
 
-    Denominator roots come from polyroots (or the stored factor list);
-    roots within 1e-8 relative distance are treated as one pole of higher
-    multiplicity, whose principal part comes from principal_part.  An isolated
-    simple pole p takes the residue N(p) / prod_j (p - r_j)^{m_j} over the
-    other roots: the product form of D'(p), which keeps the digits that
-    expanding D and differentiating it loses when poles sit far off the real
-    axis.  N(p) is evaluated exactly from the same double coefficients, by
-    Horner in Fixed arithmetic with as many fractional bits as its terms
-    carry, and rounded to complex128 once: a pole next to a root of N makes
-    double-precision Horner cancel (1.6e-8 relative was seen).
+    The poles are rf.den_factors; poles within 1e-8 relative distance are
+    treated as one pole of higher multiplicity, whose principal part comes
+    from principal_part.  An isolated simple pole p takes the residue
+    N(p) / prod_j (p - r_j)^{m_j} over the other roots: the product form of
+    D'(p), which keeps the digits that expanding D and differentiating it
+    loses when poles sit far off the real axis.  N(p) is evaluated exactly
+    from the same double coefficients, by Horner in Fixed arithmetic with as
+    many fractional bits as its terms carry, and rounded to complex128 once:
+    a pole next to a root of N makes double-precision Horner cancel (1.6e-8
+    relative was seen).
     """
-    if rf.den_factors is not None:
-        raw = [r for r, _m in rf.den_factors]
-        mult = [m for _r, m in rf.den_factors]
-    else:
-        raw = list(polyroots(rf.denominator))
-        mult = [1] * len(raw)
-    clusters = cluster_poles(raw, mult)
+    clusters = cluster_poles(rf.den_factors)
     degree = len(rf.numerator) - 1
     num_bits = max(map(_frac_bits, rf.numerator))
 
@@ -513,7 +476,7 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     for cluster in clusters:
         centroid, order, spread = cluster
         if order == 1 and spread == 0.0:
-            dprime = math.prod((centroid - r) ** m for r, m in zip(raw, mult)
+            dprime = math.prod((centroid - r) ** m for r, m in rf.den_factors
                                if r != centroid)
             # a multiple of 64 bits, so that few Fixed classes are made
             bits = num_bits + degree * _frac_bits(centroid)
@@ -526,11 +489,12 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     return ExponentialSum(terms=tuple(terms), provenance=rf.provenance)
 
 
-def talbot_nodes_required(t, max_imag):
-    """Node count keeping the fixed-Talbot contour outside poles with large
-    imaginary part (|Im p| up to max_imag) at time t, with enough surplus to
-    resolve the resulting oscillation of the integrand; 32 without such
-    poles, or for a t that talbot_invert refuses."""
+def talbot_nodes_required(t, poles):
+    """Node count keeping the fixed-Talbot contour outside the (pole,
+    multiplicity) list's poles of large imaginary part at time t, with
+    enough surplus to resolve the resulting oscillation of the integrand;
+    32 without such poles, or for a t that talbot_invert refuses."""
+    max_imag = max((abs(p.imag) for p, _m in poles), default=0.0)
     if not 0 < t < np.inf or max_imag <= 0:
         return 32
     return int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
@@ -693,4 +657,4 @@ def talbot_invert_rf(rf: RationalFunction, t):
         num, den = copies[kind]
         return _horner(num, s) / _horner(den, s)
 
-    return talbot_invert(F, t, nodes=talbot_nodes_required(t, rf.max_imag_pole()))
+    return talbot_invert(F, t, nodes=talbot_nodes_required(t, rf.den_factors))
