@@ -28,6 +28,7 @@ from .errors import (
     NearPole,
     NoPeak,
     NonFiniteTransform,
+    NonRealSum,
     NonzeroDetuning,
     NotCatalogued,
     OutputError,

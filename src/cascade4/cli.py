@@ -247,13 +247,11 @@ def _cmd_roots(cfg, args):
     rs = perturbation.root_set(cfg.system, args.regime)
     rows = []
     for group in ("quadratic", "cubic", "quartic"):
-        numeric = getattr(rs, group)
         printed = rs.printed.get(group)
-        for i, z in enumerate(numeric):
+        for i, z in enumerate(getattr(rs, group)):
             row = [group, str(i), z.real, z.imag]
-            if printed is not None and len(printed):
-                match = min(printed, key=lambda q: abs(q - z))
-                row += [match.real, match.imag, abs(match - z)]
+            if printed is not None:
+                row += [printed[i].real, printed[i].imag, abs(printed[i] - z)]
             else:
                 row += ["", "", ""]
             rows.append(row)

@@ -59,6 +59,11 @@ class NonFiniteTransform(Cascade4Error):
     """A Laplace transform evaluated to inf or nan on an inversion contour."""
 
 
+class NonRealSum(Cascade4Error, ArithmeticError):
+    """An exponential sum that should be real on t >= 0 is not (its terms do
+    not pair into conjugates)."""
+
+
 class IllConditionedPoles(Cascade4Error):
     """Pole clustering is ambiguous within the tolerance band."""
 

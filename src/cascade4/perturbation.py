@@ -61,10 +61,10 @@ from .model import (
     prepare_state,
 )
 from .ratfunc import (
+    _closure,
     ExponentialSum,
     Fixed,
     RationalFunction,
-    closure,
     cluster_poles,
     principal_part,
     talbot_invert,
@@ -140,7 +140,7 @@ def _structure(regime):
     """
     probe = SystemParams(omega1=1.0, omega_rf=1.0, omega3=1.0, gamma24=1.0)
     a0, a1, drives = _split(probe, regime)
-    link, blocks = closure((a0 != 0) | (a0 != 0).T | np.eye(DIM, dtype=bool))
+    link, blocks = _closure((a0 != 0) | (a0 != 0).T | np.eye(DIM, dtype=bool))
     sources = np.isin(np.arange(DIM), (P22, P33, P44))
     masks = []
     for b in drives:      # term k is fed by A1 y_{k-1} + b_k / s
@@ -352,10 +352,15 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
 class RootSet:
     """Denominator roots (pole convention: decaying means Re <= 0).
 
+    Each group is ordered by real part, with real parts that agree to 1e-9
+    of the group's largest modulus taken as equal, then by imaginary part.
     `printed` carries the closed-form values from the source text evaluated
-    verbatim; `mismatch` their distance to the numerical roots.  The
-    quadratic closed form is exact; the cubic/quartic printed expressions
-    are dimensionally inconsistent and the mismatch is reported, not hidden.
+    verbatim, printed[group][i] being the one that a greedy matching (each
+    printed value in turn takes the nearest numeric root left) assigns to
+    roots[group][i]; `mismatch` is the largest distance of a matched pair.
+    The quadratic closed form is exact; the cubic/quartic printed
+    expressions are dimensionally inconsistent and the mismatch is
+    reported, not hidden.
     """
 
     regime: Regime
@@ -363,7 +368,11 @@ class RootSet:
     cubic: np.ndarray       # strong: alpha_{3..5}; weak: alpha-bar_{3..5}
     quartic: np.ndarray     # weak only: alpha-bar_{6..9}; empty for strong
     printed: dict
-    mismatch: dict
+
+    @property
+    def mismatch(self):
+        return {group: float(np.max(np.abs(values - getattr(self, group))))
+                for group, values in self.printed.items()}
 
 
 def _printed_cubic(bar_sum, orf):
@@ -382,13 +391,22 @@ def _printed_cubic(bar_sum, orf):
     return np.array([a3, a4, a5])
 
 
-def _matched_distance(numeric, printed):
-    """Greedy nearest matching between two small root sets."""
-    numeric = list(numeric)
-    out = 0.0
+def _sorted_roots(z):
+    """z by real part rounded to 1e-9 of its largest modulus, then by
+    imaginary part: real parts that tie up to rounding do not order it."""
+    z = np.asarray(z, dtype=complex)
+    step = 1e-9 * (np.max(np.abs(z), initial=0.0) or 1.0)
+    return z[np.lexsort((z.imag, np.round(z.real / step)))]
+
+
+def _matched(numeric, printed):
+    """printed reordered to match numeric: each printed value in turn takes
+    the nearest numeric root not yet taken."""
+    free = list(range(len(numeric)))
+    out = np.empty(len(numeric), dtype=complex)
     for p in printed:
-        k = int(np.argmin([abs(p - n) for n in numeric]))
-        out = max(out, abs(p - numeric.pop(k)))
+        k = free.pop(int(np.argmin([abs(p - numeric[i]) for i in free])))
+        out[k] = p
     return out
 
 
@@ -400,7 +418,7 @@ def root_set(params: SystemParams, regime) -> RootSet:
     a0 = _split(p, regime)[0]
 
     def block_roots(*idx):
-        return np.sort_complex(np.linalg.eigvals(a0[np.ix_(idx, idx)]))
+        return _sorted_roots(np.linalg.eigvals(a0[np.ix_(idx, idx)]))
 
     if regime is Regime.STRONG_RF:
         # The published d2 is det(s - 2B) for A0's (Re rho12, Im rho13)
@@ -411,8 +429,8 @@ def root_set(params: SystemParams, regime) -> RootSet:
                  "cubic": block_roots(IM_R23, P22, P33),
                  "quartic": np.array([], dtype=complex)}
         phi = np.sqrt(complex(4 * p.omega_rf ** 2 - (b2 - b3) ** 2))
-        printed = {"quadratic": np.sort_complex(
-                       np.array([-b2 - b3 + 1j * phi, -b2 - b3 - 1j * phi])),
+        printed = {"quadratic": _sorted_roots([-b2 - b3 + 1j * phi,
+                                               -b2 - b3 - 1j * phi]),
                    "cubic": _printed_cubic(b2 + b3, p.omega_rf)}
     else:
         # d2' stays the published s^2 + 2 b2 s + b2^2 + 4 O1^2: no A0 block
@@ -422,8 +440,8 @@ def root_set(params: SystemParams, regime) -> RootSet:
         # that sub-block gives the cubic; the quartic is A0's odd coherence
         # block.
         o1, o3 = p.omega1, p.omega3
-        roots = {"quadratic": np.sort_complex(np.roots(
-                     [1.0, 2 * b2, b2 ** 2 + 4 * o1 ** 2]).astype(complex)),
+        roots = {"quadratic": _sorted_roots(np.roots(
+                     [1.0, 2 * b2, b2 ** 2 + 4 * o1 ** 2])),
                  "cubic": block_roots(IM_R34, P33, P44),
                  "quartic": block_roots(RE_R23, IM_R13, RE_R14, IM_R24)}
         phi1 = np.sqrt(complex(4 * o1 ** 2 - b2 ** 2))
@@ -432,18 +450,17 @@ def root_set(params: SystemParams, regime) -> RootSet:
                 - (b2 ** 2 + b3 ** 2 + b4 ** 2 - 2 * b3 * b4))
         ssum = b2 + b3 + b4
         printed = {
-            "quadratic": np.sort_complex(
-                np.array([-b2 + 2j * o1, -b2 - 2j * o1])),
+            "quadratic": _sorted_roots([-b2 + 2j * o1, -b2 - 2j * o1]),
             "cubic": _printed_cubic(b3 + b4, o3),
-            "quartic": np.sort_complex(np.array([
+            "quartic": _sorted_roots([
                 -ssum - np.sqrt(complex(phi3 + 2 * phi1 * phi2)),
                 -ssum + np.sqrt(complex(phi3 + 2 * phi1 * phi2)),
                 -ssum - 1j * np.sqrt(complex(phi3 - 2 * phi1 * phi2)),
                 -ssum + 1j * np.sqrt(complex(phi3 - 2 * phi1 * phi2)),
-            ]))}
-    mismatch = {group: _matched_distance(roots[group], values)
-                for group, values in printed.items()}
-    return RootSet(regime=regime, **roots, printed=printed, mismatch=mismatch)
+            ])}
+    printed = {group: _matched(roots[group], values)
+               for group, values in printed.items()}
+    return RootSet(regime=regime, **roots, printed=printed)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from numpy.polynomial.polynomial import polyfromroots, polyval
 # exact dynamics (import cascade4, g2, scan_tau_d) nor the residue path
 # (analytic sums, invert_rational) loads it.
 
-from .errors import IllConditionedPoles, InvalidArgument, NonFiniteTransform
+from .errors import IllConditionedPoles, InvalidArgument, NonFiniteTransform, NonRealSum
 
 CLUSTER_TOL = 1e-8
 CLUSTER_TOL_UPPER = 1e-6
@@ -325,7 +325,7 @@ class RationalFunction:
         return 0.0 + 0.0j
 
 
-def closure(adj):
+def _closure(adj):
     """(reach, groups) of a symmetric boolean adjacency matrix with a true
     diagonal: reach[i, j] says i and j are connected, from repeated boolean
     squaring (paths of up to 2^k steps after k squarings), and groups lists
@@ -333,29 +333,29 @@ def closure(adj):
     reach = np.asarray(adj, dtype=bool)
     for _ in range((len(reach) - 1).bit_length()):
         reach = reach @ reach
-    groups = sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
-    return reach, groups
-
-
-def _cluster(points, rel_tol):
-    """Single-linkage clusters of complex points at a relative tolerance."""
-    p = np.asarray(points, dtype=complex)
-    scale = np.maximum(np.maximum.outer(abs(p), abs(p)), CLUSTER_SCALE_FLOOR)
-    return closure(abs(p[:, None] - p[None, :]) <= rel_tol * scale)[1]
+    groups = {}
+    for i, row in enumerate(reach.tolist()):
+        groups.setdefault(row.index(True), []).append(i)
+    return reach, [tuple(g) for g in groups.values()]
 
 
 def cluster_poles(factors):
     """Group near-coincident poles of a (pole, multiplicity) list into
     (centroid, order, spread) clusters; raise if the grouping is ambiguous.
 
-    Ambiguity means the partition changes somewhere between relative
-    tolerance 1e-8 and 1e-6 -- the caller cannot tell a repeated pole from a
-    close pair, so guessing is refused.
+    Clusters are single-linkage at a relative distance (to the larger
+    modulus, at least CLUSTER_SCALE_FLOOR).  Ambiguity means the partition
+    changes somewhere between relative tolerance 1e-8 and 1e-6 -- the
+    caller cannot tell a repeated pole from a close pair, so guessing is
+    refused.
     """
     poles = [complex(p) for p, _m in factors]
     mult = [m for _p, m in factors]
-    low = _cluster(poles, CLUSTER_TOL)
-    if low != _cluster(poles, CLUSTER_TOL_UPPER):
+    z = np.array(poles, dtype=complex)
+    dist = abs(z[:, None] - z[None, :])
+    scale = np.maximum(np.maximum.outer(abs(z), abs(z)), CLUSTER_SCALE_FLOOR)
+    low = _closure(dist <= CLUSTER_TOL * scale)[1]
+    if low != _closure(dist <= CLUSTER_TOL_UPPER * scale)[1]:
         raise IllConditionedPoles(
             "pole clustering differs between tolerances 1e-8 and 1e-6")
     clusters = []
@@ -394,7 +394,7 @@ class ExponentialSum:
             return vals.real
         scale = max(1.0, np.max(np.abs(vals)))
         if np.max(np.abs(vals.imag)) > self.IMAG_TOL * scale:
-            raise ArithmeticError(
+            raise NonRealSum(
                 "exponential sum is not real on t >= 0 "
                 f"(imag defect {np.max(np.abs(vals.imag)):.2e})")
         return vals.real

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade4.errors import IllConditionedPoles, InvalidArgument, NonFiniteTransform
+from cascade4.errors import (
+    Cascade4Error,
+    IllConditionedPoles,
+    InvalidArgument,
+    NonFiniteTransform,
+    NonRealSum,
+)
 from cascade4.model import preset
 from cascade4.perturbation import (
     appendix_rational,
@@ -460,6 +466,14 @@ def test_exponential_sum_realness_guard():
     es = ExponentialSum(terms=((1.0 + 0j, -1.0 + 2j, 0),))  # unpaired
     with pytest.raises(ArithmeticError):
         es(np.array([1.0]))
+
+
+def test_non_real_sum_is_a_named_error():
+    # analytic_g2 reaches this guard, so it raises a Cascade4Error
+    es = ExponentialSum(terms=((1.0 + 0j, -1.0 + 2j, 0),))
+    with pytest.raises(NonRealSum) as info:
+        es(np.array([1.0]))
+    assert isinstance(info.value, Cascade4Error)
 
 
 def test_exponential_sum_empty_inputs():
