@@ -28,6 +28,7 @@ converge to the exact dynamics and are kept only as documented cross-checks
 """
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,6 +130,7 @@ def _split(params, regime):
     return base.A, full.A - base.A, (base.b, b1, 0 * b1)
 
 
+@functools.cache
 def _structure(regime):
     """(link, masks, blocks): the connected blocks of A0 and the support of
     each Dyson term, from a probe with every drive and transfer rate on.
@@ -136,7 +138,8 @@ def _structure(regime):
     link[i, j] says components i and j share a block; masks[k] marks the
     blocks term k can reach from a population preparation and the drive
     constant.  A drive that is zero in the actual parameters only leaves
-    exact zeros in these supports.
+    exact zeros in these supports.  The result depends on the regime alone,
+    so it is built once per regime; link and the masks are read-only.
     """
     probe = SystemParams(omega1=1.0, omega_rf=1.0, omega3=1.0, gamma24=1.0)
     a0, a1, drives = _split(probe, regime)
@@ -146,7 +149,9 @@ def _structure(regime):
     for b in drives:      # term k is fed by A1 y_{k-1} + b_k / s
         masks.append(link[sources | (b != 0)].any(axis=0))
         sources = (a1[:, masks[-1]] != 0).any(axis=1)
-    return link, tuple(masks), blocks
+    for array in (link, *masks):
+        array.setflags(write=False)
+    return link, tuple(masks), tuple(blocks)
 
 
 def _factor(s, m):

@@ -11,6 +11,7 @@ from the poles and polyval evaluates.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,11 +494,17 @@ def talbot_nodes_required(t, poles):
     """Node count keeping the fixed-Talbot contour outside the (pole,
     multiplicity) list's poles of large imaginary part at time t, with
     enough surplus to resolve the resulting oscillation of the integrand;
-    32 without such poles, or for a t that talbot_invert refuses."""
+    32 without such poles, or for a t that talbot_invert refuses.
+
+    The count 32 + ceil(3 t max|Im p| 5 / 2 pi) is rounded up to a multiple
+    of 16, so that parameter sets with nearby t max|Im p| share one rung of
+    this ladder, and with it one cached node table (see _talbot_rule).
+    """
     max_imag = max((abs(p.imag) for p, _m in poles), default=0.0)
     if not 0 < t < np.inf or max_imag <= 0:
         return 32
-    return int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
+    nodes = int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
+    return 16 * -(-nodes // 16)
 
 
 # Fixed-Talbot nodes whose weight |w_k| is at most this are evaluated in one
@@ -515,7 +522,7 @@ DOUBLE_WEIGHT = 1e-3
 GUARD_BITS = 64
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=32)
 def _talbot_rule(nodes, dps):
     """The t-independent part of the fixed-Talbot rule at `dps` digits.
 
@@ -527,8 +534,10 @@ def _talbot_rule(nodes, dps):
     DOUBLE_WEIGHT as tuples of Fixed (computed by mpmath at `dps` digits and
     put on a grid of ceil(dps log2 10) + GUARD_BITS fractional bits in the
     same pass) and the rest as read-only complex128 arrays.  Double nodes
-    whose weight underflows to 0 are dropped.  A few tables are kept, since
-    the callers evaluate many transforms at the same handful of times.
+    whose weight underflows to 0 are dropped.  32 tables are kept for the
+    life of the process: every rung of talbot_nodes_required's ladder from
+    32 to 528 nodes, so the tables are built once and shared by every
+    parameter set and time (a 288-node table holds about 70 KB).
     """
     import mpmath
     k = np.arange(1, nodes)
@@ -597,13 +606,21 @@ def talbot_invert(F, t, nodes=32):
     double once.
 
     The nodes z_k = s_k t and weights w_k do not depend on t; they come from
-    a small table cached per (nodes, dps), so a call costs one array call,
-    and one division z_k / t, one F evaluation and one product per heavy
-    node.
+    a table cached per (nodes, dps) for the life of the process (see
+    _talbot_rule), so a call costs one array call, and one division
+    z_k / t, one F evaluation and one product per heavy node.  `nodes` must
+    be an integer of at least 32, the rule's documented floor.
     """
     import mpmath
     if not 0 < t < np.inf:
         raise InvalidArgument(f"talbot_invert requires finite t > 0, got {t}")
+    try:
+        nodes = operator.index(nodes)
+    except TypeError:
+        raise InvalidArgument(
+            f"talbot_invert requires an integer node count, got {nodes!r}") from None
+    if nodes < 32:
+        raise InvalidArgument(f"talbot_invert requires at least 32 nodes, got {nodes}")
     dps = 20 + int(np.ceil(0.19 * nodes))
     z, w, zd, wd = _talbot_rule(nodes, dps)
     zh = np.array([complex(zk) for zk in z])

@@ -27,6 +27,12 @@ def _evolve_to(t):
     return evolve(_fig2_generator(), prepare_state(1), [0.0, t])
 
 
+def _invert_with_nodes(nodes):
+    # 1/(s+1) at t = 1: a node count that is not an integer >= 32 gave
+    # plausible wrong values (0.2 at 0 nodes, 0.3746 at 2.5) for e^-1
+    return talbot_invert(lambda s: 1 / (s + 1), 1.0, nodes=nodes)
+
+
 BAD_CALLS = {
     "correlations.scan_tau_d": lambda: scan_tau_d(preset("fig2", "unit"),
                                                   "omega1", [4.0, 0.0]),
@@ -52,6 +58,11 @@ BAD_CALLS = {
                                                           math.inf),
     "ratfunc.talbot_invert: t nan": lambda: talbot_invert(lambda s: 1 / s,
                                                           math.nan),
+    "ratfunc.talbot_invert: nodes 0": lambda: _invert_with_nodes(0),
+    "ratfunc.talbot_invert: nodes -3": lambda: _invert_with_nodes(-3),
+    "ratfunc.talbot_invert: nodes 2.5": lambda: _invert_with_nodes(2.5),
+    "ratfunc.talbot_invert: nodes 31": lambda: _invert_with_nodes(31),
+    "ratfunc.talbot_invert: nodes 48.0": lambda: _invert_with_nodes(48.0),
     "ratfunc.talbot_invert_rf: t inf": lambda: talbot_invert_rf(
         RationalFunction.from_factors([1.0], [(-1 + 2j, 1), (-1 - 2j, 1)]),
         math.inf),

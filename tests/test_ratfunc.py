@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -98,8 +100,23 @@ def test_talbot_cached_rule_matches_direct_sum():
     for t in (0.3, 2.0, 10.0):
         want = talbot_direct(rf, t, talbot_nodes_required(t, rf.den_factors))
         assert abs(talbot_invert_rf(rf, t) - want) <= 1e-15 * abs(want)
-    # a few tables only: one for 284 nodes holds about 0.3 MB
-    assert _talbot_rule.cache_info().maxsize <= 4
+
+
+def test_talbot_rule_cache_holds_every_rung_in_3_mb():
+    # the cache keeps all 32 rungs of the node ladder (32, 48, ..., 528
+    # nodes) for the life of the process; built cold, they hold about 2.4 MB
+    talbot_invert(lambda s: 1 / (s + 1), 1.0)      # mpmath loaded and warm
+    _talbot_rule.cache_clear()
+    rungs = range(32, 529, 16)
+    tracemalloc.start()
+    try:
+        for nodes in rungs:
+            _talbot_rule(nodes, 20 + int(np.ceil(0.19 * nodes)))
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 3e6
+    assert _talbot_rule.cache_info().currsize == len(rungs) == 32
 
 
 def test_talbot_rule_splits_every_node_once():
@@ -192,18 +209,102 @@ def stable_rational(draw):
     return RationalFunction.from_factors(np.array(num), factors)
 
 
+def light_error(rf, t):
+    """Error bound of the light half of talbot_invert_rf(rf, t), summed in
+    double.  Each of its terms (below 1e-3 |F|) carries ~|Re z_k| ulps from
+    e^{z_k} and a few from F, so this part of the error is absolute: it does
+    not shrink with f(t)."""
+    nodes = talbot_nodes_required(t, rf.den_factors)
+    _z, _w, zd, wd = _talbot_rule(nodes, 20 + int(np.ceil(0.19 * nodes)))
+    light = 2 / (5 * t) * np.sum(np.abs(wd * rf(zd / t)) * (1 + np.abs(zd.real)))
+    return 1e-14 * light
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(rf=stable_rational(), t=st.floats(0.05, 10.0))
 def test_talbot_mixed_precision_property(rf, t):
     nodes = talbot_nodes_required(t, rf.den_factors)
     want = talbot_direct(rf, t, nodes)
     got = talbot_invert_rf(rf, t)
-    # The light half is summed in double.  Each of its terms (below 1e-3 |F|)
-    # carries ~|Re z_k| ulps from e^{z_k} and a few from F, so that part of
-    # the error is absolute: it does not shrink with f(t).
-    _z, _w, zd, wd = _talbot_rule(nodes, 20 + int(np.ceil(0.19 * nodes)))
-    light = 2 / (5 * t) * np.sum(np.abs(wd * rf(zd / t)) * (1 + np.abs(zd.real)))
-    assert abs(got - want) <= 1e-15 * max(abs(want), 1e-9) + 1e-14 * light
+    assert abs(got - want) <= 1e-15 * max(abs(want), 1e-9) + light_error(rf, t)
+
+
+def continuous_nodes(t, poles):
+    """The node count before the ladder: 32 + ceil(3 t max|Im p| 5 / 2 pi)."""
+    max_imag = max((abs(p.imag) for p, _m in poles), default=0.0)
+    if max_imag <= 0:
+        return 32
+    return int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ts=st.lists(st.floats(1e-3, 50.0), min_size=2, max_size=2),
+       ims=st.lists(st.floats(0.0, 300.0), min_size=2, max_size=2))
+def test_talbot_nodes_required_is_a_16_node_ladder(ts, ims):
+    (t1, t2), (im1, im2) = sorted(ts), sorted(ims)
+
+    def nodes(t, im):
+        poles = [(-1.0 + 1j * im, 1), (-1.0 - 1j * im, 1)]
+        n = talbot_nodes_required(t, poles)
+        assert type(n) is int and n % 16 == 0
+        assert continuous_nodes(t, poles) <= n < continuous_nodes(t, poles) + 16
+        return n
+
+    # non-decreasing in t and in max|Im p|
+    assert nodes(t1, im1) <= nodes(t2, im1) and nodes(t1, im2) <= nodes(t2, im2)
+    assert nodes(t1, im1) <= nodes(t1, im2) and nodes(t2, im1) <= nodes(t2, im2)
+
+
+def test_talbot_ladder_matches_continuous_count_on_oscillatory_rf():
+    rf = RationalFunction.from_factors(
+        np.array([8.0]), [(-0.5 + 8j, 1), (-0.5 - 8j, 1)])
+    for t in (0.3, 0.77, 2.0, 3.1, 10.0):
+        old = continuous_nodes(t, rf.den_factors)
+        assert talbot_nodes_required(t, rf.den_factors) != old
+        want = talbot_direct(rf, t, old)
+        assert abs(talbot_invert_rf(rf, t) - want) <= 1e-15 * abs(want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rf=stable_rational(), t=st.floats(0.05, 10.0))
+def test_talbot_ladder_matches_continuous_count_property(rf, t):
+    want = talbot_direct(rf, t, continuous_nodes(t, rf.den_factors))
+    got = talbot_invert_rf(rf, t)
+    assert abs(got - want) <= 1e-15 * max(abs(want), 1e-9) + light_error(rf, t)
+
+
+def test_talbot_cold_cache_value_equals_warm_value():
+    rf = RationalFunction.from_factors(
+        np.array([1.0, 0.3]), [(-0.5 + 8j, 1), (-0.5 - 8j, 1), (-2.0, 2)])
+    p = closed_cascade(0.2, 20.0, 0.2, gammas="physical")
+    for t in (0.3, 1.5):
+        _talbot_rule.cache_clear()
+        cold = (talbot_invert_rf(rf, t), talbot_g2_value(p, "strong", (3, 1), t, ss=1.0))
+        assert _talbot_rule.cache_info().misses >= 1
+        warm = (talbot_invert_rf(rf, t), talbot_g2_value(p, "strong", (3, 1), t, ss=1.0))
+        assert cold == warm
+
+
+def test_talbot_g2_values_on_one_rung_share_a_table():
+    # two strong-rf parameter sets whose continuous node counts differ but
+    # round up to the same rung: the second value builds no table
+    tau = 0.3
+    p1 = closed_cascade(0.2, 20.0, 0.2, gammas="unit")
+    p2 = closed_cascade(0.2, 20.5, 0.2, gammas="unit")
+    poles1, poles2 = hierarchy_poles(p1, "strong"), hierarchy_poles(p2, "strong")
+    assert continuous_nodes(tau, poles1) != continuous_nodes(tau, poles2)
+    assert talbot_nodes_required(tau, poles1) == talbot_nodes_required(tau, poles2)
+    talbot_g2_value(p1, "strong", (3, 1), tau, ss=1.0)
+    misses = _talbot_rule.cache_info().misses
+    talbot_g2_value(p2, "strong", (3, 1), tau, ss=1.0)
+    assert _talbot_rule.cache_info().misses == misses
+
+
+def test_talbot_invert_accepts_numpy_integer_nodes():
+    def F(s):
+        return 1 / (s + 1)
+    _talbot_rule.cache_clear()      # the table is built from the numpy count
+    assert talbot_invert(F, 1.0, nodes=np.int64(48)) == talbot_invert(F, 1.0, nodes=48)
 
 
 def test_talbot_non_finite_transform_raises():
