@@ -66,8 +66,8 @@ def steady_state(gen: AffineGenerator) -> np.ndarray:
 def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
     """Propagate x0 along `times` (finite, ascending, times[0] >= 0).
 
-    x0 is the state at t = 0 regardless of where the grid starts, and a
-    grid point at t = 0 returns x0 exactly.
+    x0 (finite, shaped like gen.b) is the state at t = 0 regardless of
+    where the grid starts, and a grid point at t = 0 returns x0 exactly.
 
     backend 'expm' evaluates x(t) = exp(A t)(x0 - x_ss) + x_ss by the
     eigen-expansion over the whole grid at once, or, when the eigenbasis is
@@ -86,6 +86,10 @@ def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
     if times[0] < 0:
         raise InvalidArgument("times must start at t >= 0")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != gen.b.shape:
+        raise InvalidArgument(f"x0 must have shape {gen.b.shape}, got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidArgument("x0 must be finite")
 
     if backend == "expm":
         # _projector has run steady_state's checks on the fixed point.

@@ -14,7 +14,7 @@ class InvalidParams(Cascade4Error):
     """Physical parameters violate their constraints (negative rate, zero Gamma)."""
 
 
-class InvalidLevel(Cascade4Error):
+class InvalidLevel(InvalidArgument):
     """Preparation level outside {1, 2, 3, 4}."""
 
 
@@ -47,8 +47,9 @@ class NonzeroDetuning(Cascade4Error):
     """Perturbative solutions are only defined on resonance."""
 
 
-class NearPole(Cascade4Error):
-    """Laplace-domain solve requested too close to a pole (ill-conditioned)."""
+class NearPole(InvalidArgument):
+    """Laplace-domain solve requested at or too close to a pole
+    (ill-conditioned)."""
 
 
 class NotCatalogued(Cascade4Error):

@@ -14,6 +14,7 @@ the rate vector with that table.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -297,8 +298,8 @@ def build_generator(params: SystemParams) -> AffineGenerator:
 
 def prepare_state(level: int) -> np.ndarray:
     """State vector for the atom prepared in |level><level| (coherences zero)."""
-    if level not in (1, 2, 3, 4):
-        raise InvalidLevel(f"level must be 1..4, got {level}")
+    if not isinstance(level, numbers.Integral) or level not in (1, 2, 3, 4):
+        raise InvalidLevel(f"level must be an integer 1..4, got {level!r}")
     x = np.zeros(DIM)
     if level > 1:
         x[P22 + level - 2] = 1.0

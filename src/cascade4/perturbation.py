@@ -14,11 +14,16 @@ splits into small connected blocks (the real and imaginary parts of the
 coherences separate), so an evaluation factors each block a term reaches
 once and reuses the factors for all three terms.  Every step is analytic in
 s, so the chain can be evaluated at any complex, Fixed or mpmath s, which
-is what the Talbot inversion and the contour residue extraction need.  The
-pole inventory comes from the same split: the population block of A0 acts
-at order 0 and again around the loop, the blocks that A1 couples to it
-once.  The transcribed catalogue's denominator roots are eigenvalues of
-principal sub-blocks of the same A0 (root_set).
+is what the Talbot inversion and the contour residue extraction need.
+
+Each public function builds one _Dyson per call, which coerces the regime,
+refuses detuning and holds the parameters' split.  The pole
+inventory is read off its chain: each block of A0 contributes its
+eigenvalues once per term that solves it, and b/s adds the pole 0.  For a
+population that gives the population block twice (order 0 and again
+around the loop) and the blocks that A1 couples to it once.  The
+transcribed catalogue's denominator roots are eigenvalues of principal
+sub-blocks of the same A0 (root_set).
 
 The population rates entering these systems are the ones of the exact master
 equation.  The published versions of the same systems halve the population
@@ -27,6 +32,7 @@ converge to the exact dynamics and are kept only as documented cross-checks
 (see validation's printed-form report).
 """
 
+import collections
 import enum
 import functools
 from dataclasses import dataclass, replace
@@ -37,7 +43,7 @@ from numpy.polynomial import Polynomial
 # exact dynamics (import cascade4, g2, scan_tau_d) nor the residue path
 # (analytic sums, invert_rational) loads it.
 
-from .correlations import PAIR_TABLE, CorrelationSeries, _steady_norm
+from .correlations import DENOMINATOR_FLOOR, PAIR_TABLE, CorrelationSeries, _steady_norm
 from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued
 from .model import (
     DIM,
@@ -102,12 +108,6 @@ PSI_NAMES = ("psi1", "psi2", "psi3", "psi4", "psi5", "psi6",
 _PSI_INDEX = dict(zip(PSI_NAMES, (
     (RE_R12, IM_R12), (RE_R23, IM_R23), (RE_R34, IM_R34), (RE_R13, IM_R13),
     (RE_R14, IM_R14), (RE_R24, IM_R24), (P22,), (P33,), (P44,))))
-
-
-def _require_resonant(params):
-    if params.detuned:
-        raise NonzeroDetuning(
-            "perturbative solutions assume all detunings zero")
 
 
 def _bars(params):
@@ -223,9 +223,14 @@ def _factor_mp(s, m):
 
 
 class _Dyson:
-    """The terms y0, y1, y2 of one parameter set, evaluated at any s.
+    """The Dyson chain of one parameter set in one regime: its terms y0, y1,
+    y2 at any s, the transform of one population, and their pole inventory.
 
-    `masks[k]` selects which of the `blocks` of A0 to solve for in term k.
+    Building one coerces the regime, refuses detuning, splits the generator
+    and picks each term's support from _structure: `masks[k]` selects which of A0's `blocks` term k solves.
+    Term 2 covers every component, or with an `observable` only the block of
+    that population, which is all its transform reads.
+
     Each term comes back as a DIM-long list: of arrays shaped like s at
     complex128 s (which may be an array), of Fixed at a ratfunc.Fixed s (the
     heavy fixed-Talbot nodes), of mpc at mpmath s (the all-mpmath oracle).
@@ -235,8 +240,19 @@ class _Dyson:
     and complex first, so the residue path never imports mpmath.
     """
 
-    def __init__(self, params, regime, blocks, masks):
-        a0, a1, drives = _split(params, regime)
+    def __init__(self, params, regime, observable=None):
+        self.regime = regime = Regime.coerce(regime)
+        if params.detuned:
+            raise NonzeroDetuning("perturbative solutions assume all detunings zero")
+        link, masks, blocks = _structure(regime)
+        if observable is not None:
+            if observable not in STATE_LABELS[P22:]:
+                raise InvalidArgument(
+                    f"observable must be one of {list(STATE_LABELS[P22:])}")
+            self.idx = STATE_LABELS.index(observable)
+            masks = masks[:2] + (link[self.idx],)
+        self.masks = masks
+        self.a0, a1, drives = _split(params, regime)
         blocks = [b for b in blocks if any(mask[b[0]] for mask in masks)]
         self.terms = [[b for b in blocks if mask[b[0]]] for mask in masks]
         # Per term k: the A1 entries (i, j, a) from term k-1's support into
@@ -245,8 +261,27 @@ class _Dyson:
         couplings = [[(int(i), int(j), a1[i, j]) for i, j in zip(*np.nonzero(a1))
                       if mask[i] and prev[j]] for prev, mask in zip(prevs, masks)]
         drives = [[(int(i), b[i]) for i in np.flatnonzero(b)] for b in drives]
-        self.data = ({b[0]: a0[np.ix_(b, b)] for b in blocks}, couplings, drives)
+        self.data = ({b[0]: self.a0[np.ix_(b, b)] for b in blocks}, couplings, drives)
         self.copies = {}
+
+    def poles(self):
+        """(pole, multiplicity) inventory of the terms: each block of A0
+        contributes its eigenvalues once per term that solves it, listed at
+        the first such term, after the pole 0 of b/s."""
+        solved = collections.Counter(b[0] for term in self.terms for b in term)
+        return [(0.0 + 0.0j, 1)] + [(z, m) for key, m in solved.items()
+                                     for z in np.linalg.eigvals(self.data[0][key])]
+
+    def transform(self, init_level):
+        """F(s) of the observable's population from |init_level>: y0 + y2,
+        since populations have no first-order part."""
+        x0, idx = prepare_state(init_level), self.idx
+
+        def F(s):
+            y0, _y1, y2 = self(s, x0)
+            return y0[idx] + y2[idx]
+
+        return F
 
     def _copy(self, kind):
         """self.data with every value converted by `kind` (a Fixed class or
@@ -275,6 +310,8 @@ class _Dyson:
             with mpmath.workprec(53):     # exact for doubles
                 blocks, couplings, drives = self._copy(mpmath.mpf)
             factor = _factor_mp
+        if np.any(s == 0):
+            raise NearPole("the drive term b/s has its pole at s = 0")
         solvers = {key: factor(s, m) for key, m in blocks.items()}
         ys, rhs = [], x0.tolist()
         for term, coupling, drive in zip(self.terms, couplings, drives):
@@ -295,9 +332,6 @@ class _Dyson:
 class HierarchySolution:
     """All transformed components at one s: per-order values and totals."""
 
-    regime: Regime
-    init_level: int
-    s: complex
     orders: dict  # name -> {order: value}
     totals: dict  # name -> value
 
@@ -309,20 +343,17 @@ def laplace_solve(params: SystemParams, regime, init_level, s) -> HierarchySolut
     order decomposition (the Dyson terms it appears in) and the sum through
     second order.
     """
-    regime = Regime.coerce(regime)
-    _require_resonant(params)
-    _link, masks, blocks = _structure(regime)
-    ys = _Dyson(params, regime, blocks, masks)(s, prepare_state(init_level))
+    dyson = _Dyson(params, regime)
+    ys = dyson(s, prepare_state(init_level))
     orders = {}
     totals = {}
     for name, idx in _PSI_INDEX.items():
         parts = {k: y[idx[0]] + 1j * y[idx[1]] if len(idx) == 2 else y[idx[0]]
-                 for k, (y, mask) in enumerate(zip(ys, masks))
+                 for k, (y, mask) in enumerate(zip(ys, dyson.masks))
                  if mask[list(idx)].any()}
         orders[name] = parts
         totals[name] = sum(parts.values())
-    return HierarchySolution(regime=regime, init_level=init_level, s=s,
-                             orders=orders, totals=totals)
+    return HierarchySolution(orders=orders, totals=totals)
 
 
 def laplace_observable(params: SystemParams, regime, init_level, observable):
@@ -333,20 +364,7 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
     ratfunc.Fixed (the heavy fixed-Talbot nodes, answered in the same Fixed
     type) or an mpmath mpc (answered at the working precision).
     """
-    regime = Regime.coerce(regime)
-    _require_resonant(params)
-    if observable not in STATE_LABELS[P22:]:
-        raise InvalidArgument(f"observable must be one of {list(STATE_LABELS[P22:])}")
-    idx = STATE_LABELS.index(observable)
-    link, (m0, m1, _m2), blocks = _structure(regime)
-    dyson = _Dyson(params, regime, blocks, (m0, m1, link[idx]))
-    x0 = prepare_state(init_level)
-
-    def F(s):
-        y0, _y1, y2 = dyson(s, x0)   # populations have no first-order part
-        return y0[idx] + y2[idx]
-
-    return F
+    return _Dyson(params, regime, observable).transform(init_level)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +386,6 @@ class RootSet:
     reported, not hidden.
     """
 
-    regime: Regime
     quadratic: np.ndarray   # strong: alpha_{1,2}; weak: alpha-bar analogues
     cubic: np.ndarray       # strong: alpha_{3..5}; weak: alpha-bar_{3..5}
     quartic: np.ndarray     # weak only: alpha-bar_{6..9}; empty for strong
@@ -382,10 +399,14 @@ class RootSet:
 
 def _printed_cubic(bar_sum, orf):
     """The closed-form cubic roots exactly as published (known to be
-    dimensionally inconsistent; kept for the discrepancy report)."""
+    dimensionally inconsistent; kept for the discrepancy report).  The
+    formula divides by alpha, which vanishes with the drive orf: there it
+    is undefined and every value is nan."""
     inner = 324.0 * bar_sum ** 2 * orf ** 4 + 6912.0 * orf ** 6
     alpha = 3.0 ** (1 / 3) * (3.0 * orf ** 2 * bar_sum
                               + np.sqrt(inner) / 6.0) ** (1 / 3)
+    if alpha == 0.0:
+        return np.full(3, complex(np.nan, np.nan))
     a3 = -2.0 * bar_sum / (3.0 * alpha) - 4.0 * orf ** 2 + alpha / 3.0
     a4 = (-2.0 * bar_sum / (3.0 * alpha)
           + 12.0 * (1 + 1j * np.sqrt(3.0)) * orf ** 2
@@ -416,16 +437,14 @@ def _matched(numeric, printed):
 
 
 def root_set(params: SystemParams, regime) -> RootSet:
-    regime = Regime.coerce(regime)
-    _require_resonant(params)
-    p = params
+    dyson = _Dyson(params, regime)
+    p, a0 = params, dyson.a0
     b2, b3, b4 = _bars(p)
-    a0 = _split(p, regime)[0]
 
     def block_roots(*idx):
         return _sorted_roots(np.linalg.eigvals(a0[np.ix_(idx, idx)]))
 
-    if regime is Regime.STRONG_RF:
+    if dyson.regime is Regime.STRONG_RF:
         # The published d2 is det(s - 2B) for A0's (Re rho12, Im rho13)
         # block B = [[-b2, -O_rf], [O_rf, -b3]]; doubling is exact.  At
         # omega3 = 0 nothing feeds rho44, so A0's population block is
@@ -465,7 +484,7 @@ def root_set(params: SystemParams, regime) -> RootSet:
             ])}
     printed = {group: _matched(roots[group], values)
                for group, values in printed.items()}
-    return RootSet(regime=regime, **roots, printed=printed)
+    return RootSet(**roots, printed=printed)
 
 
 # ---------------------------------------------------------------------------
@@ -473,37 +492,29 @@ def root_set(params: SystemParams, regime) -> RootSet:
 # ---------------------------------------------------------------------------
 
 def hierarchy_poles(params: SystemParams, regime):
-    """(pole, multiplicity) inventory of the chained solution.
+    """(pole, multiplicity) inventory of every population transform, read
+    off the chain by _Dyson.poles.
 
-    The population block of A0 acts at order zero and again around the loop
+    The populations share one block of A0, so rho22's chain stands for all
+    three.  That block is solved at order zero and again around the loop
     R0 A1 R0 A1 R0, so its eigenvalues can be double poles (secular t e^{pt}
-    terms); the blocks that A1 couples it to act once; the drive constant
-    b/s adds the pole at 0.
+    terms); the blocks that A1 couples it to are solved once; the drive
+    constant b/s adds the pole at 0.
     """
-    regime = Regime.coerce(regime)
-    _require_resonant(params)
-    a0 = _split(params, regime)[0]
-    link, (_m0, m1, _m2), blocks = _structure(regime)
-    pop = link[P22]
-    poles = [(0.0 + 0.0j, 1)]
-    poles += [(z, 2) for z in np.linalg.eigvals(a0[np.ix_(pop, pop)])]
-    poles += [(z, 1) for b in blocks if m1[b[0]]
-              for z in np.linalg.eigvals(a0[np.ix_(b, b)])]
-    return poles
+    return _Dyson(params, regime, "rho22").poles()
 
 
 def assembled_exponential_sum(params: SystemParams, regime, init_level,
                               observable) -> ExponentialSum:
     """Time-domain form of one population transform, by contour residues at
-    the known pole inventory (unnormalized), each taken by
+    the chain's pole inventory (unnormalized), each taken by
     ratfunc.principal_part."""
-    regime = Regime.coerce(regime)
-    F = laplace_observable(params, regime, init_level, observable)
-    clusters = cluster_poles(hierarchy_poles(params, regime))
+    dyson = _Dyson(params, regime, observable)
+    F = dyson.transform(init_level)
+    clusters = cluster_poles(dyson.poles())
     terms = [t for cluster in clusters
              for t in principal_part(F, cluster, clusters)]
-    tag = f"assembled/{regime.value}/init{init_level}/{observable}"
-    return ExponentialSum(terms=tuple(terms), provenance=tag)
+    return ExponentialSum(terms=tuple(terms))
 
 
 ANALYTIC_PAIRS = ((1, 1), (3, 3), (3, 1))
@@ -514,7 +525,8 @@ def _g2_source(params, pair, ss=None):
     from correlations.PAIR_TABLE.
 
     The denominator is the observable's steady state under the full
-    generator, refused like correlations.g2's, unless one is passed in.
+    generator, refused like correlations.g2's, unless one is passed in; a
+    passed one must be finite and at least correlations.DENOMINATOR_FLOOR.
     """
     pair = tuple(pair)
     if pair not in ANALYTIC_PAIRS:
@@ -522,6 +534,9 @@ def _g2_source(params, pair, ss=None):
     init_level, idx = PAIR_TABLE[pair]
     if ss is None:
         ss = float(_steady_norm(build_generator(params), pair))
+    elif not DENOMINATOR_FLOOR <= ss < np.inf:
+        raise InvalidArgument(
+            f"denominator ss must be finite and >= {DENOMINATOR_FLOOR:g}, got {ss!r}")
     return init_level, STATE_LABELS[idx], ss
 
 
@@ -536,8 +551,7 @@ def analytic_g2_sum(params: SystemParams, regime, pair):
     definition is the one quantity the analytic form must import.
     """
     init_level, observable, ss = _g2_source(params, pair)
-    es = assembled_exponential_sum(params, Regime.coerce(regime), init_level,
-                                   observable)
+    es = assembled_exponential_sum(params, regime, init_level, observable)
     return es.scaled(1.0 / ss), ss
 
 
@@ -558,10 +572,9 @@ def coefficient_identities(es: ExponentialSum) -> float:
 def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None):
     """g2 at one delay via Talbot inversion of the hierarchy (no residues)."""
     init_level, observable, ss = _g2_source(params, pair, ss)
-    regime = Regime.coerce(regime)
-    nodes = talbot_nodes_required(tau, hierarchy_poles(params, regime))
-    F = laplace_observable(params, regime, init_level, observable)
-    return talbot_invert(F, tau, nodes=nodes) / ss
+    dyson = _Dyson(params, regime, observable)
+    nodes = talbot_nodes_required(tau, dyson.poles())
+    return talbot_invert(dyson.transform(init_level), tau, nodes=nodes) / ss
 
 
 # ---------------------------------------------------------------------------
@@ -600,21 +613,18 @@ def appendix_rational(params: SystemParams, regime, init_level,
     the difference is reported by the validation suite.
     """
     regime = Regime.coerce(regime)
-    _require_resonant(params)
+    roots = root_set(params, regime)        # refuses detuning
     key = (regime, init_level, observable)
     if key not in APPENDIX_CATALOGUE:
         raise NotCatalogued(f"no transcribed expression for {key}")
     p = params
     b2, b3, b4 = _bars(p)
     o1, o2, o3 = p.omega1, p.omega_rf, p.omega3  # Omega_2 == Omega_rf
-    roots = root_set(params, regime)
-    tag = f"appendix/{regime.value}/init{init_level}/{observable}"
 
     s = Polynomial([0.0, 1.0])
 
     def rf(num, poles):
-        return RationalFunction.from_factors(num.coef, [(z, 1) for z in poles],
-                                             tag)
+        return RationalFunction.from_factors(num.coef, [(z, 1) for z in poles])
 
     if regime is Regime.STRONG_RF:
         d2_roots = list(roots.quadratic)

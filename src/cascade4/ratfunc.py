@@ -290,10 +290,9 @@ class RationalFunction:
     numerator: np.ndarray
     denominator: np.ndarray
     den_factors: tuple
-    provenance: str = ""
 
     @classmethod
-    def from_factors(cls, numerator, factors, provenance=""):
+    def from_factors(cls, numerator, factors):
         """Build from ascending numerator coefficients and (root,
         multiplicity) pairs.  Only exact trailing zeros of the numerator are
         dropped: a small leading coefficient is part of the function."""
@@ -310,7 +309,7 @@ class RationalFunction:
                 f"(deg N = {len(num)-1}, deg D = {len(roots)})")
         return cls(numerator=num if len(num) else np.zeros(1, dtype=complex),
                    denominator=_realify(polyfromroots(roots)),
-                   den_factors=factors, provenance=provenance)
+                   den_factors=factors)
 
     def __call__(self, s):
         return polyval(s, self.numerator) / polyval(s, self.denominator)
@@ -373,7 +372,6 @@ class ExponentialSum:
     """f(t) = sum_k  coeff_k * t^power_k * exp(rate_k t), real-valued on t>=0."""
 
     terms: tuple  # of (coeff complex, rate complex, power int)
-    provenance: str = ""
 
     IMAG_TOL = 1e-10
 
@@ -402,8 +400,7 @@ class ExponentialSum:
 
     def scaled(self, factor):
         return ExponentialSum(
-            terms=tuple((c * factor, r, p) for c, r, p in self.terms),
-            provenance=self.provenance)
+            terms=tuple((c * factor, r, p) for c, r, p in self.terms))
 
     def value_at_zero(self):
         return sum(c for c, _r, p in self.terms if p == 0)
@@ -487,7 +484,7 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
             terms.append((num / dprime, centroid, 0))
         else:
             terms += principal_part(rf, cluster, clusters)
-    return ExponentialSum(terms=tuple(terms), provenance=rf.provenance)
+    return ExponentialSum(terms=tuple(terms))
 
 
 def talbot_nodes_required(t, poles):

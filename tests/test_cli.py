@@ -267,6 +267,21 @@ def test_roots_csv(tmp_path):
     assert len(lines) == 1 + 5  # quadratic pair + cubic triple
 
 
+@pytest.mark.parametrize("regime, drives", [
+    ("weak", "omega1 = 4\nomega3 = 0\nomega_rf = 0.2\n"),
+    ("strong", "omega1 = 0.2\nomega3 = 0.2\nomega_rf = 0\n")])
+def test_roots_zero_drive_writes_nan(tmp_path, regime, drives):
+    # the published cubic is undefined where its drive vanishes
+    cfg = _write_cfg(tmp_path, "[system]\n" + drives)
+    out = tmp_path / "roots.csv"
+    assert run(["--config", cfg, "roots", "--regime", regime,
+                "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln.startswith("cubic,")]
+    assert len(rows) == 3
+    assert all(row[4:] == ["nan", "nan", "nan"] for row in rows)
+
+
 def test_taud_scan_csv(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "td.csv"

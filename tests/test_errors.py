@@ -8,7 +8,13 @@ from cascade4.correlations import default_tau_grid, g2, scan_tau_d
 from cascade4.dynamics import evolve
 from cascade4.errors import Cascade4Error, InvalidArgument
 from cascade4.model import build_generator, prepare_state, preset
-from cascade4.perturbation import Regime, analytic_g2, talbot_g2_value
+from cascade4.perturbation import (
+    Regime,
+    analytic_g2,
+    laplace_observable,
+    laplace_solve,
+    talbot_g2_value,
+)
 from cascade4.ratfunc import RationalFunction, talbot_invert, talbot_invert_rf
 from cascade4.validation import brute_force_evolve
 
@@ -25,6 +31,15 @@ def _strong_rf_point():
 
 def _evolve_to(t):
     return evolve(_fig2_generator(), prepare_state(1), [0.0, t])
+
+
+def _evolve_from(x0):
+    return evolve(_fig2_generator(), x0, [0.0, 1.0])
+
+
+def _talbot_g31_with_denominator(ss):
+    # ss = 0 raised a bare ZeroDivisionError; -1 and nan returned numbers
+    return talbot_g2_value(_strong_rf_point(), "strong", (3, 1), 0.5, ss=ss)
 
 
 def _invert_with_nodes(nodes):
@@ -48,10 +63,26 @@ BAD_CALLS = {
                                       [0.0, 1.0], backend="euler"),
     "dynamics.evolve: nan time": lambda: _evolve_to(math.nan),
     "dynamics.evolve: inf time": lambda: _evolve_to(math.inf),
+    "dynamics.evolve: x0 of 14 components": lambda: _evolve_from(
+        prepare_state(1)[:14]),
+    "dynamics.evolve: x0 of shape (1, 15)": lambda: _evolve_from(
+        prepare_state(1)[None]),
+    "dynamics.evolve: nan x0": lambda: _evolve_from(prepare_state(1) * math.nan),
+    "model.prepare_state: level 2.0": lambda: prepare_state(2.0),
     "perturbation.analytic_g2: tau -1": lambda: analytic_g2(
         _strong_rf_point(), "strong", (3, 1), [-1.0]),
     "perturbation.talbot_g2_value: tau nan": lambda: talbot_g2_value(
         _strong_rf_point(), "strong", (3, 1), math.nan),
+    "perturbation.talbot_g2_value: ss 0": lambda: _talbot_g31_with_denominator(0.0),
+    "perturbation.talbot_g2_value: ss -1": lambda: _talbot_g31_with_denominator(-1.0),
+    "perturbation.talbot_g2_value: ss nan": lambda: _talbot_g31_with_denominator(math.nan),
+    "perturbation.talbot_g2_value: ss inf": lambda: _talbot_g31_with_denominator(math.inf),
+    "perturbation.talbot_g2_value: ss 1e-13": lambda: _talbot_g31_with_denominator(1e-13),
+    # b/s made the hierarchy nan+nanj at s = 0, with a RuntimeWarning
+    "perturbation.laplace_solve: s 0": lambda: laplace_solve(
+        _strong_rf_point(), "strong", 1, 0j),
+    "perturbation.laplace_observable: s 0": lambda: laplace_observable(
+        _strong_rf_point(), "strong", 3, "rho22")(0),
     "perturbation.Regime.coerce": lambda: Regime.coerce("moderate"),
     "ratfunc.talbot_invert": lambda: talbot_invert(lambda s: 1 / s, 0.0),
     "ratfunc.talbot_invert: t inf": lambda: talbot_invert(lambda s: 1 / s,

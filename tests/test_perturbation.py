@@ -16,7 +16,22 @@ from cascade4.errors import (
     NotCatalogued,
     ZeroSteadyState,
 )
-from cascade4.model import P22, SystemParams, build_generator, prepare_state, preset
+from cascade4 import perturbation
+from cascade4.model import (
+    IM_R12,
+    IM_R14,
+    IM_R23,
+    IM_R34,
+    P22,
+    P33,
+    P44,
+    RE_R13,
+    RE_R24,
+    SystemParams,
+    build_generator,
+    prepare_state,
+    preset,
+)
 from cascade4.perturbation import (
     _PSI_INDEX,
     APPENDIX_CATALOGUE,
@@ -121,6 +136,10 @@ def test_near_pole_rejected(strong_weakdrive):
     ring[5] = pole
     with pytest.raises(NearPole):
         F(ring)
+    # b/s puts a pole at 0 whatever the arithmetic of s
+    for zero in (0j, np.array([1.0, 0.0]), fixed_type(128)(0), mpmath.mpc(0)):
+        with pytest.raises(NearPole):
+            F(zero)
 
 
 def dyson_reference(params, regime, init, s):
@@ -364,12 +383,89 @@ def test_root_groups_match_hand_block_matrices(regime, data):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, group
 
 
+# Independent oracle for hierarchy_poles: the inventory as once restated by
+# hand, with A0's blocks named from the equations of motion.  The population
+# block is solved at order zero and again around the loop R0 A1 R0 A1 R0
+# (double poles), the blocks that A1 couples it to once, and b/s adds 0.
+HAND_POLE_BLOCKS = {
+    "strong": ((IM_R23, P22, P33, P44),
+               ((IM_R12, RE_R13), (IM_R34, RE_R24))),
+    "weak": ((IM_R12, IM_R34, P22, P33, P44),
+             ((IM_R23, RE_R13, IM_R14, RE_R24),)),
+}
+
+
+def hand_hierarchy_poles(params, regime):
+    off = ({"omega1": 0.0, "omega3": 0.0} if regime == "strong"
+           else {"omega_rf": 0.0})
+    a0 = build_generator(replace(params, **off)).A
+    population, coupled = HAND_POLE_BLOCKS[regime]
+
+    def eig(idx):
+        return np.linalg.eigvals(a0[np.ix_(idx, idx)])
+
+    return ([(0.0 + 0.0j, 1)] + [(z, 2) for z in eig(population)]
+            + [(z, 1) for block in coupled for z in eig(block)])
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hierarchy_poles_match_hand_rule(regime, data):
+    p = data.draw(regime_params(regime))
+    if data.draw(st.booleans()):
+        p = replace(p, omega1=0.0, omega3=0.0)
+    got = hierarchy_poles(p, regime)
+    # exactly the same values, multiplicities and order
+    assert got == hand_hierarchy_poles(p, regime)
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_one_split_per_g2_call(monkeypatch, regime, strong_weakdrive,
+                               weak_rf_point):
+    p = strong_weakdrive if regime == "strong" else weak_rf_point
+    _es, ss = analytic_g2_sum(p, regime, (3, 1))   # builds _structure
+    split, calls = perturbation._split, []
+    monkeypatch.setattr(perturbation, "_split",
+                        lambda *args: calls.append(args) or split(*args))
+    analytic_g2_sum(p, regime, (3, 1))
+    assert len(calls) == 1
+    talbot_g2_value(p, regime, (3, 1), 0.5, ss=ss)
+    assert len(calls) == 2
+
+
 def test_hierarchy_pole_inventory_nonpositive(strong_weakdrive, weak_rf_point):
     for params, regime in ((strong_weakdrive, "strong"),
                            (weak_rf_point, "weak")):
         for z, m in hierarchy_poles(params, regime):
             assert z.real <= 1e-12
             assert m in (1, 2)
+
+
+ZERO_CUBIC_DRIVE = {"weak": SystemParams(omega1=4.0, omega_rf=0.2, omega3=0.0),
+                    "strong": SystemParams(omega1=0.2, omega_rf=0.0, omega3=0.2)}
+
+
+@pytest.mark.parametrize("regime", sorted(ZERO_CUBIC_DRIVE))
+def test_printed_cubic_undefined_at_zero_drive(regime):
+    # The published cubic divides by a quantity that vanishes with omega3
+    # (weak rf) or omega_rf (strong rf); it raised ZeroDivisionError there.
+    rs = root_set(ZERO_CUBIC_DRIVE[regime], regime)
+    assert np.all(np.isfinite(rs.cubic))
+    printed = rs.printed["cubic"]
+    assert np.all(np.isnan(printed.real) & np.isnan(printed.imag))
+    assert math.isnan(rs.mismatch["cubic"])
+    assert rs.mismatch["quadratic"] < 1e-10
+
+
+def test_weak_catalogue_at_zero_upper_drive():
+    p = ZERO_CUBIC_DRIVE["weak"]
+    for regime, init, obs in APPENDIX_CATALOGUE:
+        if regime is Regime.WEAK_RF:
+            rf = appendix_rational(p, regime, init, obs)
+            es = invert_rational(rf)
+            for t in (0.07, 0.5, 1.8):
+                assert abs(es(np.array([t]))[0] - talbot_invert_rf(rf, t)) <= 1e-14
 
 
 def test_appendix_weak_init1_structure(weak_rf_point):
