@@ -13,8 +13,16 @@ and term k is exactly order k in the perturbative drives.  On resonance A0
 splits into small connected blocks (the real and imaginary parts of the
 coherences separate), so an evaluation factors each block a term reaches
 once and reuses the factors for all three terms.  Every step is analytic in
-s, so the chain can be evaluated at any complex, Fixed or mpmath s, which
-is what the Talbot inversion and the contour residue extraction need.
+s, so the chain can be evaluated at any complex s (the contour residues and
+the light Talbot nodes) or mpmath s (the all-mpmath test oracle).
+
+Every block, coupling and drive value is a double, hence dyadic, so a
+population transform is also an exact ratio N(u) / D(u) of integer
+polynomials in u = 2^E s, with E the most fractional bits of any of those
+values: the same chain on integer characteristic polynomials and
+adjugates of the scaled blocks (Faddeev-LeVerrier).  D is monic, of degree
+the pole inventory's multiplicity sum.  The heavy fixed-Talbot nodes, at
+ratfunc.Fixed s, are answered from it by integer Horner.
 
 Each public function builds one _Dyson per call, which coerces the regime,
 refuses detuning and holds the parameters' split.  The pole
@@ -69,6 +77,8 @@ from .model import (
 )
 from .ratfunc import (
     _closure,
+    _fixed_ratio,
+    _frac_bits,
     ExponentialSum,
     Fixed,
     RationalFunction,
@@ -182,11 +192,10 @@ def _factor(s, m):
 
 
 def _factor_mp(s, m):
-    """Solver for (s - m) y = r in the arithmetic of a scalar s: a
-    ratfunc.Fixed or an mpmath number (pivoted LU).
+    """Solver for (s - m) y = r at an mpmath scalar s (pivoted LU).
 
-    `m` is a list of rows of entries of that type, with exact zeros as int 0
-    so that products with them can be skipped.
+    `m` is a list of rows of mpf entries, with exact zeros as int 0 so that
+    products with them can be skipped.
     """
     n = len(m)
     lu = [[s - v if i == j else -v for j, v in enumerate(row)]
@@ -222,22 +231,46 @@ def _factor_mp(s, m):
     return solve
 
 
+def _char_adj(m, size):
+    """(det(u - m), adj(u - m)) of an integer matrix m, by Faddeev-LeVerrier.
+
+    det is an object array of its ascending Python-int coefficients, zero
+    padded to `size`; adj lists the adjugate's coefficient matrices, adj[q]
+    that of u^q.  The iterates M_k = m M_(k-1) + c_(n-k+1) are the
+    coefficients of u^(n-k), and c_(n-k) = -tr(m M_k) / k divides exactly,
+    since the characteristic polynomial of an integer matrix has integer
+    coefficients.
+    """
+    n = len(m)
+    det = np.zeros(size, dtype=object)
+    det[n] = 1
+    adj, mk, eye = [], 0 * m, np.eye(n, dtype=int).astype(object)
+    for k in range(1, n + 1):
+        mk = m @ mk + det[n - k + 1] * eye
+        adj.insert(0, mk)
+        det[n - k], rem = divmod(-np.trace(m @ mk), k)
+        assert rem == 0, "inexact Faddeev-LeVerrier division"
+    return det, adj
+
+
 class _Dyson:
     """The Dyson chain of one parameter set in one regime: its terms y0, y1,
     y2 at any s, the transform of one population, and their pole inventory.
 
     Building one coerces the regime, refuses detuning, splits the generator
-    and picks each term's support from _structure: `masks[k]` selects which of A0's `blocks` term k solves.
-    Term 2 covers every component, or with an `observable` only the block of
-    that population, which is all its transform reads.
+    and picks each term's support from _structure: `masks[k]` selects which
+    of A0's `blocks` term k solves.  Term 2 covers every component, or with
+    an `observable` only the block of that population, which is all its
+    transform reads.
 
     Each term comes back as a DIM-long list: of arrays shaped like s at
-    complex128 s (which may be an array), of Fixed at a ratfunc.Fixed s (the
-    heavy fixed-Talbot nodes), of mpc at mpmath s (the all-mpmath oracle).
-    The type of s picks only the block solver and the value copies: _factor
-    on the double values, or _factor_mp on Fixed or mpf copies of the block,
-    coupling and drive values, made once per type.  s is tested for Fixed
-    and complex first, so the residue path never imports mpmath.
+    complex128 s (which may be an array), of mpc at mpmath s (the all-mpmath
+    oracle).  The type of s picks only the block solver and the values:
+    _factor on the doubles, or _factor_mp on mpf copies of the block,
+    coupling and drive values, made on the first mpmath call.  s is tested
+    for complex first, so the residue path never imports mpmath.  The
+    transform answers a ratfunc.Fixed s (the heavy fixed-Talbot nodes) from
+    the chain's exact rational form instead (see _exact).
     """
 
     def __init__(self, params, regime, observable=None):
@@ -262,7 +295,6 @@ class _Dyson:
                       if mask[i] and prev[j]] for prev, mask in zip(prevs, masks)]
         drives = [[(int(i), b[i]) for i in np.flatnonzero(b)] for b in drives]
         self.data = ({b[0]: self.a0[np.ix_(b, b)] for b in blocks}, couplings, drives)
-        self.copies = {}
 
     def poles(self):
         """(pole, multiplicity) inventory of the terms: each block of A0
@@ -274,42 +306,99 @@ class _Dyson:
 
     def transform(self, init_level):
         """F(s) of the observable's population from |init_level>: y0 + y2,
-        since populations have no first-order part."""
+        since populations have no first-order part.  At a Fixed s it is
+        _exact's N(u) / D(u), built on the first such call."""
         x0, idx = prepare_state(init_level), self.idx
+        exact = functools.cache(lambda: _fixed_ratio(*self._exact(x0)))
 
         def F(s):
+            if isinstance(s, Fixed):
+                return exact()(s)
             y0, _y1, y2 = self(s, x0)
             return y0[idx] + y2[idx]
 
         return F
 
-    def _copy(self, kind):
-        """self.data with every value converted by `kind` (a Fixed class or
-        mpmath.mpf), made once per kind.  A double is exact as an mpf at 53
-        bits or more and on the Talbot grids (over 130 fractional bits)
-        for the magnitudes of these rates and drives, so the copies keep
+    def _exact(self, x0):
+        """(num, den, shift): the observable's transform from a basis state
+        x0 as an exact ratio of integer polynomials in u = 2**shift s,
+        F(s) = num(u) / den(u), with ascending Python-int coefficients.
+
+        Every block, coupling and drive value is a double, so it is an
+        integer once scaled by 2**shift, where shift is the most fractional
+        bits any of them has.  With those integers m, a block's resolvent is
+        (s - M)^-1 = 2**shift adj(u - m) / det(u - m) (_char_adj), A1 R0
+        loses the scale and b/s = 2**shift b / u.  The chain then runs as
+        __call__ does, on numerators over the common denominator
+        u P0 P1 P2, where P_k is the product of det(u - m) over the blocks
+        term k solves.  So den is monic, of degree the multiplicity sum of
+        poles(), and its roots are 2**shift times those poles.
+        """
+        blocks, couplings, drives = self.data
+        values = [*np.concatenate([m.ravel() for m in blocks.values()]),
+                  *(a for c in couplings for *_, a in c),
+                  *(b for d in drives for _, b in d)]
+        shift = max(map(_frac_bits, values))
+
+        def scaled(v):
+            n, d = float(v).as_integer_ratio()      # d divides 2**shift
+            return n * ((1 << shift) // d)
+
+        size = 2 + sum(len(b) for term in self.terms for b in term)
+        chars = {key: _char_adj(np.vectorize(scaled, otypes=[object])(m), size)
+                 for key, m in blocks.items()}
+
+        def poly(*coeffs):
+            return np.array(coeffs + (0,) * (size - len(coeffs)), dtype=object)
+
+        def mul(*polys):
+            out = poly(1)
+            for p in polys:
+                out = np.convolve(out, p)[:size]
+            return out
+
+        # x0 + b0/s is (u x0 + 2**shift b0) / u; y_k is over u P0 .. P_k
+        ys, ps = [], []
+        rhs = collections.defaultdict(poly, {i: poly(0, int(v)) for i, v in enumerate(x0) if v})
+        for term, coupling, drive in zip(self.terms, couplings, drives):
+            for i, j, a in coupling:
+                rhs[i] += scaled(a) * ys[-1][j]
+            for i, b in drive:
+                rhs[i] += scaled(b) * mul(*ps)
+            y = {}
+            for idx in term:      # adj(u - m) rhs times the other blocks' det
+                others = mul(*(chars[o[0]][0] for o in term if o is not idx))
+                r = np.array([mul(others, rhs[j]) for j in idx])
+                block = 0 * r
+                for q, coeff in enumerate(chars[idx[0]][1]):
+                    block[:, q:] += (coeff @ r)[:, :size - q]
+                y.update(zip(idx, block))
+            ys.append(y)
+            ps.append(mul(*(chars[b[0]][0] for b in term)))
+            rhs = collections.defaultdict(poly)
+        num = mul(ys[0][self.idx], ps[1], ps[2]) + ys[2][self.idx]
+        return num * (1 << shift), mul(poly(0, 1), *ps), shift
+
+    @functools.cached_property
+    def _mp_data(self):
+        """self.data with every value an mpmath.mpf, made on the first
+        mpmath call.  53 bits hold a double exactly, so the copies keep
         every digit; the blocks keep exact zeros as int 0 for _factor_mp to
         skip."""
-        if kind not in self.copies:
-            blocks, couplings, drives = self.data
-            self.copies[kind] = (
-                {key: [[kind(v) if v else 0 for v in row] for row in m.tolist()]
-                 for key, m in blocks.items()},
-                [[(i, j, kind(a)) for i, j, a in c] for c in couplings],
-                [[(i, kind(b)) for i, b in d] for d in drives])
-        return self.copies[kind]
+        import mpmath
+        blocks, couplings, drives = self.data
+        with mpmath.workprec(53):
+            return ({key: [[mpmath.mpf(v) if v else 0 for v in row] for row in m.tolist()]
+                     for key, m in blocks.items()},
+                    [[(i, j, mpmath.mpf(a)) for i, j, a in c] for c in couplings],
+                    [[(i, mpmath.mpf(b)) for i, b in d] for d in drives])
 
     def __call__(self, s, x0):
-        if isinstance(s, Fixed):
-            factor, (blocks, couplings, drives) = _factor_mp, self._copy(type(s))
-        elif isinstance(s, (complex, float, int, np.ndarray, np.number)):
+        if isinstance(s, (complex, float, int, np.ndarray, np.number)):
             s = np.asarray(s, dtype=complex)
             factor, (blocks, couplings, drives) = _factor, self.data
         else:       # an mpmath scalar
-            import mpmath
-            with mpmath.workprec(53):     # exact for doubles
-                blocks, couplings, drives = self._copy(mpmath.mpf)
-            factor = _factor_mp
+            factor, (blocks, couplings, drives) = _factor_mp, self._mp_data
         if np.any(s == 0):
             raise NearPole("the drive term b/s has its pole at s = 0")
         solvers = {key: factor(s, m) for key, m in blocks.items()}
@@ -362,7 +451,8 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
     F accepts a complex scalar, a complex array (one value per element, as
     the contour residues and talbot_invert's array call use it), a
     ratfunc.Fixed (the heavy fixed-Talbot nodes, answered in the same Fixed
-    type) or an mpmath mpc (answered at the working precision).
+    type from the exact N(u) / D(u), built on the first such call) or an
+    mpmath mpc (answered by the chain at the working precision).
     """
     return _Dyson(params, regime, observable).transform(init_level)
 
@@ -436,26 +526,25 @@ def _matched(numeric, printed):
     return out
 
 
-def root_set(params: SystemParams, regime) -> RootSet:
-    dyson = _Dyson(params, regime)
-    p, a0 = params, dyson.a0
-    b2, b3, b4 = _bars(p)
+@functools.lru_cache(maxsize=16)
+def _root_groups(params, regime):
+    """(quadratic, cubic, quartic): root_set's numeric roots of one
+    parameter set in one coerced regime, as read-only arrays.  Cached, so
+    that the catalogue entries of one parameter set share one computation
+    (a _Dyson split and the block eigenvalue problems)."""
+    a0 = _Dyson(params, regime).a0
+    b2 = _bars(params)[0]
 
     def block_roots(*idx):
         return _sorted_roots(np.linalg.eigvals(a0[np.ix_(idx, idx)]))
 
-    if dyson.regime is Regime.STRONG_RF:
+    if regime is Regime.STRONG_RF:
         # The published d2 is det(s - 2B) for A0's (Re rho12, Im rho13)
         # block B = [[-b2, -O_rf], [O_rf, -b3]]; doubling is exact.  At
         # omega3 = 0 nothing feeds rho44, so A0's population block is
         # triangular: the cubic d3 plus the root -gamma4.
-        roots = {"quadratic": 2 * block_roots(RE_R12, IM_R13),
-                 "cubic": block_roots(IM_R23, P22, P33),
-                 "quartic": np.array([], dtype=complex)}
-        phi = np.sqrt(complex(4 * p.omega_rf ** 2 - (b2 - b3) ** 2))
-        printed = {"quadratic": _sorted_roots([-b2 - b3 + 1j * phi,
-                                               -b2 - b3 - 1j * phi]),
-                   "cubic": _printed_cubic(b2 + b3, p.omega_rf)}
+        groups = (2 * block_roots(RE_R12, IM_R13), block_roots(IM_R23, P22, P33),
+                  np.array([], dtype=complex))
     else:
         # d2' stays the published s^2 + 2 b2 s + b2^2 + 4 O1^2: no A0 block
         # carries it (A0's rho22 / Im rho12 pair has the roots
@@ -463,11 +552,26 @@ def root_set(params: SystemParams, regime) -> RootSet:
         # and Im rho12 feed nothing back into (Im rho34, rho33, rho44), so
         # that sub-block gives the cubic; the quartic is A0's odd coherence
         # block.
+        groups = (_sorted_roots(np.roots([1.0, 2 * b2, b2 ** 2 + 4 * params.omega1 ** 2])),
+                  block_roots(IM_R34, P33, P44),
+                  block_roots(RE_R23, IM_R13, RE_R14, IM_R24))
+    for array in groups:
+        array.setflags(write=False)
+    return groups
+
+
+def root_set(params: SystemParams, regime) -> RootSet:
+    regime = Regime.coerce(regime)
+    roots = dict(zip(("quadratic", "cubic", "quartic"), _root_groups(params, regime)))
+    p = params
+    b2, b3, b4 = _bars(p)
+    if regime is Regime.STRONG_RF:
+        phi = np.sqrt(complex(4 * p.omega_rf ** 2 - (b2 - b3) ** 2))
+        printed = {"quadratic": _sorted_roots([-b2 - b3 + 1j * phi,
+                                               -b2 - b3 - 1j * phi]),
+                   "cubic": _printed_cubic(b2 + b3, p.omega_rf)}
+    else:
         o1, o3 = p.omega1, p.omega3
-        roots = {"quadratic": _sorted_roots(np.roots(
-                     [1.0, 2 * b2, b2 ** 2 + 4 * o1 ** 2])),
-                 "cubic": block_roots(IM_R34, P33, P44),
-                 "quartic": block_roots(RE_R23, IM_R13, RE_R14, IM_R24)}
         phi1 = np.sqrt(complex(4 * o1 ** 2 - b2 ** 2))
         phi2 = np.sqrt(complex(4 * o3 ** 2 - (b3 - b4) ** 2))
         phi3 = (4 * (o1 ** 2 + o3 ** 2)
@@ -570,7 +674,13 @@ def coefficient_identities(es: ExponentialSum) -> float:
 
 
 def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None):
-    """g2 at one delay via Talbot inversion of the hierarchy (no residues)."""
+    """g2 at one delay via Talbot inversion of the hierarchy (no residues).
+
+    The light Talbot nodes evaluate the Dyson chain on one complex128 array;
+    each heavy node evaluates the transform's exact integer N(u) / D(u) by
+    Horner in fixed point (see _Dyson._exact).  The node count comes from
+    the chain's pole inventory.
+    """
     init_level, observable, ss = _g2_source(params, pair, ss)
     dyson = _Dyson(params, regime, observable)
     nodes = talbot_nodes_required(tau, dyson.poles())
@@ -613,7 +723,7 @@ def appendix_rational(params: SystemParams, regime, init_level,
     the difference is reported by the validation suite.
     """
     regime = Regime.coerce(regime)
-    roots = root_set(params, regime)        # refuses detuning
+    quadratic, cubic, quartic = _root_groups(params, regime)    # refuses detuning
     key = (regime, init_level, observable)
     if key not in APPENDIX_CATALOGUE:
         raise NotCatalogued(f"no transcribed expression for {key}")
@@ -627,9 +737,9 @@ def appendix_rational(params: SystemParams, regime, init_level,
         return RationalFunction.from_factors(num.coef, [(z, 1) for z in poles])
 
     if regime is Regime.STRONG_RF:
-        d2_roots = list(roots.quadratic)
-        d3_roots = list(roots.cubic)
-        d4_roots = [z - b4 for z in roots.quadratic]
+        d2_roots = list(quadratic)
+        d3_roots = list(cubic)
+        d4_roots = [z - b4 for z in quadratic]
 
         if init_level == 1:
             # 2 O1^2 [O2^2 + (s+b3)((s+b3+b2)(s+b3) + O2^2)] / (s d2 d3)
@@ -659,9 +769,9 @@ def appendix_rational(params: SystemParams, regime, init_level,
         return rf(num, d3_roots + d4_roots + [-b4])
 
     # Weak rf.
-    d2p_roots = list(roots.quadratic)
-    d3p_roots = list(roots.cubic)
-    d4p_roots = list(roots.quartic)
+    d2p_roots = list(quadratic)
+    d3p_roots = list(cubic)
+    d4p_roots = list(quartic)
     d3p = Polynomial.fromroots(d3p_roots)
     d4p = Polynomial.fromroots(d4p_roots)
 

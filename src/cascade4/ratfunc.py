@@ -20,7 +20,13 @@ from numpy.polynomial.polynomial import polyfromroots, polyval
 # exact dynamics (import cascade4, g2, scan_tau_d) nor the residue path
 # (analytic sums, invert_rational) loads it.
 
-from .errors import IllConditionedPoles, InvalidArgument, NonFiniteTransform, NonRealSum
+from .errors import (
+    IllConditionedPoles,
+    InvalidArgument,
+    NearPole,
+    NonFiniteTransform,
+    NonRealSum,
+)
 
 CLUSTER_TOL = 1e-8
 CLUSTER_TOL_UPPER = 1e-6
@@ -258,6 +264,31 @@ def _grid_coeffs(kind, c):
     """(re, im) ints of ascending coefficients c on the grid of `kind`,
     highest power first, for _horner."""
     return [(v.re, v.im) for v in map(kind, c[::-1])]
+
+
+def _fixed_ratio(num, den, shift=0):
+    """Closure s -> N(u) / D(u) at u = 2**shift s, for a Fixed s.
+
+    num and den are ascending coefficients (ints, floats or complex); each
+    Fixed class gets Horner copies of them on its grid once (see
+    _grid_coeffs).  u is exact, and so is every product and sum up to the
+    rounding of each Horner step; a D(u) that comes out exactly 0 raises
+    NearPole.
+    """
+    copies = {}
+
+    def F(s):
+        kind = type(s)
+        if kind not in copies:
+            copies[kind] = [_grid_coeffs(kind, c) for c in (num, den)]
+        n, d = copies[kind]
+        u = _make(kind, s.re << shift, s.im << shift)
+        value = _horner(d, u)
+        if not value:
+            raise NearPole("the rational function's denominator vanishes at this s")
+        return _horner(n, u) / value
+
+    return F
 
 
 def _frac_bits(z):
@@ -654,21 +685,14 @@ def talbot_invert(F, t, nodes=32):
 def talbot_invert_rf(rf: RationalFunction, t):
     """Talbot inversion of a rational function, choosing nodes from its poles.
 
-    The heavy nodes run Horner on Fixed copies of the double coefficients,
-    made once per call (exact unless a coefficient has more fractional bits
-    than the grid); the array of all nodes goes through
+    The heavy nodes run _fixed_ratio's Horner on Fixed copies of the double
+    coefficients, made once per call (exact unless a coefficient has more
+    fractional bits than the grid); the array of all nodes goes through
     RationalFunction.__call__ at complex128.
     """
-    copies = {}
+    exact = _fixed_ratio(rf.numerator, rf.denominator)
 
     def F(s):
-        if isinstance(s, np.ndarray):
-            return rf(s)
-        kind = type(s)
-        if kind not in copies:
-            copies[kind] = [_grid_coeffs(kind, p)
-                            for p in (rf.numerator, rf.denominator)]
-        num, den = copies[kind]
-        return _horner(num, s) / _horner(den, s)
+        return rf(s) if isinstance(s, np.ndarray) else exact(s)
 
     return talbot_invert(F, t, nodes=talbot_nodes_required(t, rf.den_factors))

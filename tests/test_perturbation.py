@@ -140,6 +140,14 @@ def test_near_pole_rejected(strong_weakdrive):
     for zero in (0j, np.array([1.0, 0.0]), fixed_type(128)(0), mpmath.mpc(0)):
         with pytest.raises(NearPole):
             F(zero)
+    # -1/2 + 20i is exactly a root of A0's (Im rho12, Re rho13) block here:
+    # the exact form's denominator and the mpmath chain's pivot vanish
+    block_pole = -0.5 + 20j
+    assert min(abs(z - block_pole)
+               for z, _m in hierarchy_poles(strong_weakdrive, "strong")) < 1e-12
+    for s in (block_pole, fixed_type(128)(block_pole), mpmath.mpc(block_pole)):
+        with pytest.raises(NearPole):
+            F(s)
 
 
 def dyson_reference(params, regime, init, s):
@@ -212,15 +220,26 @@ def test_observable_closure_same_at_mpc_and_complex(gammas):
                 assert abs(got - want) <= 1e-13 * abs(want)
 
 
-@pytest.mark.parametrize("gammas", ["unit", "physical"])
+# The large drives of the catalogue test: denominator coefficients past 1e13.
+LARGE_DRIVES = (("weak", {"omega1": 70.0, "omega_rf": 1.0, "omega3": 70.0}),
+                ("strong", {"omega1": 1.0, "omega_rf": 1000.0, "omega3": 1.0}))
+
+
+@pytest.mark.parametrize("gammas", ["unit", "physical", "large"])
 def test_observable_closure_same_at_fixed_and_mpc(gammas):
-    # the heavy fixed-Talbot nodes call the closure with Fixed scalars; the
-    # all-mpmath chain at 60 digits is the reference
+    # the heavy fixed-Talbot nodes call the closure with Fixed scalars, which
+    # it answers from the exact N(u)/D(u); the all-mpmath chain at 60 digits
+    # is the reference
     kind = fixed_type(240)
-    points = ((closed_cascade(0.2, 20.0, 0.2, gammas), "strong"),
-              (closed_cascade(4.0, 0.2, 4.0, gammas), "weak"))
+    if gammas == "large":
+        points = [(preset("fig2", "unit").with_drives(**drives), regime)
+                  for regime, drives in LARGE_DRIVES]
+    else:
+        points = ((closed_cascade(0.2, 20.0, 0.2, gammas), "strong"),
+                  (closed_cascade(4.0, 0.2, 4.0, gammas), "weak"))
+    pairs = sorted({(init, obs) for _reg, init, obs in APPENDIX_CATALOGUE})
     for params, regime in points:
-        for init, observable in ((3, "rho22"), (3, "rho44"), (1, "rho22")):
+        for init, observable in pairs:
             F = laplace_observable(params, regime, init, observable)
             for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 5 + 40j, 1e-3 + 0.01j):
                 got = F(kind(z))
@@ -228,6 +247,28 @@ def test_observable_closure_same_at_fixed_and_mpc(gammas):
                 with mpmath.workdps(60):
                     want = F(mpmath.mpc(z))
                     assert abs(mpmath.mpmathify(got) - want) <= 1e-50 * abs(want)
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+@pytest.mark.parametrize("gammas", ["unit", "physical"])
+def test_exact_denominator_is_the_pole_inventory(regime, gammas):
+    # one source of truth: the exact form's denominator in s is monic, of
+    # degree the multiplicity sum of _Dyson.poles(), and is prod (s - p)^m
+    params = (closed_cascade(0.2, 20.0, 0.2, gammas) if regime == "strong"
+              else closed_cascade(4.0, 0.2, 4.0, gammas))
+    for init, observable in ((3, "rho22"), (3, "rho44"), (1, "rho22")):
+        dyson = perturbation._Dyson(params, regime, observable)
+        num, den, shift = dyson._exact(prepare_state(init))
+        poles = dyson.poles()
+        degree = sum(m for _p, m in poles)
+        assert len(num) == len(den) == degree + 1
+        assert den[-1] == 1 and num[-1] == 0
+        for s in (0.3 + 0.7j, 2.0, -0.3 + 2j, 1 + 30j):
+            with mpmath.workdps(50):
+                got = mpmath.polyval(den[::-1].tolist(), mpmath.mpc(s) * 2 ** shift)
+                got = complex(got / mpmath.mpf(2) ** (shift * degree))
+            want = math.prod((s - p) ** m for p, m in poles)
+            assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_talbot_inversion_of_hierarchy_matches_exact(strong_weakdrive):
@@ -432,6 +473,24 @@ def test_one_split_per_g2_call(monkeypatch, regime, strong_weakdrive,
     assert len(calls) == 1
     talbot_g2_value(p, regime, (3, 1), 0.5, ss=ss)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_catalogue_shares_one_root_computation(monkeypatch, regime,
+                                               strong_weakdrive, weak_rf_point):
+    p = strong_weakdrive if regime == "strong" else weak_rf_point
+    perturbation._structure(Regime.coerce(regime))       # built once per regime
+    perturbation._root_groups.cache_clear()
+    split, calls = perturbation._split, []
+    monkeypatch.setattr(perturbation, "_split",
+                        lambda *args: calls.append(args) or split(*args))
+    rs = root_set(p, regime)
+    for entry in APPENDIX_CATALOGUE:
+        if entry[0] is Regime.coerce(regime):
+            appendix_rational(p, *entry)
+    assert len(calls) == 1
+    assert not rs.cubic.flags.writeable
+    assert root_set(p, regime).quadratic is rs.quadratic
 
 
 def test_hierarchy_pole_inventory_nonpositive(strong_weakdrive, weak_rf_point):
@@ -678,6 +737,31 @@ def test_talbot_g2_matches_residue_path(strong_weakdrive):
         a = es(np.array([t]))[0]
         b = talbot_g2_value(strong_weakdrive, "strong", (3, 1), t, ss=ss)
         assert abs(a - b) < 1e-6 * abs(a)
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+@pytest.mark.parametrize("gammas", ["unit", "physical"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_talbot_g2_matches_residue_sum_over_draws(regime, gammas, data):
+    # the two engines on the same transform: Talbot at exact fixed-point
+    # nodes against contour residues, over the perturbative workload's drive
+    # ranges (strong: optical drives 0.5-2 % of omega_rf = 10-30; weak:
+    # omega1, omega3 = 2-6 and omega_rf 2-5 % of the smaller)
+    if regime == "strong":
+        orf = data.draw(st.floats(10.0, 30.0))
+        drives = [data.draw(st.floats(0.005, 0.02)) * orf for _ in range(2)]
+        params = closed_cascade(drives[0], orf, drives[1], gammas)
+    else:
+        o1, o3 = data.draw(st.floats(2.0, 6.0)), data.draw(st.floats(2.0, 6.0))
+        orf = data.draw(st.floats(0.02, 0.05)) * min(o1, o3)
+        params = closed_cascade(o1, orf, o3, gammas)
+    pair = data.draw(st.sampled_from(perturbation.ANALYTIC_PAIRS))
+    tau = data.draw(st.floats(0.05, 1.5))
+    es, ss = analytic_g2_sum(params, regime, pair)
+    want = es(np.array([tau]))[0]
+    got = talbot_g2_value(params, regime, pair, tau, ss=ss)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_talbot_g2_value_own_denominator(strong_weakdrive):
