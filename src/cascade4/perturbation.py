@@ -14,7 +14,7 @@ splits into small connected blocks (the real and imaginary parts of the
 coherences separate), so an evaluation factors each block a term reaches
 once and reuses the factors for all three terms.  Every step is analytic in
 s, so the chain can be evaluated at any complex s (the contour residues and
-the light Talbot nodes) or mpmath s (the all-mpmath test oracle).
+the light Talbot nodes).
 
 Every block, coupling and drive value is a double, hence dyadic, so a
 population transform is also an exact ratio N(u) / D(u) of integer
@@ -47,9 +47,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
-# mpmath is imported inside the functions that need it, so that neither the
-# exact dynamics (import cascade4, g2, scan_tau_d) nor the residue path
-# (analytic sums, invert_rational) loads it.
 
 from .correlations import DENOMINATOR_FLOOR, PAIR_TABLE, CorrelationSeries, _steady_norm
 from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued
@@ -191,46 +188,6 @@ def _factor(s, m):
     return solve
 
 
-def _factor_mp(s, m):
-    """Solver for (s - m) y = r at an mpmath scalar s (pivoted LU).
-
-    `m` is a list of rows of mpf entries, with exact zeros as int 0 so that
-    products with them can be skipped.
-    """
-    n = len(m)
-    lu = [[s - v if i == j else -v for j, v in enumerate(row)]
-          for i, row in enumerate(m)]
-    perm = list(range(n))
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(lu[r][col]))
-        if lu[piv][col] == 0:
-            raise NearPole("singular hierarchy block at this s")
-        lu[col], lu[piv] = lu[piv], lu[col]
-        perm[col], perm[piv] = perm[piv], perm[col]
-        for r in range(col + 1, n):
-            if lu[r][col]:
-                f = lu[r][col] = lu[r][col] / lu[col][col]
-                for c in range(col + 1, n):
-                    if lu[col][c]:
-                        lu[r][c] -= f * lu[col][c]
-
-    def solve(rhs):
-        x = [rhs[p] for p in perm]
-        for r in range(n):
-            for c in range(r):
-                if lu[r][c] and x[c]:
-                    x[r] -= lu[r][c] * x[c]
-        for r in range(n - 1, -1, -1):
-            for c in range(r + 1, n):
-                if lu[r][c] and x[c]:
-                    x[r] -= lu[r][c] * x[c]
-            if x[r]:
-                x[r] /= lu[r][r]
-        return x
-
-    return solve
-
-
 def _char_adj(m, size):
     """(det(u - m), adj(u - m)) of an integer matrix m, by Faddeev-LeVerrier.
 
@@ -263,14 +220,11 @@ class _Dyson:
     an `observable` only the block of that population, which is all its
     transform reads.
 
-    Each term comes back as a DIM-long list: of arrays shaped like s at
-    complex128 s (which may be an array), of mpc at mpmath s (the all-mpmath
-    oracle).  The type of s picks only the block solver and the values:
-    _factor on the doubles, or _factor_mp on mpf copies of the block,
-    coupling and drive values, made on the first mpmath call.  s is tested
-    for complex first, so the residue path never imports mpmath.  The
-    transform answers a ratfunc.Fixed s (the heavy fixed-Talbot nodes) from
-    the chain's exact rational form instead (see _exact).
+    Each term comes back as a DIM-long list of arrays shaped like s, a
+    complex scalar or array, each block solved by _factor; any other s
+    raises InvalidArgument.  The transform answers a ratfunc.Fixed s (the
+    heavy fixed-Talbot nodes) from the chain's exact rational form instead
+    (see _exact).
     """
 
     def __init__(self, params, regime, observable=None):
@@ -379,29 +333,15 @@ class _Dyson:
         num = mul(ys[0][self.idx], ps[1], ps[2]) + ys[2][self.idx]
         return num * (1 << shift), mul(poly(0, 1), *ps), shift
 
-    @functools.cached_property
-    def _mp_data(self):
-        """self.data with every value an mpmath.mpf, made on the first
-        mpmath call.  53 bits hold a double exactly, so the copies keep
-        every digit; the blocks keep exact zeros as int 0 for _factor_mp to
-        skip."""
-        import mpmath
-        blocks, couplings, drives = self.data
-        with mpmath.workprec(53):
-            return ({key: [[mpmath.mpf(v) if v else 0 for v in row] for row in m.tolist()]
-                     for key, m in blocks.items()},
-                    [[(i, j, mpmath.mpf(a)) for i, j, a in c] for c in couplings],
-                    [[(i, mpmath.mpf(b)) for i, b in d] for d in drives])
-
     def __call__(self, s, x0):
-        if isinstance(s, (complex, float, int, np.ndarray, np.number)):
-            s = np.asarray(s, dtype=complex)
-            factor, (blocks, couplings, drives) = _factor, self.data
-        else:       # an mpmath scalar
-            factor, (blocks, couplings, drives) = _factor_mp, self._mp_data
+        if not isinstance(s, (complex, float, int, np.ndarray, np.number)):
+            raise InvalidArgument(
+                f"s must be a complex scalar or a numpy array, got {type(s).__name__}")
+        s = np.asarray(s, dtype=complex)
         if np.any(s == 0):
             raise NearPole("the drive term b/s has its pole at s = 0")
-        solvers = {key: factor(s, m) for key, m in blocks.items()}
+        blocks, couplings, drives = self.data
+        solvers = {key: _factor(s, m) for key, m in blocks.items()}
         ys, rhs = [], x0.tolist()
         for term, coupling, drive in zip(self.terms, couplings, drives):
             for i, j, a in coupling:
@@ -449,10 +389,10 @@ def laplace_observable(params: SystemParams, regime, init_level, observable):
     """Closure F(s) for one population transform.
 
     F accepts a complex scalar, a complex array (one value per element, as
-    the contour residues and talbot_invert's array call use it), a
+    the contour residues and talbot_invert's array call use it) or a
     ratfunc.Fixed (the heavy fixed-Talbot nodes, answered in the same Fixed
-    type from the exact N(u) / D(u), built on the first such call) or an
-    mpmath mpc (answered by the chain at the working precision).
+    type from the exact N(u) / D(u), built on the first such call); any
+    other s raises InvalidArgument.
     """
     return _Dyson(params, regime, observable).transform(init_level)
 

@@ -39,21 +39,17 @@ class Fixed:
     Each precision is its own subclass, made by fixed_type(prec); calling
     one, as in fixed_type(200)(x), rounds x down onto its grid.  That is
     exact for int, and for a float, complex or mpmath number with at most
-    prec fractional bits.  + and - are exact; * and / round each component
-    down once (an integer power is repeated products).  An int, float or
-    complex operand is converted first, a Fixed of another precision takes
-    this operand's precision, and an mpmath operand is left to mpmath, which
-    converts a Fixed through the _mpmath_ hook and returns an mpmath number.
-    abs() is a float; real and imag are Fixed.  This is CPython int
-    arithmetic: against mpc arithmetic on mpmath's pure-Python backend it
-    makes a heavy Talbot node more than twice as cheap.
+    prec fractional bits; a Fixed of another precision is shifted onto it.
+    The only arithmetic is / between two values of one class, which rounds
+    each component down once; complex() rounds to a complex double.  This
+    is CPython int arithmetic: against mpc arithmetic on mpmath's
+    pure-Python backend it makes a heavy Talbot node more than twice as
+    cheap.
     """
 
     __slots__ = ("re", "im")
     prec = 0
     one = 1
-    zero = None
-    __array_ufunc__ = None      # numpy scalars defer to the reflected operators
 
     def __new__(cls, value=0):
         if type(value) is cls:
@@ -73,66 +69,10 @@ class Fixed:
             return _make(cls, _mpf_on_grid(value._mpf_, p), 0)
         raise TypeError(f"cannot convert {type(value).__name__} to Fixed")
 
-    @classmethod
-    def _operand(cls, x):
-        if isinstance(x, (int, float, complex, Fixed)):
-            return cls(x) if x else cls.zero
-        return NotImplemented
-
-    # Each operator converts a foreign operand first; the common case, two
-    # operands of one class, costs a type test only.
-
-    def __add__(self, other):
-        cls = type(self)
-        if type(other) is not cls:
-            other = cls._operand(other)
-            if other is NotImplemented:
-                return other
-        v = _new(cls)
-        v.re = self.re + other.re
-        v.im = self.im + other.im
-        return v
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        cls = type(self)
-        if type(other) is not cls:
-            other = cls._operand(other)
-            if other is NotImplemented:
-                return other
-        v = _new(cls)
-        v.re = self.re - other.re
-        v.im = self.im - other.im
-        return v
-
-    def __rsub__(self, other):
-        other = type(self)._operand(other)
-        if other is NotImplemented:
-            return other
-        return other - self
-
-    def __mul__(self, other):
-        cls = type(self)
-        if type(other) is not cls:
-            other = cls._operand(other)
-            if other is NotImplemented:
-                return other
-        a, b, c, d = self.re, self.im, other.re, other.im
-        p = cls.prec
-        v = _new(cls)
-        v.re = (a * c - b * d) >> p
-        v.im = (a * d + b * c) >> p
-        return v
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         cls = type(self)
         if type(other) is not cls:
-            other = cls._operand(other)
-            if other is NotImplemented:
-                return other
+            return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         p = cls.prec
         v = _new(cls)
@@ -145,69 +85,12 @@ class Fixed:
             v.im = (b << p) // c
         return v
 
-    def __rtruediv__(self, other):
-        other = type(self)._operand(other)
-        if other is NotImplemented:
-            return other
-        return other / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return 1 / self ** -n
-        out = type(self)(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __neg__(self):
-        v = _new(type(self))
-        v.re = -self.re
-        v.im = -self.im
-        return v
-
-    def __abs__(self):
-        return abs(complex(self))
-
     def __bool__(self):
         return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            other = type(self)._operand(other)
-            if other is NotImplemented:
-                return other
-        return self.re == other.re and self.im == other.im
-
-    __hash__ = None
-
-    @property
-    def real(self):
-        return _make(type(self), self.re, 0)
-
-    @property
-    def imag(self):
-        return _make(type(self), self.im, 0)
 
     def __complex__(self):
         one = type(self).one
         return complex(self.re / one, self.im / one)
-
-    def __float__(self):
-        if self.im:
-            raise TypeError("cannot convert a complex Fixed to float")
-        return self.re / type(self).one
-
-    def _mpmath_(self, prec, rounding):
-        from mpmath import mp
-        from mpmath.libmp import from_man_exp
-        p = type(self).prec
-        return mp.make_mpc((from_man_exp(self.re, -p, prec, rounding),
-                            from_man_exp(self.im, -p, prec, rounding)))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({complex(self)!r})"
 
 
 _new = object.__new__
@@ -244,10 +127,8 @@ def fixed_type(prec):
     paths compare classes, and the callers here round their precisions to
     a few distinct values.
     """
-    cls = type(f"Fixed{prec}", (Fixed,),
-               {"__slots__": (), "prec": prec, "one": 1 << prec})
-    cls.zero = _make(cls, 0, 0)
-    return cls
+    return type(f"Fixed{prec}", (Fixed,),
+                {"__slots__": (), "prec": prec, "one": 1 << prec})
 
 
 def _horner(coeffs, s):
@@ -624,14 +505,12 @@ def talbot_invert(F, t, nodes=32):
     double adds an absolute error near 1e-18 of |F| on the contour, which
     does not shrink with f(t) (see DOUBLE_WEIGHT).  A non-finite value there
     raises NonFiniteTransform rather than being summed.  Then once per heavy
-    node with a Fixed scalar s, returning a Fixed, an int, float or complex,
-    or an mpmath number (a transform written with mpmath functions gets s
-    through the _mpmath_ hook, evaluated at the working precision).  The
-    Fixed grid has ceil(dps log2 10) + GUARD_BITS fractional bits plus the
-    bits that max |F| over the heavy nodes, read from the array call, lacks
-    of 1, so that scaling F scales f(t) without losing digits.  The terms
-    Re(w_k F(s_k)) are added as one exact integer and f(t) is rounded to a
-    double once.
+    node with a Fixed scalar s, returning a Fixed, or an int, float or
+    complex.  The Fixed grid has ceil(dps log2 10) + GUARD_BITS fractional
+    bits plus the bits that max |F| over the heavy nodes, read from the
+    array call, lacks of 1, so that scaling F scales f(t) without losing
+    digits.  The terms Re(w_k F(s_k)) are added as one exact integer and
+    f(t) is rounded to a double once.
 
     The nodes z_k = s_k t and weights w_k do not depend on t; they come from
     a table cached per (nodes, dps) for the life of the process (see
@@ -639,7 +518,6 @@ def talbot_invert(F, t, nodes=32):
     z_k / t, one F evaluation and one product per heavy node.  `nodes` must
     be an integer of at least 32, the rule's documented floor.
     """
-    import mpmath
     if not 0 < t < np.inf:
         raise InvalidArgument(f"talbot_invert requires finite t > 0, got {t}")
     try:
@@ -665,16 +543,15 @@ def talbot_invert(F, t, nodes=32):
     extra = max(0, -math.frexp(scale)[1])
     kind = fixed_type(z[0].prec + 32 * -(-extra // 32))
     total, tk = 0, kind(t)
-    with mpmath.workdps(dps):       # for a transform that calls mpmath
-        for zk, wk in zip(z, w):
-            value = F(kind(zk) / tk)
-            try:
-                value = kind(value)
-            except (OverflowError, ValueError) as exc:
-                raise NonFiniteTransform(
-                    f"transform is not finite at a Talbot node (t = {t:g})") from exc
-            wk = kind(wk)
-            total += wk.re * value.re - wk.im * value.im
+    for zk, wk in zip(z, w):
+        value = F(kind(zk) / tk)
+        try:
+            value = kind(value)
+        except (OverflowError, ValueError) as exc:
+            raise NonFiniteTransform(
+                f"transform is not finite at a Talbot node (t = {t:g})") from exc
+        wk = kind(wk)
+        total += wk.re * value.re - wk.im * value.im
     # f(t) = 2 (total / 2^2P + light) / (5 t), rounded once
     p2 = 2 * kind.prec
     num, den = light.as_integer_ratio()

@@ -2,13 +2,18 @@
 
 The complex-form evaluator below is deliberately written against the 4x4
 density matrix with complex arithmetic, independent of the packed real
-representation used by the package.
+representation used by the package.  The all-mpmath Dyson chain
+(mp_observable) is the reference for the library's exact N(u)/D(u) form
+and its fixed-point Talbot values.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
+from cascade4.errors import NearPole
 from cascade4.model import (
     DIM,
     GAMMA_PRESETS,
@@ -18,6 +23,7 @@ from cascade4.model import (
     prepare_state,
     preset,
 )
+from cascade4.perturbation import _Dyson
 from cascade4.validation import brute_force_evolve
 
 
@@ -135,6 +141,104 @@ def oracle_tau_d(params, step=1e-3):
                           t, t + step, xtol=1e-15, rtol=4e-15)
         x, t, d = x_next, t + step, d_next
     return None
+
+
+def mp_value(fixed):
+    """A ratfunc.Fixed as the mpc of the same value, exactly."""
+    p = type(fixed).prec
+    return mpmath.mp.make_mpc((from_man_exp(fixed.re, -p), from_man_exp(fixed.im, -p)))
+
+
+def via_mpmath(f):
+    """A talbot_invert transform from f, written for complex arrays and
+    mpmath scalars: a heavy node's Fixed s goes to f as an mpc, at the
+    precision of its grid, and f's value comes back on that grid."""
+    def F(s):
+        if isinstance(s, np.ndarray):
+            return f(s)
+        kind = type(s)
+        with mpmath.workprec(kind.prec):
+            return kind(f(mp_value(s)))
+    return F
+
+
+def _factor_mp(s, m):
+    """Solver for (s - m) y = r at an mpmath scalar s (pivoted LU).
+
+    `m` is a list of rows of mpf entries, with exact zeros as int 0 so that
+    products with them can be skipped.
+    """
+    n = len(m)
+    lu = [[s - v if i == j else -v for j, v in enumerate(row)]
+          for i, row in enumerate(m)]
+    perm = list(range(n))
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(lu[r][col]))
+        if lu[piv][col] == 0:
+            raise NearPole("singular hierarchy block at this s")
+        lu[col], lu[piv] = lu[piv], lu[col]
+        perm[col], perm[piv] = perm[piv], perm[col]
+        for r in range(col + 1, n):
+            if lu[r][col]:
+                f = lu[r][col] = lu[r][col] / lu[col][col]
+                for c in range(col + 1, n):
+                    if lu[col][c]:
+                        lu[r][c] -= f * lu[col][c]
+
+    def solve(rhs):
+        x = [rhs[p] for p in perm]
+        for r in range(n):
+            for c in range(r):
+                if lu[r][c] and x[c]:
+                    x[r] -= lu[r][c] * x[c]
+        for r in range(n - 1, -1, -1):
+            for c in range(r + 1, n):
+                if lu[r][c] and x[c]:
+                    x[r] -= lu[r][c] * x[c]
+            if x[r]:
+                x[r] /= lu[r][r]
+        return x
+
+    return solve
+
+
+def mp_observable(params, regime, init, observable):
+    """Oracle: one population transform F(s) at an mpmath scalar s, by the
+    Dyson chain y0 + y2 solved block by block with _factor_mp, at the
+    working precision.
+
+    It runs on mpf copies of the library chain's supports, blocks, couplings
+    and drives (_Dyson's terms, data and idx); 53 bits hold a double
+    exactly, so the copies keep every digit.
+    """
+    dyson = _Dyson(params, regime, observable)
+    x0 = prepare_state(init).tolist()
+    blocks, couplings, drives = dyson.data
+    with mpmath.workprec(53):
+        blocks = {key: [[mpmath.mpf(v) if v else 0 for v in row] for row in m.tolist()]
+                  for key, m in blocks.items()}
+        couplings = [[(i, j, mpmath.mpf(a)) for i, j, a in c] for c in couplings]
+        drives = [[(i, mpmath.mpf(b)) for i, b in d] for d in drives]
+
+    def F(s):
+        if s == 0:
+            raise NearPole("the drive term b/s has its pole at s = 0")
+        solvers = {key: _factor_mp(s, m) for key, m in blocks.items()}
+        ys, rhs = [], list(x0)
+        for term, coupling, drive in zip(dyson.terms, couplings, drives):
+            for i, j, a in coupling:
+                rhs[i] += a * ys[-1][j]
+            for i, b in drive:
+                rhs[i] += b / s
+            y = [0] * DIM
+            for idx in term:      # R0 rhs, block by block
+                for i, v in zip(idx, solvers[idx[0]]([rhs[i] for i in idx])):
+                    y[i] = v
+            ys.append(y)
+            rhs = [0] * DIM
+        return ys[0][dyson.idx] + ys[2][dyson.idx]
+
+    return F
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from numpy.polynomial.polynomial import polyfromroots
 from cascade4.correlations import g2
 from cascade4.dynamics import evolve
 from cascade4.errors import (
+    InvalidArgument,
     NearPole,
     NonzeroDetuning,
     NotCatalogued,
@@ -49,7 +50,7 @@ from cascade4.perturbation import (
 )
 from cascade4.ratfunc import fixed_type, invert_rational, talbot_invert_rf
 
-from conftest import closed_cascade
+from conftest import closed_cascade, mp_observable, mp_value
 
 
 def exact_laplace(params, init, s):
@@ -137,17 +138,26 @@ def test_near_pole_rejected(strong_weakdrive):
     with pytest.raises(NearPole):
         F(ring)
     # b/s puts a pole at 0 whatever the arithmetic of s
-    for zero in (0j, np.array([1.0, 0.0]), fixed_type(128)(0), mpmath.mpc(0)):
+    for zero in (0j, np.array([1.0, 0.0]), fixed_type(128)(0)):
         with pytest.raises(NearPole):
             F(zero)
     # -1/2 + 20i is exactly a root of A0's (Im rho12, Re rho13) block here:
-    # the exact form's denominator and the mpmath chain's pivot vanish
+    # the exact form's denominator vanishes
     block_pole = -0.5 + 20j
     assert min(abs(z - block_pole)
                for z, _m in hierarchy_poles(strong_weakdrive, "strong")) < 1e-12
-    for s in (block_pole, fixed_type(128)(block_pole), mpmath.mpc(block_pole)):
+    for s in (block_pole, fixed_type(128)(block_pole)):
         with pytest.raises(NearPole):
             F(s)
+    # the chain runs at complex scalars and arrays only; the closure answers
+    # a Fixed from the exact form, and every other s is refused by name
+    refused = "s must be a complex scalar or a numpy array"
+    for s in (mpmath.mpc(0.3, 0.7), mpmath.mpf(2)):
+        with pytest.raises(InvalidArgument, match=refused):
+            F(s)
+    for s in (mpmath.mpc(0.3, 0.7), fixed_type(128)(0.3 + 0.7j)):
+        with pytest.raises(InvalidArgument, match=refused):
+            laplace_solve(strong_weakdrive, "strong", 3, s)
 
 
 def dyson_reference(params, regime, init, s):
@@ -203,8 +213,8 @@ def test_observable_closure_broadcasts(gammas):
 
 @pytest.mark.parametrize("gammas", ["unit", "physical"])
 def test_observable_closure_same_at_mpc_and_complex(gammas):
-    # the heavy fixed-Talbot nodes call the closure with mpmath scalars, the
-    # contour residues with complex128: both must give the same transform
+    # the contour residues call the closure with complex128; the all-mpmath
+    # chain of the test oracle must give the same transform
     points = ((closed_cascade(0.2, 20.0, 0.2, gammas), "strong"),
               (closed_cascade(4.0, 0.2, 4.0, gammas), "weak"))
     pairs = sorted({(init, obs) for _reg, init, obs in APPENDIX_CATALOGUE})
@@ -212,11 +222,12 @@ def test_observable_closure_same_at_mpc_and_complex(gammas):
     for params, regime in points:
         for init, observable in pairs:
             F = laplace_observable(params, regime, init, observable)
+            F_mp = mp_observable(params, regime, init, observable)
             for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 1 + 30j, 5 + 40j,
                       1e-3 + 0.01j):
                 want = F(complex(z))
                 with mpmath.workdps(30):
-                    got = complex(F(mpmath.mpc(z)))
+                    got = complex(F_mp(mpmath.mpc(z)))
                 assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -241,12 +252,13 @@ def test_observable_closure_same_at_fixed_and_mpc(gammas):
     for params, regime in points:
         for init, observable in pairs:
             F = laplace_observable(params, regime, init, observable)
+            F_mp = mp_observable(params, regime, init, observable)
             for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 5 + 40j, 1e-3 + 0.01j):
                 got = F(kind(z))
                 assert type(got) is kind
                 with mpmath.workdps(60):
-                    want = F(mpmath.mpc(z))
-                    assert abs(mpmath.mpmathify(got) - want) <= 1e-50 * abs(want)
+                    want = F_mp(mpmath.mpc(z))
+                    assert abs(mp_value(got) - want) <= 1e-50 * abs(want)
 
 
 @pytest.mark.parametrize("regime", ["strong", "weak"])

@@ -17,14 +17,12 @@ from cascade4.model import preset
 from cascade4.perturbation import (
     appendix_rational,
     hierarchy_poles,
-    laplace_observable,
     talbot_g2_value,
 )
 from cascade4.ratfunc import (
     _talbot_rule,
     DOUBLE_WEIGHT,
     ExponentialSum,
-    Fixed,
     RationalFunction,
     cluster_poles,
     fixed_type,
@@ -35,7 +33,7 @@ from cascade4.ratfunc import (
     talbot_nodes_required,
 )
 
-from conftest import closed_cascade
+from conftest import closed_cascade, mp_observable, mp_value, via_mpmath
 
 
 def talbot_node(nodes, k):
@@ -65,13 +63,13 @@ def talbot_direct(F, t, nodes, dps=None):
 
 def test_talbot_simple_pole():
     # 1/(s+1) at t=1 -> 1/e
-    val = talbot_invert(lambda s: 1 / (s + 1), 1.0)
+    val = talbot_invert(via_mpmath(lambda s: 1 / (s + 1)), 1.0)
     assert abs(val - np.exp(-1.0)) < 1e-10
 
 
 def test_talbot_ramp():
     # 1/s^2 at t=2.5 -> 2.5
-    val = talbot_invert(lambda s: 1 / s ** 2, 2.5)
+    val = talbot_invert(via_mpmath(lambda s: 1 / s ** 2), 2.5)
     assert abs(val - 2.5) < 1e-9
 
 
@@ -94,7 +92,7 @@ def test_talbot_cached_rule_matches_direct_sum():
         return 1 / (s + 1)
     for t, nodes in ((0.3, 32), (1.0, 32), (4.0, 57)):
         want = talbot_direct(F, t, nodes)
-        assert abs(talbot_invert(F, t, nodes=nodes) - want) <= 1e-15 * abs(want)
+        assert abs(talbot_invert(via_mpmath(F), t, nodes=nodes) - want) <= 1e-15 * abs(want)
     rf = RationalFunction.from_factors(
         np.array([8.0]), [(-0.5 + 8j, 1), (-0.5 - 8j, 1)])
     for t in (0.3, 2.0, 10.0):
@@ -105,7 +103,7 @@ def test_talbot_cached_rule_matches_direct_sum():
 def test_talbot_rule_cache_holds_every_rung_in_3_mb():
     # the cache keeps all 32 rungs of the node ladder (32, 48, ..., 528
     # nodes) for the life of the process; built cold, they hold about 2.4 MB
-    talbot_invert(lambda s: 1 / (s + 1), 1.0)      # mpmath loaded and warm
+    talbot_invert(via_mpmath(lambda s: 1 / (s + 1)), 1.0)  # mpmath loaded and warm
     _talbot_rule.cache_clear()
     rungs = range(32, 529, 16)
     tracemalloc.start()
@@ -125,7 +123,7 @@ def test_talbot_rule_splits_every_node_once():
         z, w, zd, wd = _talbot_rule(nodes, dps)
         assert not zd.flags.writeable and not wd.flags.writeable
         # Im z_k = 2 pi k / 5 identifies the node
-        k_mp = [int(round(float(zk.imag) * 5 / (2 * np.pi))) for zk in z]
+        k_mp = [int(round(complex(zk).imag * 5 / (2 * np.pi))) for zk in z]
         k_d = np.rint(zd.imag * 5 / (2 * np.pi)).astype(int).tolist()
         assert len(set(k_mp)) == len(k_mp) and len(set(k_d)) == len(k_d)
         assert not set(k_mp) & set(k_d)
@@ -135,8 +133,8 @@ def test_talbot_rule_splits_every_node_once():
                 if k in k_mp:
                     i = k_mp.index(k)
                     assert abs(wk) > DOUBLE_WEIGHT
-                    assert abs(z[i] - zk) <= 1e-40 * abs(zk)
-                    assert abs(w[i] - wk) <= 1e-40 * abs(wk)
+                    assert abs(mp_value(z[i]) - zk) <= 1e-40 * abs(zk)
+                    assert abs(mp_value(w[i]) - wk) <= 1e-40 * abs(wk)
                 elif k in k_d:
                     i = k_d.index(k)
                     assert 0 < abs(wd[i]) <= DOUBLE_WEIGHT
@@ -156,7 +154,7 @@ def test_talbot_rule_splits_every_node_once():
 ])
 def test_talbot_g2_value_matches_all_mp_sum(gammas, regime, drives):
     p = closed_cascade(gammas=gammas, **drives)
-    F = laplace_observable(p, regime, 3, "rho22")
+    F = mp_observable(p, regime, 3, "rho22")
     ss = 0.25
     for tau in (0.3, 1.5):
         nodes = talbot_nodes_required(tau, hierarchy_poles(p, regime))
@@ -185,7 +183,7 @@ def perturbative_point(draw):
 @given(point=perturbative_point(), tau=st.sampled_from((0.3, 1.5)))
 def test_talbot_g2_value_matches_all_mp_sum_property(point, tau):
     regime, p = point
-    F = laplace_observable(p, regime, 3, "rho22")
+    F = mp_observable(p, regime, 3, "rho22")
     nodes = talbot_nodes_required(tau, hierarchy_poles(p, regime))
     want = talbot_direct(F, tau, nodes, dps=30 + int(np.ceil(0.19 * nodes)))
     got = talbot_g2_value(p, regime, (3, 1), tau, ss=1.0)
@@ -301,8 +299,7 @@ def test_talbot_g2_values_on_one_rung_share_a_table():
 
 
 def test_talbot_invert_accepts_numpy_integer_nodes():
-    def F(s):
-        return 1 / (s + 1)
+    F = via_mpmath(lambda s: 1 / (s + 1))
     _talbot_rule.cache_clear()      # the table is built from the numpy count
     assert talbot_invert(F, 1.0, nodes=np.int64(48)) == talbot_invert(F, 1.0, nodes=48)
 
@@ -316,7 +313,7 @@ def test_talbot_non_finite_transform_raises():
                 return np.exp(-s) / (s + 1)
         return mpmath.exp(-s) / (s + 1)
     with pytest.raises(NonFiniteTransform):
-        talbot_invert(F, 0.25)
+        talbot_invert(via_mpmath(F), 0.25)
 
 
 def test_talbot_non_finite_heavy_value_raises():
@@ -343,48 +340,37 @@ def fixed_operands():
 
 
 @pytest.mark.parametrize("prec", [256, 320])
-def test_fixed_arithmetic_matches_mpmath(prec):
-    # each result against the exact operation on the represented values,
-    # evaluated by mpmath at twice the grid's precision: + and - are exact,
-    # * and / are off by less than one grid step per component
+def test_fixed_construction_and_division_match_mpmath(prec):
+    # construction is exact on the grid from int, float, complex, mpf, mpc
+    # and a Fixed of another precision; / is off by less than one grid step
+    # per component, rounded down, against mpmath at twice the precision
     kind = fixed_type(prec)
     ulp = mpmath.ldexp(1, -prec)
     values = [kind(v) for v in fixed_operands()]
     pivot = kind(3e-30 - 7e-31j)          # a small pivot
     with mpmath.workprec(2 * prec):
-        exact = [mpmath.mpmathify(v) for v in values]
+        third = mpmath.mpf(1) / 3         # 2 prec bits, rounded down onto each grid
+        for x, want in ((7, 7), (-2.5, -2.5), (1.5 - 2.25j, mpmath.mpc(1.5, -2.25)),
+                        (mpmath.mpf(2) ** -prec, mpmath.mpf(2) ** -prec),
+                        (mpmath.mpc(3, -4.5), mpmath.mpc(3, -4.5)),
+                        (fixed_type(prec // 2)(0.1 + 0.3j), mpmath.mpc(0.1, 0.3)),
+                        (fixed_type(2 * prec)(third), mpmath.floor(third / ulp) * ulp)):
+            assert mp_value(kind(x)) == want
+        exact = [mp_value(v) for v in values]
         assert all(complex(v) == complex(x) for v, x in zip(values, exact))
         pairs = [(i, j) for i in range(len(values)) for j in range(0, len(values), 5)]
         pairs += [(i, None) for i in range(len(values))]
         for i, j in pairs:
             a, b = values[i], values[j] if j is not None else pivot
-            xa, xb = exact[i], mpmath.mpmathify(b)
-            assert mpmath.mpmathify(a + b) == xa + xb
-            assert mpmath.mpmathify(a - b) == xa - xb
-            for got, want in ((a * b, xa * xb), (a / b, xa / xb)):
-                err = mpmath.mpmathify(got) - want
-                assert isinstance(got, Fixed)
-                assert -ulp < err.real <= 0 and -ulp < err.imag <= 0
-
-
-def test_fixed_mixes_with_python_and_mpmath_numbers():
-    kind = fixed_type(200)
-    x = kind(1.5 - 2.25j)
-    assert complex(x + 2) == 3.5 - 2.25j and complex(2 - x) == 0.5 + 2.25j
-    assert complex(0.5 * x) == 0.75 - 1.125j and complex(x * (1 + 1j)) == 3.75 - 0.75j
-    assert complex(3 / kind(2)) == 1.5 and complex(x ** 2) == complex(1.5 - 2.25j) ** 2
-    assert complex(-x) == -1.5 + 2.25j and abs(kind(3 + 4j)) == 5.0
-    assert not kind(0) and x and x == 1.5 - 2.25j and kind(2) == 2
-    assert float(x.real) == 1.5 and float(x.imag) == -2.25
-    with mpmath.workdps(40):
-        # mpmath takes a Fixed through its _mpmath_ hook, at its own precision
-        y = mpmath.mpf(2) * x
-        assert isinstance(y, mpmath.mpc) and y == mpmath.mpc(3, -4.5)
-        assert abs(mpmath.sqrt(kind(2)) - mpmath.sqrt(2)) < 1e-39
-        third = mpmath.mpf(1) / 3        # 136 bits: exact on the grid
-        assert mpmath.mpmathify(kind(third)) == third
+            got = a / b
+            assert type(got) is kind
+            err = mp_value(got) - exact[i] / mp_value(b)
+            assert -ulp < err.real <= 0 and -ulp < err.imag <= 0
+    assert not kind(0) and kind(1e-30j) and complex(kind(1.5 - 2.25j)) == 1.5 - 2.25j
     with pytest.raises(ValueError):
         kind(mpmath.inf)
+    with pytest.raises(TypeError):
+        kind(1) / fixed_type(prec + 64)(1)
 
 
 @pytest.mark.parametrize("t", [0.3, 1.7])
@@ -402,7 +388,7 @@ def test_talbot_rf_scale_invariant(t):
 
 
 def test_talbot_branch_cut_transform():
-    # F = 1/sqrt(s): mpmath.sqrt at the heavy nodes (through _mpmath_),
+    # F = 1/sqrt(s): mpmath.sqrt at the heavy nodes (through via_mpmath),
     # np.sqrt on the array; f(t) = 1/sqrt(pi t)
     def F(s):
         if isinstance(s, np.ndarray):
@@ -410,7 +396,7 @@ def test_talbot_branch_cut_transform():
         return 1 / mpmath.sqrt(s)
     for t in (0.05, 1.0, 7.5):
         want = 1 / np.sqrt(np.pi * t)
-        assert abs(talbot_invert(F, t) - want) <= 1e-12 * want
+        assert abs(talbot_invert(via_mpmath(F), t) - want) <= 1e-12 * want
 
 
 def test_invert_two_simple_poles():

@@ -1,13 +1,16 @@
-"""Count the code lines of each module of src/cascade4.
+"""Count the code lines of each module of src/cascade4, or of another
+directory's Python files.
 
 A code line is a non-blank, non-comment source line spanned by some AST node
 other than a docstring.  Run from anywhere:
 
-    python tools/code_lines.py
+    python tools/code_lines.py            # src/cascade4
+    python tools/code_lines.py tests      # a directory, relative to the cwd
 
 It prints one `<lines> <module>` row per module and the total last.
 """
 
+import argparse
 import ast
 import pathlib
 
@@ -38,9 +41,12 @@ def code_lines(path):
                and not text[line - 1].strip().startswith("#"))
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("directory", nargs="?", type=pathlib.Path, default=PACKAGE)
+    args = parser.parse_args(argv)
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(args.directory.glob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{count:5d} {path.name}")
