@@ -14,12 +14,15 @@ scipy.linalg.expm instead.  That choice is made in one place, _projector,
 which returns fixed rows applied to x(t) - x_ss: evolve passes the
 identity, the emission-delay search the rows of its slope and curvature.
 An adaptive Runge-Kutta backend is kept as an independent cross-check.
+
+The steady state and the eigen-expansion need numpy only.  scipy is
+imported inside the two functions that use it, the expm stepping and the
+RK backend, so that the default path never pays its import.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgument, StepFailure, UnstableGenerator
 from .model import AffineGenerator
@@ -124,6 +127,8 @@ def _projector(gen, x0, rows):
 def _step_expm(A, y, times):
     """exp(A t) y on the grid by stepping, one scipy expm per distinct step
     (a linspace run repeats a handful of step lengths)."""
+    import scipy.linalg
+
     propagators = {}
     out = np.empty((len(times), y.size))
     t_prev = 0.0

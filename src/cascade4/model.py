@@ -19,9 +19,8 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InvalidLevel, InvalidParams, SingularGenerator
+from .errors import InvalidArgument, InvalidLevel, InvalidParams, SingularGenerator
 
 TWO_PI = 2.0 * np.pi
 
@@ -160,13 +159,20 @@ class Eigensystem:
 class AffineGenerator:
     """The packed master equation dx/dt = A x + b.
 
-    The fixed point and the eigensystem of A are computed on first use and
-    kept with the generator; the cached arrays are read-only.
+    A and b must be finite (InvalidArgument otherwise).  The fixed point and
+    the eigensystem of A are computed on first use and kept with the
+    generator; the cached arrays are read-only.
     """
 
     A: np.ndarray
     b: np.ndarray
     params: SystemParams
+
+    def __post_init__(self):
+        # LAPACK does not check its input: a nan or inf would come back as
+        # an unnamed LinAlgError from the SVDs or as a nan steady state.
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
+            raise InvalidArgument("generator A and b must be finite")
 
     def rhs(self, x):
         return self.A @ x + self.b
@@ -181,22 +187,25 @@ class AffineGenerator:
 
     @cached_property
     def fixed_point(self) -> np.ndarray:
-        """Solution of A x = -b by LU with partial pivoting plus iterative
-        refinement; raises SingularGenerator when A is numerically singular."""
+        """Solution of A x = -b by np.linalg.solve (LAPACK gesv: LU with
+        partial pivoting) plus up to two steps of iterative refinement.
+
+        Raises SingularGenerator when cond(A) exceeds COND_LIMIT or the
+        refined residual max|A x + b| is not below RESIDUAL_TOL.
+        """
         if np.linalg.cond(self.A) > COND_LIMIT:
             raise SingularGenerator(
                 f"generator condition number exceeds {COND_LIMIT:g}")
-        lu, piv = scipy.linalg.lu_factor(self.A)
-        x = scipy.linalg.lu_solve((lu, piv), -self.b)
+        x = np.linalg.solve(self.A, -self.b)
         # Refinement keeps the residual at rounding level even when
         # omega_rf >> Gamma inflates the condition number.
         for _ in range(2):
             r = -self.b - self.A @ x
             if np.max(np.abs(r)) < RESIDUAL_TOL:
                 break
-            x = x + scipy.linalg.lu_solve((lu, piv), r)
+            x = x + np.linalg.solve(self.A, r)
         residual = np.max(np.abs(self.A @ x + self.b))
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:
             raise SingularGenerator(
                 f"steady-state residual {residual:.2e} above {RESIDUAL_TOL:g}")
         x.setflags(write=False)

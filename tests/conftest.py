@@ -18,6 +18,7 @@ from cascade4.model import (
     DIM,
     GAMMA_PRESETS,
     P22,
+    RESIDUAL_TOL,
     SystemParams,
     build_generator,
     prepare_state,
@@ -141,6 +142,22 @@ def oracle_tau_d(params, step=1e-3):
                           t, t + step, xtol=1e-15, rtol=4e-15)
         x, t, d = x_next, t + step, d_next
     return None
+
+
+def lu_fixed_point(gen):
+    """A x = -b by scipy's LU factorisation (factored once, with its
+    check_finite) and the same two steps of iterative refinement as
+    AffineGenerator.fixed_point, which solves through numpy instead."""
+    import scipy.linalg
+
+    lu = scipy.linalg.lu_factor(gen.A)
+    x = scipy.linalg.lu_solve(lu, -gen.b)
+    for _ in range(2):
+        r = -gen.b - gen.A @ x
+        if np.max(np.abs(r)) < RESIDUAL_TOL:
+            break
+        x = x + scipy.linalg.lu_solve(lu, r)
+    return x
 
 
 def mp_value(fixed):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cascade4.errors import SingularGenerator, UnstableGenerator
 from cascade4.model import (
     DIM,
     P22,
+    RESIDUAL_TOL,
     AffineGenerator,
     SystemParams,
     build_generator,
@@ -23,7 +25,7 @@ from cascade4.model import (
 )
 from cascade4.validation import brute_force_evolve
 
-from conftest import closed_cascade, stable_params
+from conftest import closed_cascade, lu_fixed_point, stable_params
 
 
 def test_steady_state_no_optical_pumping():
@@ -46,6 +48,18 @@ def test_steady_state_residual(fig2_unit):
     gen = build_generator(fig2_unit)
     x = steady_state(gen)
     assert np.max(np.abs(gen.A @ x + gen.b)) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=stable_params(),
+       deltas=st.none() | st.tuples(*3 * [st.floats(-30.0, 30.0)]))
+def test_fixed_point_matches_scipy_lu_oracle(p, deltas):
+    if deltas is not None:
+        p = replace(p, delta1=deltas[0], delta2=deltas[1], delta3=deltas[2])
+    gen = build_generator(p)
+    x, ref = gen.fixed_point, lu_fixed_point(gen)
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(gen.A @ x + gen.b)) < RESIDUAL_TOL
 
 
 def test_steady_state_matches_long_time_limit(fig2_unit):
@@ -217,9 +231,10 @@ def test_unstable_generator_refused():
         g2(gen, (3, 1), np.array([0.0, 1.0]))
 
 
-# Imported only inside the functions that need them: the RK backend, and
-# the perturbative and inversion layers.
-LAZY_MODULES = ("scipy.integrate", "scipy.optimize", "mpmath")
+# Imported only inside the functions that need them: scipy by the expm
+# fallback and the RK backend, mpmath by the Talbot node tables.
+LAZY_MODULES = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.optimize",
+                "mpmath")
 
 
 def lazy_modules_loaded_by(code):
@@ -229,7 +244,8 @@ def lazy_modules_loaded_by(code):
     code = ("import sys, cascade4\n" + code +
             f"print(' '.join(m for m in {LAZY_MODULES!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     return out.stdout.split()
 
 
@@ -237,6 +253,36 @@ def test_import_and_delay_scan_leave_lazy_modules_unloaded():
     assert lazy_modules_loaded_by(
         "cascade4.scan_tau_d(cascade4.preset('fig2', 'unit'), 'omega_rf',"
         " [4.0, 12.0])\n") == []
+
+
+def test_default_path_leaves_lazy_modules_unloaded():
+    # what the cs, steady and g2 commands compute: the steady state, the
+    # three g2 of the Cauchy-Schwarz ratio and an analytic sum
+    assert lazy_modules_loaded_by(
+        "p = cascade4.preset('fig2', 'unit')\n"
+        "gen = cascade4.build_generator(p)\n"
+        "cascade4.steady_state(gen)\n"
+        "taus = cascade4.default_tau_grid(p)\n"
+        "g = [cascade4.g2(gen, pair, taus) for pair in ((3, 1), (1, 1), (3, 3))]\n"
+        "cascade4.cs_ratio(*g)\n"
+        "cascade4.analytic_g2_sum(p, 'strong', (3, 1))\n") == []
+
+
+def test_expm_fallback_loads_scipy_linalg_only_when_taken():
+    # Zero drive with Gamma2 = Gamma3 = gamma23 = 1: from |3>, rho33 = e^-t
+    # and rho22 = t e^-t (a Jordan block, so the fallback steps with expm).
+    assert lazy_modules_loaded_by(
+        "from cascade4.dynamics import SPECTRAL_COND_LIMIT\n"
+        "import numpy as np\n"
+        "gen = cascade4.build_generator(cascade4.SystemParams(gamma34=0.16))\n"
+        "assert gen.eigensystem.cond > SPECTRAL_COND_LIMIT\n"
+        "cascade4.steady_state(gen)\n"
+        "assert 'scipy' not in sys.modules\n"
+        "t = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])\n"
+        "x = cascade4.evolve(gen, cascade4.prepare_state(3), t).states\n"
+        "err = np.abs(x[:, -3:] - np.stack([t * np.exp(-t), np.exp(-t),"
+        " 0 * t], axis=1))\n"
+        "assert err.max() < 1e-15, err.max()\n") == ["scipy", "scipy.linalg"]
 
 
 def test_residue_path_leaves_mpmath_unloaded():

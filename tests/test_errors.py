@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from cascade4.correlations import default_tau_grid, g2, scan_tau_d
-from cascade4.dynamics import evolve
+from cascade4.dynamics import evolve, steady_state
 from cascade4.errors import Cascade4Error, InvalidArgument
-from cascade4.model import build_generator, prepare_state, preset
+from cascade4.model import AffineGenerator, build_generator, prepare_state, preset
 from cascade4.perturbation import (
     Regime,
     analytic_g2,
@@ -35,6 +36,15 @@ def _evolve_to(t):
 
 def _evolve_from(x0):
     return evolve(_fig2_generator(), x0, [0.0, 1.0])
+
+
+def _steady_state_with(entry, value):
+    # a nan in b leaked scipy's ValueError, a nan in A numpy's LinAlgError
+    # and an inf in A a SingularGenerator
+    gen = _fig2_generator()
+    A, b = gen.A.copy(), gen.b.copy()
+    {"A": A, "b": b}[entry].flat[1] = value
+    return steady_state(AffineGenerator(A=A, b=b, params=gen.params))
 
 
 def _talbot_g31_with_denominator(ss):
@@ -68,6 +78,9 @@ BAD_CALLS = {
     "dynamics.evolve: x0 of shape (1, 15)": lambda: _evolve_from(
         prepare_state(1)[None]),
     "dynamics.evolve: nan x0": lambda: _evolve_from(prepare_state(1) * math.nan),
+    "model.AffineGenerator: nan in b": lambda: _steady_state_with("b", np.nan),
+    "model.AffineGenerator: nan in A": lambda: _steady_state_with("A", np.nan),
+    "model.AffineGenerator: inf in A": lambda: _steady_state_with("A", np.inf),
     "model.prepare_state: level 2.0": lambda: prepare_state(2.0),
     "perturbation.analytic_g2: tau -1": lambda: analytic_g2(
         _strong_rf_point(), "strong", (3, 1), [-1.0]),
