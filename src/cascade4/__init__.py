@@ -60,6 +60,6 @@ from .perturbation import (
     root_set,
 )
 from .ratfunc import ExponentialSum, RationalFunction, invert_rational, talbot_invert
-from .validation import ValidationReport, brute_force_evolve, run_validation
+from .validation import ValidationReport, brute_force_evolve, rk_evolve, run_validation
 
 __version__ = "0.1.0"

@@ -51,7 +51,6 @@ class RunConfig:
     spacing: str = "log_linear"
     path: str = "out.csv"
     precision: int = 9
-    backend: str = "expm"
     cs_definition: str = "equal_time"
 
     def tau_grid(self):
@@ -66,8 +65,7 @@ CONFIG_KEYS = {
     "grid": {"tau_max": float, "tau_points": int,
              "spacing": ("log_linear", "linear")},
     "output": {"path": str, "precision": int},
-    "options": {"backend": ("rk", "expm"),
-                "cs_definition": ("equal_time", "literal")},
+    "options": {"cs_definition": ("equal_time", "literal")},
 }
 
 
@@ -178,7 +176,7 @@ def _cmd_steady(cfg, args):
 def _cmd_evolve(cfg, args):
     gen = build_generator(cfg.system)
     taus = cfg.tau_grid()
-    traj = evolve(gen, prepare_state(args.init), taus, backend=cfg.backend)
+    traj = evolve(gen, prepare_state(args.init), taus)
     rows = [[t] + _state_row(x) for t, x in zip(traj.times, traj.states)]
     _write_csv(cfg, ("tau",) + STATE_HEADER, rows,
                f"evolve from level |{args.init}>", _param_comment(cfg.system))
@@ -191,7 +189,7 @@ PAIR_FLAGS = {f"{i}{j}": (i, j) for i, j in PAIR_TABLE}
 def _cmd_g2(cfg, args):
     pair = PAIR_FLAGS[args.pair]
     gen = build_generator(cfg.system)
-    series = g2(gen, pair, cfg.tau_grid(), backend=cfg.backend)
+    series = g2(gen, pair, cfg.tau_grid())
     name = f"g{args.pair}"
     rows = list(zip(series.taus, series.values))
     _write_csv(cfg, ("tau", name), rows, f"g2 pair {pair}",
@@ -200,10 +198,9 @@ def _cmd_g2(cfg, args):
     return 0
 
 
-def _cs_columns(gen, taus, definition, backend="expm"):
+def _cs_columns(gen, taus, definition):
     """(cs_ratio result, [g11, g33, g31, R] on taus)."""
-    g31, g11, g33 = (g2(gen, pair, taus, backend=backend)
-                     for pair in ((3, 1), (1, 1), (3, 3)))
+    g31, g11, g33 = (g2(gen, pair, taus) for pair in ((3, 1), (1, 1), (3, 3)))
     result = cs_ratio(g31, g11, g33, definition=definition)
     return result, [g11.values, g33.values, g31.values, result.R]
 
@@ -211,7 +208,7 @@ def _cs_columns(gen, taus, definition, backend="expm"):
 def _cmd_cs(cfg, args):
     taus = cfg.tau_grid()
     result, columns = _cs_columns(build_generator(cfg.system), taus,
-                                  cfg.cs_definition, cfg.backend)
+                                  cfg.cs_definition)
     rows = list(zip(taus, *columns))
     _write_csv(cfg, ("tau", "g11", "g33", "g31", "R"), rows,
                f"cs ({result.definition})", _param_comment(cfg.system))

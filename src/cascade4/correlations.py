@@ -7,6 +7,7 @@ by that population's steady-state value.
 """
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,12 @@ DENOMINATOR_FLOOR = 1e-12
 CLIP_TOL = 1e-10
 
 
-def _validate_pair(pair):
-    pair = tuple(pair)
-    if pair not in PAIR_TABLE:
-        raise InvalidArgument(f"pair must be one of {sorted(PAIR_TABLE)}, got {pair}")
+def _validate_pair(pair, table=PAIR_TABLE):
+    # pair as a tuple, refused with InvalidArgument unless it is a key of
+    # table; a non-iterable such as 31 is refused, not passed to tuple().
+    pair = tuple(pair) if np.iterable(pair) else pair
+    if pair not in table:
+        raise InvalidArgument(f"pair must be one of {sorted(table)}, got {pair}")
     return pair
 
 
@@ -79,6 +82,10 @@ def default_tau_grid(params: SystemParams, tau_max=None, n=2000, spacing="log_li
         tau_max = 10.0 / params.min_gamma
     if not 0.0 < tau_max < np.inf:
         raise InvalidArgument(f"tau_max must be positive and finite, got {tau_max}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidArgument(f"n must be an integer, got {n!r}") from None
     if n < 16:
         raise InvalidArgument("need at least 16 grid points")
     if spacing == "linear":
@@ -92,15 +99,15 @@ def default_tau_grid(params: SystemParams, tau_max=None, n=2000, spacing="log_li
     return np.concatenate([[0.0], head, tail])
 
 
-def g2(gen: AffineGenerator, pair, taus, backend="expm") -> CorrelationSeries:
+def g2(gen: AffineGenerator, pair, taus) -> CorrelationSeries:
     """g2_ij on the grid: population rho_{j+1,j+1}(tau) from |i><i|, over its
-    steady-state value."""
+    steady-state value, propagated by dynamics.evolve."""
     pair = _validate_pair(pair)
     level, obs = PAIR_TABLE[pair]
     taus = np.asarray(taus, dtype=float)
 
     norm = _steady_norm(gen, pair)
-    traj = evolve(gen, prepare_state(level), taus, backend=backend)
+    traj = evolve(gen, prepare_state(level), taus)
     values = traj.states[:, obs] / norm
     # Populations can undershoot by rounding; clip only within tolerance.
     tiny = (values < 0.0) & (values > -CLIP_TOL)
@@ -151,18 +158,21 @@ SWEEPABLE = {"omega1", "omega2", "omega_rf", "omega3"}
 # here.  On the fig3 sweeps the first crest lies 241-340 points into the
 # 1600-point grid, so fewer than 400 of its points are evaluated.
 FIRST_CHUNK = 128
+# Points of the grid that brackets tau_d.  It only brackets the Newton root,
+# so one fixed size serves every caller.
+PEAK_GRID_POINTS = 1600
 # Newton stops once a step falls below this fraction of tau_d; bisection
 # bounds the iteration count if it never does.
 ROOT_RTOL = 4.0 * np.finfo(float).eps
 ROOT_MAX_STEPS = 100
 
 
-def g31_peak_delay(params: SystemParams, coarse_n=1600):
+def g31_peak_delay(params: SystemParams):
     """tau_d for one parameter set: the delay of the first crest of g31.
 
     tau_d is the first + to - sign change of the slope d rho22/d tau after
     preparation in |3>.  The sign change is bracketed between two adjacent
-    points of default_tau_grid(n=coarse_n) up to min(6/min Gamma, 40),
+    points of default_tau_grid(n=PEAK_GRID_POINTS) up to min(6/min Gamma, 40),
     searched from tau = 0 in chunks; a crest between two points whose slopes
     are both positive is not seen.  The root is then found by Newton steps on
     the closed-form second derivative, with a bisection whenever a step
@@ -180,7 +190,7 @@ def g31_peak_delay(params: SystemParams, coarse_n=1600):
     gen = build_generator(params)
     level, obs = PAIR_TABLE[(3, 1)]
     _steady_norm(gen, (3, 1))      # ZeroSteadyState before any search
-    taus = _peak_grid(params.min_gamma, coarse_n)
+    taus = _peak_grid(params.min_gamma)
     rows = np.array([gen.A[obs], gen.A[obs] @ gen.A])
     derivatives = _projector(gen, prepare_state(level), rows)
     lo, hi = _first_descent(taus, lambda t: derivatives(t)[:, 0])
@@ -188,10 +198,11 @@ def g31_peak_delay(params: SystemParams, coarse_n=1600):
 
 
 @functools.lru_cache(maxsize=4)
-def _peak_grid(min_gamma, coarse_n):
-    # g31_peak_delay's search grid, read-only: a delay scan keeps min Gamma
-    # and coarse_n, so every sweep point shares one grid.
-    taus = default_tau_grid(None, tau_max=min(6.0 / min_gamma, 40.0), n=coarse_n)
+def _peak_grid(min_gamma):
+    # g31_peak_delay's search grid, read-only: a delay scan keeps min Gamma,
+    # so every sweep point shares one grid.
+    taus = default_tau_grid(None, tau_max=min(6.0 / min_gamma, 40.0),
+                            n=PEAK_GRID_POINTS)
     taus.setflags(write=False)
     return taus
 
@@ -241,8 +252,8 @@ def scan_tau_d(base: SystemParams, swept: str, grid) -> DelayScan:
     if swept not in SWEEPABLE:
         raise InvalidArgument(f"swept field must be one of {sorted(SWEEPABLE)}")
     grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
-        raise InvalidArgument("sweep grid must be ascending and positive")
+    if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
+        raise InvalidArgument("sweep grid must be 1-d, ascending and positive")
     key = "omega_rf" if swept == "omega2" else swept
     tau_d = np.full(len(grid), np.nan)
     failures = []

@@ -13,18 +13,20 @@ SPECTRAL_COND_LIMIT the propagator therefore steps between grid points with
 scipy.linalg.expm instead.  That choice is made in one place, _projector,
 which returns fixed rows applied to x(t) - x_ss: evolve passes the
 identity, the emission-delay search the rows of its slope and curvature.
-An adaptive Runge-Kutta backend is kept as an independent cross-check.
+It is the only propagator the library computes with; the independent
+oracles that certify it (adaptive Runge-Kutta and scaled Taylor) live in
+validation.
 
 The steady state and the eigen-expansion need numpy only.  scipy is
-imported inside the two functions that use it, the expm stepping and the
-RK backend, so that the default path never pays its import.
+imported inside the expm stepping, so that the default path never pays its
+import.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, StepFailure, UnstableGenerator
+from .errors import InvalidArgument, UnstableGenerator
 from .model import AffineGenerator
 
 # Largest eigenbasis condition number the eigen-expansion is trusted at.
@@ -66,19 +68,29 @@ def steady_state(gen: AffineGenerator) -> np.ndarray:
     return x
 
 
-def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
+def evolve(gen: AffineGenerator, x0, times) -> Trajectory:
     """Propagate x0 along `times` (finite, ascending, times[0] >= 0).
 
     x0 (finite, shaped like gen.b) is the state at t = 0 regardless of
     where the grid starts, and a grid point at t = 0 returns x0 exactly.
 
-    backend 'expm' evaluates x(t) = exp(A t)(x0 - x_ss) + x_ss by the
+    x(t) = exp(A t)(x0 - x_ss) + x_ss comes from _projector: the
     eigen-expansion over the whole grid at once, or, when the eigenbasis is
-    ill-conditioned, by stepping with scipy.linalg.expm (one matrix per
-    distinct step); it raises UnstableGenerator like steady_state.  'rk'
-    integrates with an adaptive embedded Runge-Kutta pair at rtol 1e-10 /
-    atol 1e-12.
+    ill-conditioned, stepping with scipy.linalg.expm (one matrix per
+    distinct step).  Raises UnstableGenerator like steady_state.
     """
+    x0, times = _checked_start(gen, x0, times)
+    # _projector has run steady_state's checks on the fixed point.
+    states = _projector(gen, x0, np.eye(len(x0)))(times) + gen.fixed_point
+    if times[0] == 0.0:
+        states[0] = x0  # exp(0) = I: no rounding from x_ss or the basis
+    return Trajectory(times=times.copy(), states=states)
+
+
+def _checked_start(gen, x0, times):
+    # (x0, times) as float arrays, refused with InvalidArgument unless x0 is
+    # finite and shaped like gen.b and times is a finite ascending grid
+    # from t >= 0; validation.rk_evolve takes the same arguments.
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise InvalidArgument("times must be a nonempty 1-d grid")
@@ -93,17 +105,7 @@ def evolve(gen: AffineGenerator, x0, times, backend="expm") -> Trajectory:
         raise InvalidArgument(f"x0 must have shape {gen.b.shape}, got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise InvalidArgument("x0 must be finite")
-
-    if backend == "expm":
-        # _projector has run steady_state's checks on the fixed point.
-        states = _projector(gen, x0, np.eye(len(x0)))(times) + gen.fixed_point
-    elif backend == "rk":
-        states = _evolve_rk(gen, x0, times)
-    else:
-        raise InvalidArgument(f"unknown backend {backend!r}")
-    if times[0] == 0.0:
-        states[0] = x0  # exp(0) = I: no rounding from x_ss or the basis
-    return Trajectory(times=times.copy(), states=states)
+    return x0, times
 
 
 def _projector(gen, x0, rows):
@@ -143,23 +145,3 @@ def _step_expm(A, y, times):
         t_prev = t
     return out
 
-
-def _evolve_rk(gen, x0, times):
-    # Imported here: scipy.integrate is most of the package's import time
-    # and memory, and only this cross-check backend needs it.
-    from scipy.integrate import solve_ivp
-
-    if times[-1] == 0.0:
-        return x0[None, :].copy()
-    sol = solve_ivp(
-        lambda _t, x: gen.A @ x + gen.b,
-        t_span=(0.0, times[-1]),
-        y0=x0,
-        t_eval=times,
-        method="DOP853",
-        rtol=1e-10,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise StepFailure(sol.message)
-    return sol.y.T.copy()

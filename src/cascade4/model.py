@@ -71,8 +71,9 @@ class SystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise InvalidParams(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InvalidParams(f"{f.name} must be finite and real, got {value!r}")
         for name in ("omega1", "omega_rf", "omega3",
                      "gamma23", "gamma34", "gamma24"):
             if getattr(self, name) < 0.0:

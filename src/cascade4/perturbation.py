@@ -48,7 +48,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .correlations import DENOMINATOR_FLOOR, PAIR_TABLE, CorrelationSeries, _steady_norm
+from .correlations import (DENOMINATOR_FLOOR, PAIR_TABLE, CorrelationSeries,
+                           _steady_norm, _validate_pair)
 from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued
 from .model import (
     DIM,
@@ -572,9 +573,7 @@ def _g2_source(params, pair, ss=None):
     generator, refused like correlations.g2's, unless one is passed in; a
     passed one must be finite and at least correlations.DENOMINATOR_FLOOR.
     """
-    pair = tuple(pair)
-    if pair not in ANALYTIC_PAIRS:
-        raise InvalidArgument(f"analytic form available for {sorted(ANALYTIC_PAIRS)}")
+    pair = _validate_pair(pair, ANALYTIC_PAIRS)
     init_level, idx = PAIR_TABLE[pair]
     if ss is None:
         ss = float(_steady_norm(build_generator(params), pair))

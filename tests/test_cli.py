@@ -43,7 +43,6 @@ def test_parse_minimal_defaults():
     assert cfg.tau_points == 2000
     assert cfg.spacing == "log_linear"
     assert cfg.precision == 9
-    assert cfg.backend == "expm"
     assert cfg.cs_definition == "equal_time"
 
 
@@ -65,6 +64,9 @@ def test_parse_unknown_key():
         parse_config("[grid]\nresolution = 2\n")
     with pytest.raises(UnknownKey):
         parse_config("[plotting]\ncolor = red\n")
+    # the propagator is not a run option
+    with pytest.raises(UnknownKey):
+        parse_config("[options]\nbackend = expm\n")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -89,8 +91,6 @@ def test_parse_range_checks():
         parse_config("[grid]\ntau_max = -2\n")
     with pytest.raises(RangeError):
         parse_config("[output]\nprecision = 3\n")
-    with pytest.raises(RangeError):
-        parse_config("[options]\nbackend = verlet\n")
 
 
 CONFIG_KEYS = ("omega1", "omega_rf", "delta_rf", "gamma2", "gamma24",
@@ -199,10 +199,33 @@ def test_figures_byte_deterministic(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_exit_codes(tmp_path):
+def _csv_body(path):
+    # header and data rows, without the '#' comment lines
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+def test_each_quantity_has_one_csv_text(tmp_path):
+    # At the default config, fig4's omega_rf = 20 block is cs and fig2's
+    # g31 column is `g2 --pair 31`, as text: every command reads g2 through
+    # the same propagator.
+    assert run(["figures", "--out", str(tmp_path)]) == 0
+    assert run(["cs", "--out", str(tmp_path / "cs.csv")]) == 0
+    assert run(["g2", "--pair", "31", "--out", str(tmp_path / "g31.csv")]) == 0
+    fig4 = _csv_body(tmp_path / "fig4.csv")
+    rf20 = [ln.split(",", 1)[1] for ln in fig4[1:] if ln.startswith("20,")]
+    assert [fig4[0].split(",", 1)[1]] + rf20 == _csv_body(tmp_path / "cs.csv")
+    fig2 = [",".join(ln.split(",")[:2]) for ln in _csv_body(tmp_path / "fig2.csv")]
+    assert fig2 == _csv_body(tmp_path / "g31.csv")
+
+
+def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[system]\ngamma2 = -1\n")
     assert run(["--config", str(bad), "steady"]) == 2
+    # the propagator is not a run option
+    backend = _write_cfg(tmp_path, "[options]\nbackend = rk\n", name="rk.cfg")
+    assert run(["--config", backend, "steady"]) == 2
+    assert "unknown [options] key 'backend'" in capsys.readouterr().err
     missing = run(["--config", str(tmp_path / "nope.cfg"), "steady"])
     assert missing == 2
     # computation error: no optical drives -> correlation undefined

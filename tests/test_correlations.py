@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cascade4.correlations import (
     PAIR_TABLE,
+    PEAK_GRID_POINTS,
     CorrelationSeries,
     _first_descent,
     _peak_grid,
@@ -16,7 +17,8 @@ from cascade4.correlations import (
 )
 from cascade4.dynamics import SPECTRAL_COND_LIMIT
 from cascade4.errors import GridMismatch, NoPeak, ZeroSteadyState
-from cascade4.model import SystemParams, build_generator, preset
+from cascade4.model import SystemParams, build_generator, prepare_state, preset
+from cascade4.validation import rk_evolve
 
 from conftest import (
     closed_cascade,
@@ -37,15 +39,16 @@ def test_default_tau_grid_shape(fig2_unit):
 
 
 def test_peak_grid_cached_read_only(fig2_unit):
-    # g31_peak_delay shares one read-only grid per (min Gamma, coarse_n);
+    # g31_peak_delay shares one read-only grid per min Gamma;
     # default_tau_grid still hands out a fresh writable array each call
     tau_max = min(6.0 / fig2_unit.min_gamma, 40.0)
-    grid = _peak_grid(fig2_unit.min_gamma, 1600)
-    assert grid is _peak_grid(fig2_unit.min_gamma, 1600)
+    grid = _peak_grid(fig2_unit.min_gamma)
+    assert grid is _peak_grid(fig2_unit.min_gamma)
     assert not grid.flags.writeable
-    fresh = default_tau_grid(fig2_unit, tau_max=tau_max, n=1600)
+    fresh = default_tau_grid(fig2_unit, tau_max=tau_max, n=PEAK_GRID_POINTS)
     assert fresh.flags.writeable
-    assert fresh is not default_tau_grid(fig2_unit, tau_max=tau_max, n=1600)
+    assert fresh is not default_tau_grid(fig2_unit, tau_max=tau_max,
+                                         n=PEAK_GRID_POINTS)
     assert np.array_equal(grid, fresh)
     td = g31_peak_delay(fig2_unit)
     _peak_grid.cache_clear()
@@ -269,19 +272,14 @@ def test_scan_rejects_bad_grid(fig2_unit):
         scan_tau_d(fig2_unit, "detuning", np.array([1.0, 2.0]))
 
 
-def test_g31_peak_delay_stability(fig2_unit):
-    a = g31_peak_delay(fig2_unit, coarse_n=1200)
-    b = g31_peak_delay(fig2_unit, coarse_n=2400)
-    assert abs(a - b) < 5e-3
-
-
 def test_g2_backend_consistency(fig2_unit):
     gen = build_generator(fig2_unit)
     taus = np.linspace(0.0, 8.0, 80)
     for pair in ((3, 1), (1, 1)):
-        a = g2(gen, pair, taus, backend="expm").values
-        b = g2(gen, pair, taus, backend="rk").values
-        assert np.max(np.abs(a - b)) < 1e-7
+        series = g2(gen, pair, taus)
+        level, obs = PAIR_TABLE[pair]
+        b = rk_evolve(gen, prepare_state(level), taus)[:, obs] / series.norm
+        assert np.max(np.abs(series.values - b)) < 1e-7
 
 
 def test_zero_delay_antibunching_exact():

@@ -23,7 +23,7 @@ from cascade4.model import (
     prepare_state,
     preset,
 )
-from cascade4.validation import brute_force_evolve
+from cascade4.validation import brute_force_evolve, rk_evolve
 
 from conftest import closed_cascade, lu_fixed_point, stable_params
 
@@ -88,17 +88,16 @@ def test_evolve_pure_decay():
 def test_evolve_single_point_is_identity(fig2_unit):
     gen = build_generator(fig2_unit)
     x0 = prepare_state(2)
-    for backend in ("expm", "rk"):
-        tr = evolve(gen, x0, np.array([0.0]), backend=backend)
-        assert np.array_equal(tr.states[0], x0)
+    assert np.array_equal(evolve(gen, x0, np.array([0.0])).states[0], x0)
+    assert np.array_equal(rk_evolve(gen, x0, np.array([0.0]))[0], x0)
 
 
 def test_backends_agree(fig2_unit):
     gen = build_generator(fig2_unit)
     ts = np.linspace(0.0, 5.0, 51)
-    a = evolve(gen, prepare_state(3), ts, backend="expm")
-    b = evolve(gen, prepare_state(3), ts, backend="rk")
-    assert np.max(np.abs(a.states - b.states)) < 1e-8
+    a = evolve(gen, prepare_state(3), ts).states
+    b = rk_evolve(gen, prepare_state(3), ts)
+    assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_semigroup_property(fig2_unit):
@@ -156,9 +155,8 @@ def test_evolve_zero_time_is_exact():
         taus = default_tau_grid(p, n=100)
         for level in (1, 2, 3, 4):
             x0 = prepare_state(level)
-            for backend in ("expm", "rk"):
-                tr = evolve(gen, x0, taus, backend=backend)
-                assert np.array_equal(tr.states[0], x0)
+            assert np.array_equal(evolve(gen, x0, taus).states[0], x0)
+            assert np.array_equal(rk_evolve(gen, x0, taus)[0], x0)
 
 
 def test_steady_state_cached_read_only(fig2_unit):
@@ -213,8 +211,8 @@ def test_backends_agree_property(p, level):
     gen = build_generator(p)
     ts = np.array([0.0, 0.3, 2.0])
     x0 = prepare_state(level)
-    a = evolve(gen, x0, ts, backend="expm").states
-    b = evolve(gen, x0, ts, backend="rk").states
+    a = evolve(gen, x0, ts).states
+    b = rk_evolve(gen, x0, ts)
     ref = np.array([brute_force_evolve(gen, x0, t) for t in ts])
     assert np.max(np.abs(a - ref)) < 1e-7
     assert np.max(np.abs(b - ref)) < 1e-7
@@ -232,7 +230,7 @@ def test_unstable_generator_refused():
 
 
 # Imported only inside the functions that need them: scipy by the expm
-# fallback and the RK backend, mpmath by the Talbot node tables.
+# fallback and the RK oracle, mpmath by the Talbot node tables.
 LAZY_MODULES = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.optimize",
                 "mpmath")
 

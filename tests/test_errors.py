@@ -12,12 +12,13 @@ from cascade4.model import AffineGenerator, build_generator, prepare_state, pres
 from cascade4.perturbation import (
     Regime,
     analytic_g2,
+    analytic_g2_sum,
     laplace_observable,
     laplace_solve,
     talbot_g2_value,
 )
 from cascade4.ratfunc import RationalFunction, talbot_invert, talbot_invert_rf
-from cascade4.validation import brute_force_evolve
+from cascade4.validation import brute_force_evolve, rk_evolve
 
 from conftest import closed_cascade
 
@@ -69,8 +70,12 @@ BAD_CALLS = {
         preset("fig2", "unit"), tau_max=-1.0),
     "correlations.g2: nan time": lambda: g2(_fig2_generator(), (3, 1),
                                             [0.0, math.nan]),
-    "dynamics.evolve": lambda: evolve(_fig2_generator(), prepare_state(1),
-                                      [0.0, 1.0], backend="euler"),
+    # an int pair, a float n and a 2-d sweep grid raised bare TypeErrors
+    "correlations.g2: pair 31": lambda: g2(_fig2_generator(), 31, [0.0, 1.0]),
+    "correlations.default_tau_grid: n 2000.0": lambda: default_tau_grid(
+        preset("fig2", "unit"), n=2000.0),
+    "correlations.scan_tau_d: 2-d grid": lambda: scan_tau_d(
+        preset("fig2", "unit"), "omega1", [[4.0, 5.0]]),
     "dynamics.evolve: nan time": lambda: _evolve_to(math.nan),
     "dynamics.evolve: inf time": lambda: _evolve_to(math.inf),
     "dynamics.evolve: x0 of 14 components": lambda: _evolve_from(
@@ -97,6 +102,10 @@ BAD_CALLS = {
     "perturbation.laplace_observable: s 0": lambda: laplace_observable(
         _strong_rf_point(), "strong", 3, "rho22")(0),
     "perturbation.Regime.coerce": lambda: Regime.coerce("moderate"),
+    "perturbation.analytic_g2_sum: pair 31": lambda: analytic_g2_sum(
+        _strong_rf_point(), "strong", 31),
+    "perturbation.talbot_g2_value: pair 31": lambda: talbot_g2_value(
+        _strong_rf_point(), "strong", 31, 0.5),
     "ratfunc.talbot_invert": lambda: talbot_invert(lambda s: 1 / s, 0.0),
     "ratfunc.talbot_invert: t inf": lambda: talbot_invert(lambda s: 1 / s,
                                                           math.inf),
@@ -112,6 +121,8 @@ BAD_CALLS = {
         math.inf),
     "validation.brute_force_evolve": lambda: brute_force_evolve(
         _fig2_generator(), prepare_state(1), -1.0),
+    "validation.rk_evolve: t -1": lambda: rk_evolve(
+        _fig2_generator(), prepare_state(1), [-1.0, 0.0]),
 }
 
 

@@ -106,9 +106,11 @@ def test_invalid_params_rejected():
 
 @pytest.mark.parametrize("name", ["omega1", "omega_rf", "delta2", "gamma2",
                                   "gamma24"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   "4", None, 1j])
 def test_non_finite_params_rejected(name, value):
-    # nan passes every sign check (nan < 0 is False), so it needs its own
+    # nan passes every sign check (nan < 0 is False), so it needs its own;
+    # "4", None and 1j made math.isfinite raise a bare TypeError
     with pytest.raises(InvalidParams, match=f"{name} must be finite"):
         SystemParams(**{name: value})
 
