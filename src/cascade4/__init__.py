@@ -16,7 +16,7 @@ from .correlations import (
     g2,
     scan_tau_d,
 )
-from .dynamics import Trajectory, evolve, steady_state
+from .dynamics import evolve, steady_state
 from .errors import (
     Cascade4Error,
     ConfigError,

@@ -176,8 +176,8 @@ def _cmd_steady(cfg, args):
 def _cmd_evolve(cfg, args):
     gen = build_generator(cfg.system)
     taus = cfg.tau_grid()
-    traj = evolve(gen, prepare_state(args.init), taus)
-    rows = [[t] + _state_row(x) for t, x in zip(traj.times, traj.states)]
+    states = evolve(gen, prepare_state(args.init), taus)
+    rows = [[t] + _state_row(x) for t, x in zip(taus, states)]
     _write_csv(cfg, ("tau",) + STATE_HEADER, rows,
                f"evolve from level |{args.init}>", _param_comment(cfg.system))
     return 0

@@ -7,6 +7,7 @@ by that population's steady-state value.
 """
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import model
 from .dynamics import _projector, evolve, steady_state
-from .errors import GridMismatch, InvalidArgument, NoPeak, ZeroSteadyState
+from .errors import GridMismatch, InvalidArgument, NoPeak, ZeroSteadyState, _real_array
 from .model import AffineGenerator, SystemParams, build_generator, prepare_state
 
 # pair -> (preparation level, observed population index)
@@ -73,15 +74,18 @@ class DelayScan:
 
 
 def default_tau_grid(params: SystemParams, tau_max=None, n=2000, spacing="log_linear"):
-    """Tau grid from 0 to 10/min(Gamma): a log run to tau_max/20, then linear.
+    """Tau grid from 0 to tau_max, 10/min(Gamma) of params unless given: a
+    log run to tau_max/20, then linear.
 
     The log section resolves the rise near tau = 0 (first point at
     1e-4 tau_max); the linear section carries the slow tails.
     """
     if tau_max is None:
+        if params is None:
+            raise InvalidArgument("default_tau_grid needs params or tau_max")
         tau_max = 10.0 / params.min_gamma
-    if not 0.0 < tau_max < np.inf:
-        raise InvalidArgument(f"tau_max must be positive and finite, got {tau_max}")
+    if not (isinstance(tau_max, numbers.Real) and 0.0 < tau_max < np.inf):
+        raise InvalidArgument(f"tau_max must be positive and finite, got {tau_max!r}")
     try:
         n = operator.index(n)
     except TypeError:
@@ -104,11 +108,10 @@ def g2(gen: AffineGenerator, pair, taus) -> CorrelationSeries:
     steady-state value, propagated by dynamics.evolve."""
     pair = _validate_pair(pair)
     level, obs = PAIR_TABLE[pair]
-    taus = np.asarray(taus, dtype=float)
+    taus = _real_array(taus, "taus")
 
     norm = _steady_norm(gen, pair)
-    traj = evolve(gen, prepare_state(level), taus)
-    values = traj.states[:, obs] / norm
+    values = evolve(gen, prepare_state(level), taus)[:, obs] / norm
     # Populations can undershoot by rounding; clip only within tolerance.
     tiny = (values < 0.0) & (values > -CLIP_TOL)
     if np.any(tiny):
@@ -249,9 +252,9 @@ def _slope_root(derivatives, lo, hi):
 
 def scan_tau_d(base: SystemParams, swept: str, grid) -> DelayScan:
     """tau_d as a function of one drive strength; per-point errors recorded."""
-    if swept not in SWEEPABLE:
+    if not isinstance(swept, str) or swept not in SWEEPABLE:
         raise InvalidArgument(f"swept field must be one of {sorted(SWEEPABLE)}")
-    grid = np.asarray(grid, dtype=float)
+    grid = _real_array(grid, "sweep grid")
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
         raise InvalidArgument("sweep grid must be 1-d, ascending and positive")
     key = "omega_rf" if swept == "omega2" else swept

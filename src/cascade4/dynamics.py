@@ -22,11 +22,9 @@ imported inside the expm stepping, so that the default path never pays its
 import.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidArgument, UnstableGenerator
+from .errors import InvalidArgument, UnstableGenerator, _real_array
 from .model import AffineGenerator
 
 # Largest eigenbasis condition number the eigen-expansion is trusted at.
@@ -36,20 +34,6 @@ from .model import AffineGenerator
 # drive), while the stepped expm stays at 4.4e-16 above 1e4.  The shipped
 # presets sit near cond 2.
 SPECTRAL_COND_LIMIT = 1e4
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States sampled on an ascending time grid (units of 1/gamma)."""
-
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), 15)
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise InvalidArgument("times and states lengths differ")
-        if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
-            raise InvalidArgument("times must be strictly increasing")
 
 
 def steady_state(gen: AffineGenerator) -> np.ndarray:
@@ -68,8 +52,10 @@ def steady_state(gen: AffineGenerator) -> np.ndarray:
     return x
 
 
-def evolve(gen: AffineGenerator, x0, times) -> Trajectory:
-    """Propagate x0 along `times` (finite, ascending, times[0] >= 0).
+def evolve(gen: AffineGenerator, x0, times) -> np.ndarray:
+    """The states x(t) on `times` (finite, ascending, times[0] >= 0, in
+    units of 1/gamma), one row per time: a (len(times), 15) array, as
+    validation.rk_evolve returns for the same arguments.
 
     x0 (finite, shaped like gen.b) is the state at t = 0 regardless of
     where the grid starts, and a grid point at t = 0 returns x0 exactly.
@@ -84,14 +70,15 @@ def evolve(gen: AffineGenerator, x0, times) -> Trajectory:
     states = _projector(gen, x0, np.eye(len(x0)))(times) + gen.fixed_point
     if times[0] == 0.0:
         states[0] = x0  # exp(0) = I: no rounding from x_ss or the basis
-    return Trajectory(times=times.copy(), states=states)
+    return states
 
 
 def _checked_start(gen, x0, times):
     # (x0, times) as float arrays, refused with InvalidArgument unless x0 is
     # finite and shaped like gen.b and times is a finite ascending grid
-    # from t >= 0; validation.rk_evolve takes the same arguments.
-    times = np.asarray(times, dtype=float)
+    # from t >= 0; validation's rk_evolve and brute_force_evolve take their
+    # arguments through here too.
+    times = _real_array(times, "times")
     if times.ndim != 1 or len(times) == 0:
         raise InvalidArgument("times must be a nonempty 1-d grid")
     if not np.all(np.isfinite(times)):
@@ -100,7 +87,7 @@ def _checked_start(gen, x0, times):
         raise InvalidArgument("times must be strictly increasing")
     if times[0] < 0:
         raise InvalidArgument("times must start at t >= 0")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _real_array(x0, "x0")
     if x0.shape != gen.b.shape:
         raise InvalidArgument(f"x0 must have shape {gen.b.shape}, got {x0.shape}")
     if not np.all(np.isfinite(x0)):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the gate that turns a
+numeric argument into a float array or refuses it by name."""
+
+import numpy as np
 
 
 class Cascade4Error(Exception):
@@ -8,6 +11,16 @@ class Cascade4Error(Exception):
 class InvalidArgument(Cascade4Error, ValueError):
     """A library call got an argument outside its domain (unknown name,
     malformed grid, nonpositive time)."""
+
+
+def _real_array(value, name):
+    """value as a float array (not copied when it is one), refused with
+    InvalidArgument unless it holds real numbers: a str is refused, not
+    parsed, and so are complex and object values."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise InvalidArgument(f"{name} must be real numbers, got {value!r:.60}")
+    return array.astype(float, copy=False)
 
 
 class InvalidParams(Cascade4Error):

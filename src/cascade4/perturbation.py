@@ -7,13 +7,15 @@ perturbative drives off (omega1 and omega3 in strong rf, omega_rf in weak rf)
 leaves A0, b0; the remainder A1 = A - A0, b1 = b - b0 is linear in those
 drives.  With R0 = (s - A0)^-1 the transform of x expands as the Dyson chain
 
-    y0 = R0 (x0 + b0/s),   y1 = R0 (A1 y0 + b1/s),   y2 = R0 A1 y1,
+    y0 = R0 (x0 + b0/s),   y1 = R0 (A1 y0 + b1/s),   yk = R0 A1 y(k-1),
 
-and term k is exactly order k in the perturbative drives.  On resonance A0
-splits into small connected blocks (the real and imaginary parts of the
+and term k is exactly order k in the perturbative drives.  The chain has
+one term per entry of _split's drive list (b0, b1, 0), so that list alone
+fixes the order at 2; everything below loops over the terms.  On resonance
+A0 splits into small connected blocks (the real and imaginary parts of the
 coherences separate), so an evaluation factors each block a term reaches
-once and reuses the factors for all three terms.  Every step is analytic in
-s, so the chain can be evaluated at any complex s (the contour residues and
+once and reuses the factors for every term.  Every step is analytic in s,
+so the chain can be evaluated at any complex s (the contour residues and
 the light Talbot nodes).
 
 Every block, coupling and drive value is a double, hence dyadic, so a
@@ -50,7 +52,7 @@ from numpy.polynomial import Polynomial
 
 from .correlations import (DENOMINATOR_FLOOR, PAIR_TABLE, CorrelationSeries,
                            _steady_norm, _validate_pair)
-from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued
+from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued, _real_array
 from .model import (
     DIM,
     IM_R12,
@@ -77,6 +79,7 @@ from .ratfunc import (
     _closure,
     _fixed_ratio,
     _frac_bits,
+    _on_grid,
     ExponentialSum,
     Fixed,
     RationalFunction,
@@ -129,7 +132,8 @@ def _bars(params):
 def _split(params, regime):
     """(A0, A1, drives): the generator without its perturbative drives, the
     part those drives add, and the drive constant b_k of each Dyson term:
-    b0, then b1 = b - b0, then zero."""
+    b0, then b1 = b - b0, then zero.  The list's length is the number of
+    terms, so it is the one place that sets the chain's order."""
     off = ({"omega1": 0.0, "omega3": 0.0} if regime is Regime.STRONG_RF
            else {"omega_rf": 0.0})
     full = build_generator(params)
@@ -213,13 +217,15 @@ def _char_adj(m, size):
 
 class _Dyson:
     """The Dyson chain of one parameter set in one regime: its terms y0, y1,
-    y2 at any s, the transform of one population, and their pole inventory.
+    ... (one per drive of _split) at any s, the transform of one population,
+    and their pole inventory.
 
     Building one coerces the regime, refuses detuning, splits the generator
     and picks each term's support from _structure: `masks[k]` selects which
-    of A0's `blocks` term k solves.  Term 2 covers every component, or with
-    an `observable` only the block of that population, which is all its
-    transform reads.
+    of A0's `blocks` term k solves.  The last term covers every component
+    it reaches, or with an `observable` only the block of that population,
+    which is all its transform reads; `held` lists the terms whose support
+    holds that population.
 
     Each term comes back as a DIM-long list of arrays shaped like s, a
     complex scalar or array, each block solved by _factor; any other s
@@ -238,7 +244,8 @@ class _Dyson:
                 raise InvalidArgument(
                     f"observable must be one of {list(STATE_LABELS[P22:])}")
             self.idx = STATE_LABELS.index(observable)
-            masks = masks[:2] + (link[self.idx],)
+            masks = masks[:-1] + (link[self.idx],)
+            self.held = [k for k, mask in enumerate(masks) if mask[self.idx]]
         self.masks = masks
         self.a0, a1, drives = _split(params, regime)
         blocks = [b for b in blocks if any(mask[b[0]] for mask in masks)]
@@ -260,17 +267,19 @@ class _Dyson:
                                      for z in np.linalg.eigvals(self.data[0][key])]
 
     def transform(self, init_level):
-        """F(s) of the observable's population from |init_level>: y0 + y2,
-        since populations have no first-order part.  At a Fixed s it is
-        _exact's N(u) / D(u), built on the first such call."""
+        """F(s) of the observable's population from |init_level>: the sum of
+        the terms that hold it (`held`; populations have no odd-order part),
+        started from the first of them, not from 0, so that a -0.0 keeps its
+        sign.  At a Fixed s it is _exact's N(u) / D(u), built on the first
+        such call."""
         x0, idx = prepare_state(init_level), self.idx
         exact = functools.cache(lambda: _fixed_ratio(*self._exact(x0)))
 
         def F(s):
             if isinstance(s, Fixed):
                 return exact()(s)
-            y0, _y1, y2 = self(s, x0)
-            return y0[idx] + y2[idx]
+            ys = self(s, x0)
+            return functools.reduce(np.add, (ys[k][idx] for k in self.held))
 
         return F
 
@@ -285,23 +294,20 @@ class _Dyson:
         (s - M)^-1 = 2**shift adj(u - m) / det(u - m) (_char_adj), A1 R0
         loses the scale and b/s = 2**shift b / u.  The chain then runs as
         __call__ does, on numerators over the common denominator
-        u P0 P1 P2, where P_k is the product of det(u - m) over the blocks
-        term k solves.  So den is monic, of degree the multiplicity sum of
-        poles(), and its roots are 2**shift times those poles.
+        u P0 P1 ... Pn, where P_k is the product of det(u - m) over the
+        blocks term k solves; term k, over u P0 .. P_k, enters the numerator
+        times the P_j of the later terms.  So den is monic, of degree the
+        multiplicity sum of poles(), and its roots are 2**shift times those
+        poles.
         """
         blocks, couplings, drives = self.data
         values = [*np.concatenate([m.ravel() for m in blocks.values()]),
                   *(a for c in couplings for *_, a in c),
                   *(b for d in drives for _, b in d)]
         shift = max(map(_frac_bits, values))
-
-        def scaled(v):
-            n, d = float(v).as_integer_ratio()      # d divides 2**shift
-            return n * ((1 << shift) // d)
-
         size = 2 + sum(len(b) for term in self.terms for b in term)
-        chars = {key: _char_adj(np.vectorize(scaled, otypes=[object])(m), size)
-                 for key, m in blocks.items()}
+        scaled = np.vectorize(_on_grid, otypes=[object])
+        chars = {key: _char_adj(scaled(m, shift), size) for key, m in blocks.items()}
 
         def poly(*coeffs):
             return np.array(coeffs + (0,) * (size - len(coeffs)), dtype=object)
@@ -317,9 +323,9 @@ class _Dyson:
         rhs = collections.defaultdict(poly, {i: poly(0, int(v)) for i, v in enumerate(x0) if v})
         for term, coupling, drive in zip(self.terms, couplings, drives):
             for i, j, a in coupling:
-                rhs[i] += scaled(a) * ys[-1][j]
+                rhs[i] += _on_grid(a, shift) * ys[-1][j]
             for i, b in drive:
-                rhs[i] += scaled(b) * mul(*ps)
+                rhs[i] += _on_grid(b, shift) * mul(*ps)
             y = {}
             for idx in term:      # adj(u - m) rhs times the other blocks' det
                 others = mul(*(chars[o[0]][0] for o in term if o is not idx))
@@ -331,7 +337,7 @@ class _Dyson:
             ys.append(y)
             ps.append(mul(*(chars[b[0]][0] for b in term)))
             rhs = collections.defaultdict(poly)
-        num = mul(ys[0][self.idx], ps[1], ps[2]) + ys[2][self.idx]
+        num = sum(mul(ys[k][self.idx], *ps[k + 1:]) for k in self.held)   # exact ints
         return num * (1 << shift), mul(poly(0, 1), *ps), shift
 
     def __call__(self, s, x0):
@@ -370,8 +376,7 @@ def laplace_solve(params: SystemParams, regime, init_level, s) -> HierarchySolut
     """Solve the perturbative hierarchy at one Laplace variable s.
 
     Returns every transformed component psi1..psi9 with its perturbative
-    order decomposition (the Dyson terms it appears in) and the sum through
-    second order.
+    order decomposition (the Dyson terms it appears in) and their sum.
     """
     dyson = _Dyson(params, regime)
     ys = dyson(s, prepare_state(init_level))
@@ -601,7 +606,7 @@ def analytic_g2_sum(params: SystemParams, regime, pair):
 def analytic_g2(params: SystemParams, regime, pair, taus) -> CorrelationSeries:
     """Closed-form g2 from the perturbative hierarchy (exponential sums)."""
     es, ss = analytic_g2_sum(params, regime, pair)
-    taus = np.asarray(taus, dtype=float)
+    taus = _real_array(taus, "taus")
     return CorrelationSeries(pair=tuple(pair), taus=taus, values=es(taus),
                              norm=ss)
 

@@ -26,6 +26,7 @@ from .errors import (
     NearPole,
     NonFiniteTransform,
     NonRealSum,
+    _real_array,
 )
 
 CLUSTER_TOL = 1e-8
@@ -288,7 +289,7 @@ class ExponentialSum:
     IMAG_TOL = 1e-10
 
     def eval_complex(self, ts):
-        ts = np.asarray(ts, dtype=float)
+        ts = _real_array(ts, "t")
         if not np.all((ts >= 0) & (ts < np.inf)):
             raise InvalidArgument("exponential sums are evaluated at finite t >= 0")
         out = np.zeros(ts.shape, dtype=complex)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .correlations import PAIR_TABLE, cs_ratio, default_tau_grid, g2, g31_peak_delay
 from .dynamics import _checked_start, evolve
-from .errors import InvalidArgument, StepFailure, ZeroSteadyState
+from .errors import StepFailure, ZeroSteadyState
 from .model import SystemParams, build_generator, prepare_state, preset
 from .perturbation import (
     ANALYTIC_PAIRS,
@@ -76,10 +76,11 @@ def brute_force_evolve(gen, x0, t):
 
     Free of eigendecompositions, Pade solves and step-size control, so it is
     an independent oracle for evolve() and rk_evolve().  Handles singular A
-    (the constant drive rides in the augmented column).
+    (the constant drive rides in the augmented column).  x0 and the scalar
+    t are refused with InvalidArgument as evolve refuses x0 and the grid
+    [t].
     """
-    if t < 0:
-        raise InvalidArgument("t must be >= 0")
+    x0, (t,) = _checked_start(gen, x0, [t])
     n = x0.size
     aug = np.zeros((n + 1, n + 1), dtype=np.longdouble)
     aug[:n, :n] = gen.A.astype(np.longdouble) * np.longdouble(t)
@@ -172,11 +173,11 @@ def run_validation(params: SystemParams = None) -> ValidationReport:
     # (c) the propagator against both oracles.
     x0 = prepare_state(3)
     tgrid = np.linspace(0.0, 10.0, 41)
-    diff = np.max(np.abs(evolve(gen, x0, tgrid).states - rk_evolve(gen, x0, tgrid)))
+    diff = np.max(np.abs(evolve(gen, x0, tgrid) - rk_evolve(gen, x0, tgrid)))
     checks.append(_bounded("backend_rk_vs_expm", diff, 1e-7,
                            "independent propagators agree"))
     bf = brute_force_evolve(gen, x0, 3.0)
-    mid = evolve(gen, x0, np.array([0.0, 3.0])).states[-1]
+    mid = evolve(gen, x0, np.array([0.0, 3.0]))[-1]
     checks.append(_bounded("backend_expm_vs_taylor", np.max(np.abs(bf - mid)),
                            1e-9, "scaled-Taylor oracle agrees"))
 

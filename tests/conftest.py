@@ -221,8 +221,9 @@ def _factor_mp(s, m):
 
 def mp_observable(params, regime, init, observable):
     """Oracle: one population transform F(s) at an mpmath scalar s, by the
-    Dyson chain y0 + y2 solved block by block with _factor_mp, at the
-    working precision.
+    Dyson chain solved block by block with _factor_mp, at the working
+    precision, summed over all its terms (a term that does not reach the
+    observable adds an exact 0).
 
     It runs on mpf copies of the library chain's supports, blocks, couplings
     and drives (_Dyson's terms, data and idx); 53 bits hold a double
@@ -253,7 +254,7 @@ def mp_observable(params, regime, init, observable):
                     y[i] = v
             ys.append(y)
             rhs = [0] * DIM
-        return ys[0][dyson.idx] + ys[2][dyson.idx]
+        return sum(y[dyson.idx] for y in ys)
 
     return F
 

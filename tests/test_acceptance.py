@@ -202,7 +202,7 @@ def test_criterion_8_oracle_triangle():
         p = random_stable_params(rng, omega_high=20.0)
         gen = build_generator(p)
         x0 = prepare_state(rng.integers(1, 5))
-        a = evolve(gen, x0, taus).states
+        a = evolve(gen, x0, taus)
         b = rk_evolve(gen, x0, taus)
         c = np.stack([brute_force_evolve(gen, x0, t) for t in taus])
         worst_prop = max(worst_prop,

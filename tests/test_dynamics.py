@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cascade4
 from cascade4.correlations import default_tau_grid, g2
-from cascade4.dynamics import SPECTRAL_COND_LIMIT, Trajectory, evolve, steady_state
+from cascade4.dynamics import SPECTRAL_COND_LIMIT, evolve, steady_state
 from cascade4.errors import SingularGenerator, UnstableGenerator
 from cascade4.model import (
     DIM,
@@ -65,8 +65,8 @@ def test_fixed_point_matches_scipy_lu_oracle(p, deltas):
 def test_steady_state_matches_long_time_limit(fig2_unit):
     gen = build_generator(fig2_unit)
     x_ss = steady_state(gen)
-    tr = evolve(gen, prepare_state(3), np.array([0.0, 400.0]))
-    assert np.max(np.abs(tr.states[-1] - x_ss)) < 1e-8
+    x = evolve(gen, prepare_state(3), np.array([0.0, 400.0]))
+    assert np.max(np.abs(x[-1] - x_ss)) < 1e-8
 
 
 def test_singular_generator_raises():
@@ -81,21 +81,21 @@ def test_evolve_pure_decay():
                      gamma23=1.0, gamma34=0.16)
     gen = build_generator(p)
     ts = np.linspace(0.0, 4.0, 9)
-    tr = evolve(gen, prepare_state(2), ts)
-    assert np.max(np.abs(tr.states[:, P22] - np.exp(-1.4 * ts))) < 1e-12
+    x = evolve(gen, prepare_state(2), ts)
+    assert np.max(np.abs(x[:, P22] - np.exp(-1.4 * ts))) < 1e-12
 
 
 def test_evolve_single_point_is_identity(fig2_unit):
     gen = build_generator(fig2_unit)
     x0 = prepare_state(2)
-    assert np.array_equal(evolve(gen, x0, np.array([0.0])).states[0], x0)
+    assert np.array_equal(evolve(gen, x0, np.array([0.0]))[0], x0)
     assert np.array_equal(rk_evolve(gen, x0, np.array([0.0]))[0], x0)
 
 
 def test_backends_agree(fig2_unit):
     gen = build_generator(fig2_unit)
     ts = np.linspace(0.0, 5.0, 51)
-    a = evolve(gen, prepare_state(3), ts).states
+    a = evolve(gen, prepare_state(3), ts)
     b = rk_evolve(gen, prepare_state(3), ts)
     assert np.max(np.abs(a - b)) < 1e-8
 
@@ -105,8 +105,8 @@ def test_semigroup_property(fig2_unit):
     gen = build_generator(fig2_unit)
     x0 = prepare_state(3)
     full = evolve(gen, x0, np.array([0.0, 1.0, 2.5]))
-    mid = evolve(gen, full.states[1], np.array([0.0, 1.5]))
-    assert np.max(np.abs(mid.states[-1] - full.states[-1])) < 1e-9
+    mid = evolve(gen, full[1], np.array([0.0, 1.5]))
+    assert np.max(np.abs(mid[-1] - full[-1])) < 1e-9
 
 
 def test_contraction_to_steady_state():
@@ -115,8 +115,8 @@ def test_contraction_to_steady_state():
         gen = build_generator(p)
         x_ss = steady_state(gen)
         T = 50.0 / p.min_gamma
-        tr = evolve(gen, prepare_state(3), np.array([0.0, T]))
-        assert np.max(np.abs(tr.states[-1] - x_ss)) < 1e-6
+        x = evolve(gen, prepare_state(3), np.array([0.0, T]))
+        assert np.max(np.abs(x[-1] - x_ss)) < 1e-6
 
 
 def test_population_bounds_along_trajectories():
@@ -126,17 +126,9 @@ def test_population_bounds_along_trajectories():
             gen = build_generator(p)
             ts = np.linspace(0.0, 30.0, 400)
             for level in (1, 2, 3, 4):
-                tr = evolve(gen, prepare_state(level), ts)
-                pops = np.stack(populations(tr.states))
+                pops = np.stack(populations(evolve(gen, prepare_state(level), ts)))
                 assert pops.min() > -1e-9
                 assert pops.max() < 1 + 1e-9
-
-
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, DIM)))
-    with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, DIM)))
 
 
 def test_evolve_grid_validation(fig2_unit):
@@ -155,7 +147,7 @@ def test_evolve_zero_time_is_exact():
         taus = default_tau_grid(p, n=100)
         for level in (1, 2, 3, 4):
             x0 = prepare_state(level)
-            assert np.array_equal(evolve(gen, x0, taus).states[0], x0)
+            assert np.array_equal(evolve(gen, x0, taus)[0], x0)
             assert np.array_equal(rk_evolve(gen, x0, taus)[0], x0)
 
 
@@ -170,9 +162,9 @@ def test_steady_state_cached_read_only(fig2_unit):
 def _max_error_vs_taylor(gen, level, n=120):
     taus = default_tau_grid(gen.params, n=n)
     x0 = prepare_state(level)
-    tr = evolve(gen, x0, taus)
+    x = evolve(gen, x0, taus)
     ref = np.array([brute_force_evolve(gen, x0, t) for t in taus])
-    return np.max(np.abs(tr.states - ref))
+    return np.max(np.abs(x - ref))
 
 
 def test_evolve_defective_zero_drive_takes_fallback():
@@ -211,7 +203,7 @@ def test_backends_agree_property(p, level):
     gen = build_generator(p)
     ts = np.array([0.0, 0.3, 2.0])
     x0 = prepare_state(level)
-    a = evolve(gen, x0, ts).states
+    a = evolve(gen, x0, ts)
     b = rk_evolve(gen, x0, ts)
     ref = np.array([brute_force_evolve(gen, x0, t) for t in ts])
     assert np.max(np.abs(a - ref)) < 1e-7
@@ -277,7 +269,7 @@ def test_expm_fallback_loads_scipy_linalg_only_when_taken():
         "cascade4.steady_state(gen)\n"
         "assert 'scipy' not in sys.modules\n"
         "t = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0])\n"
-        "x = cascade4.evolve(gen, cascade4.prepare_state(3), t).states\n"
+        "x = cascade4.evolve(gen, cascade4.prepare_state(3), t)\n"
         "err = np.abs(x[:, -3:] - np.stack([t * np.exp(-t), np.exp(-t),"
         " 0 * t], axis=1))\n"
         "assert err.max() < 1e-15, err.max()\n") == ["scipy", "scipy.linalg"]

@@ -17,7 +17,8 @@ from cascade4.perturbation import (
     laplace_solve,
     talbot_g2_value,
 )
-from cascade4.ratfunc import RationalFunction, talbot_invert, talbot_invert_rf
+from cascade4.ratfunc import (ExponentialSum, RationalFunction, talbot_invert,
+                              talbot_invert_rf)
 from cascade4.validation import brute_force_evolve, rk_evolve
 
 from conftest import closed_cascade
@@ -48,6 +49,13 @@ def _steady_state_with(entry, value):
     return steady_state(AffineGenerator(A=A, b=b, params=gen.params))
 
 
+def _brute_force_to(t, x0=None):
+    # nan returned an all-nan state, inf raised a bare RuntimeWarning, "1"
+    # a bare TypeError and a 3-component x0 a bare ValueError
+    x0 = prepare_state(1) if x0 is None else x0
+    return brute_force_evolve(_fig2_generator(), x0, t)
+
+
 def _talbot_g31_with_denominator(ss):
     # ss = 0 raised a bare ZeroDivisionError; -1 and nan returned numbers
     return talbot_g2_value(_strong_rf_point(), "strong", (3, 1), 0.5, ss=ss)
@@ -76,6 +84,23 @@ BAD_CALLS = {
         preset("fig2", "unit"), n=2000.0),
     "correlations.scan_tau_d: 2-d grid": lambda: scan_tau_d(
         preset("fig2", "unit"), "omega1", [[4.0, 5.0]]),
+    # no params and no tau_max raised AttributeError; a str tau_max a bare
+    # TypeError
+    "correlations.default_tau_grid: no params": lambda: default_tau_grid(None),
+    "correlations.default_tau_grid: tau_max '5'": lambda: default_tau_grid(
+        preset("fig2", "unit"), tau_max="5"),
+    # non-numeric grids raised numpy's bare ValueError, a list as the swept
+    # field TypeError: unhashable
+    "correlations.g2: str grid": lambda: g2(_fig2_generator(), (3, 1), "abc"),
+    "correlations.scan_tau_d: str grid": lambda: scan_tau_d(
+        preset("fig2", "unit"), "omega1", ["a"]),
+    "correlations.scan_tau_d: list field": lambda: scan_tau_d(
+        preset("fig2", "unit"), ["omega1"], [4.0, 5.0]),
+    "dynamics.evolve: str x0": lambda: _evolve_from("abc"),
+    "dynamics.evolve: str grid": lambda: evolve(_fig2_generator(),
+                                                prepare_state(1), "abc"),
+    "perturbation.analytic_g2: str grid": lambda: analytic_g2(
+        _strong_rf_point(), "strong", (3, 1), "x"),
     "dynamics.evolve: nan time": lambda: _evolve_to(math.nan),
     "dynamics.evolve: inf time": lambda: _evolve_to(math.inf),
     "dynamics.evolve: x0 of 14 components": lambda: _evolve_from(
@@ -116,11 +141,16 @@ BAD_CALLS = {
     "ratfunc.talbot_invert: nodes 2.5": lambda: _invert_with_nodes(2.5),
     "ratfunc.talbot_invert: nodes 31": lambda: _invert_with_nodes(31),
     "ratfunc.talbot_invert: nodes 48.0": lambda: _invert_with_nodes(48.0),
+    "ratfunc.ExponentialSum: str t": lambda: ExponentialSum(((1.0, -1.0, 0),))("x"),
     "ratfunc.talbot_invert_rf: t inf": lambda: talbot_invert_rf(
         RationalFunction.from_factors([1.0], [(-1 + 2j, 1), (-1 - 2j, 1)]),
         math.inf),
-    "validation.brute_force_evolve": lambda: brute_force_evolve(
-        _fig2_generator(), prepare_state(1), -1.0),
+    "validation.brute_force_evolve": lambda: _brute_force_to(-1.0),
+    "validation.brute_force_evolve: t nan": lambda: _brute_force_to(math.nan),
+    "validation.brute_force_evolve: t inf": lambda: _brute_force_to(math.inf),
+    "validation.brute_force_evolve: t '1'": lambda: _brute_force_to("1"),
+    "validation.brute_force_evolve: x0 of shape (3,)": lambda: _brute_force_to(
+        1.0, np.zeros(3)),
     "validation.rk_evolve: t -1": lambda: rk_evolve(
         _fig2_generator(), prepare_state(1), [-1.0, 0.0]),
 }

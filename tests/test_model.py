@@ -152,7 +152,7 @@ def test_evolved_states_are_density_matrices(p, level):
     # the eigen-expansion's error grows like 5e-17 cond(V) and the
     # propagator steps with expm instead (see SPECTRAL_COND_LIMIT).
     gen = build_generator(p)
-    states = evolve(gen, prepare_state(level), default_tau_grid(p, n=200)).states
+    states = evolve(gen, prepare_state(level), default_tau_grid(p, n=200))
     for x in states:
         dm = DensityMatrix.from_state(x)
         assert np.linalg.eigvalsh(dm.matrix)[0] >= -1e-12

@@ -283,12 +283,50 @@ def test_exact_denominator_is_the_pole_inventory(regime, gammas):
             assert abs(got - want) <= 1e-10 * abs(want)
 
 
+@pytest.fixture
+def order_4(monkeypatch):
+    # _split's drive list lengthened to (b0, b1, 0, 0, 0): the chain's
+    # order must follow from that list alone
+    split = perturbation._split
+
+    def split_4(*args):
+        a0, a1, (b0, b1, zero) = split(*args)
+        return a0, a1, (b0, b1, zero, zero, zero)
+
+    perturbation._structure.cache_clear()
+    monkeypatch.setattr(perturbation, "_split", split_4)
+    yield
+    perturbation._structure.cache_clear()
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_order_set_by_split_drive_list(order_4, regime):
+    params = (closed_cascade(0.2, 20.0, 0.2) if regime == "strong"
+              else closed_cascade(4.0, 0.2, 4.0))
+    dyson = perturbation._Dyson(params, regime, "rho22")
+    assert len(dyson.terms) == 5
+    F = dyson.transform(3)
+    kind = fixed_type(240)
+    for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 5 + 40j):
+        assert abs(complex(F(kind(z))) - F(z)) <= 1e-12 * abs(F(z))
+    _num, den, _shift = dyson._exact(prepare_state(3))
+    poles = dyson.poles()
+    degree = sum(m for _p, m in poles)
+    assert np.flatnonzero(den)[-1] == degree and den[degree] == 1
+    es = assembled_exponential_sum(params, regime, 3, "rho22")
+    from cascade4.ratfunc import talbot_invert, talbot_nodes_required
+    for tau in (0.3, 1.5):
+        want = es(np.array([tau]))[0]
+        got = talbot_invert(F, tau, nodes=talbot_nodes_required(tau, poles))
+        assert abs(got - want) <= 1e-8 * abs(want)
+
+
 def test_talbot_inversion_of_hierarchy_matches_exact(strong_weakdrive):
     # strong rf, prepared in |3>, rho22(t) against exact dynamics, 3% rel
     p = strong_weakdrive
     gen = build_generator(p)
     ts = np.array([0.1, 0.5, 1.2, 2.8, 5.0])
-    exact = evolve(gen, prepare_state(3), ts).states[:, P22]
+    exact = evolve(gen, prepare_state(3), ts)[:, P22]
     F = laplace_observable(p, "strong", 3, "rho22")
     from cascade4.ratfunc import talbot_invert, talbot_nodes_required
     poles = hierarchy_poles(p, "strong")

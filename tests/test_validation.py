@@ -29,7 +29,7 @@ def test_triple_backend_agreement():
         gen = build_generator(p)
         x0 = prepare_state(3)
         ts = np.array([0.0, 1.0])
-        a = evolve(gen, x0, ts).states[-1]
+        a = evolve(gen, x0, ts)[-1]
         b = rk_evolve(gen, x0, ts)[-1]
         c = brute_force_evolve(gen, x0, 1.0)
         assert np.max(np.abs(a - c)) < 1e-9
