@@ -301,10 +301,10 @@ def _cmd_figures(cfg, args):
                path=os.path.join(outdir, "fig3.csv"))
 
     rows = []
-    for orf in (4.0, 10.0, 20.0):
-        gen = build_generator(p2.with_drives(omega_rf=orf))
-        _result, columns = _cs_columns(gen, taus, cfg.cs_definition)
-        rows += [[orf, *row] for row in zip(taus, *columns)]
+    for drives in ("fig4_rf4", "fig4_rf10", "fig4_rf20"):
+        p4 = preset(drives, gammas)
+        _result, columns = _cs_columns(build_generator(p4), taus, cfg.cs_definition)
+        rows += [[p4.omega_rf, *row] for row in zip(taus, *columns)]
     _write_csv(cfg, ("omega_rf", "tau", "g11", "g33", "g31", "R"), rows,
                "figures: auto/cross correlations and ratio R",
                f"gamma preset: {gammas}", path=os.path.join(outdir, "fig4.csv"))

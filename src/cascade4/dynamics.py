@@ -24,7 +24,7 @@ import.
 
 import numpy as np
 
-from .errors import InvalidArgument, UnstableGenerator, _real_array
+from .errors import InvalidArgument, _real_array
 from .model import AffineGenerator
 
 # Largest eigenbasis condition number the eigen-expansion is trusted at.
@@ -37,19 +37,13 @@ SPECTRAL_COND_LIMIT = 1e4
 
 
 def steady_state(gen: AffineGenerator) -> np.ndarray:
-    """The fixed point of A x = -b, solved once per generator (read-only).
+    """The steady state: gen.fixed_point, the fixed point of A x = -b solved
+    and certified once per generator (read-only).
 
     Raises SingularGenerator when A is numerically singular, and
     UnstableGenerator when A has an eigenvalue with positive real part.
     """
-    x = gen.fixed_point
-    abscissa = gen.eigensystem.abscissa
-    if abscissa > 0.0:
-        raise UnstableGenerator(
-            f"spectral abscissa {abscissa:.3g} > 0, so the fixed point "
-            "repels; transfer rates above the decays that feed them "
-            "(gamma23 > gamma3, gamma34 + gamma24 > gamma4) can cause this")
-    return x
+    return gen.fixed_point
 
 
 def evolve(gen: AffineGenerator, x0, times) -> np.ndarray:
@@ -66,7 +60,6 @@ def evolve(gen: AffineGenerator, x0, times) -> np.ndarray:
     distinct step).  Raises UnstableGenerator like steady_state.
     """
     x0, times = _checked_start(gen, x0, times)
-    # _projector has run steady_state's checks on the fixed point.
     states = _projector(gen, x0, np.eye(len(x0)))(times) + gen.fixed_point
     if times[0] == 0.0:
         states[0] = x0  # exp(0) = I: no rounding from x_ss or the basis

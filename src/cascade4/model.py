@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidLevel, InvalidParams, SingularGenerator
+from .errors import (InvalidArgument, InvalidLevel, InvalidParams, SingularGenerator,
+                     UnstableGenerator)
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,10 +36,13 @@ P22, P33, P44 = 12, 13, 14
 
 DIM = 15
 
-# Steady-state solve: refuse A above this 2-norm condition number, and
-# require this residual max|A x + b| after refinement.
+# Steady-state solve: refuse A above this 2-norm condition number, refine
+# while the residual max|A x + b| exceeds RESIDUAL_TOL, and accept a refined
+# residual up to RESIDUAL_TOL or up to the rounding floor of A x + b,
+# RESIDUAL_FLOOR (max|A| max|x| + max|b|): 16 eps on that scale.
 COND_LIMIT = 1e14
 RESIDUAL_TOL = 1e-12
+RESIDUAL_FLOOR = 16 * np.finfo(float).eps
 
 STATE_LABELS = (
     "re_rho12", "im_rho12", "re_rho23", "im_rho23", "re_rho34", "im_rho34",
@@ -92,14 +96,8 @@ class SystemParams:
 
     def with_drives(self, omega1=None, omega_rf=None, omega3=None):
         """Copy with some Rabi frequencies replaced (used by field sweeps)."""
-        kw = {}
-        if omega1 is not None:
-            kw["omega1"] = omega1
-        if omega_rf is not None:
-            kw["omega_rf"] = omega_rf
-        if omega3 is not None:
-            kw["omega3"] = omega3
-        return replace(self, **kw)
+        drives = dict(omega1=omega1, omega_rf=omega_rf, omega3=omega3)
+        return replace(self, **{k: v for k, v in drives.items() if v is not None})
 
 
 # Decay-rate presets: 'unit' rounds the Rb rates to gamma-units,
@@ -158,25 +156,22 @@ class Eigensystem:
 
 @dataclass(frozen=True)
 class AffineGenerator:
-    """The packed master equation dx/dt = A x + b.
+    """The packed master equation dx/dt = A x + b, from A and b alone.
 
     A and b must be finite (InvalidArgument otherwise).  The fixed point and
     the eigensystem of A are computed on first use and kept with the
-    generator; the cached arrays are read-only.
+    generator; the cached arrays are read-only.  fixed_point is the one
+    checked steady state: dynamics.steady_state returns it.
     """
 
     A: np.ndarray
     b: np.ndarray
-    params: SystemParams
 
     def __post_init__(self):
         # LAPACK does not check its input: a nan or inf would come back as
         # an unnamed LinAlgError from the SVDs or as a nan steady state.
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
             raise InvalidArgument("generator A and b must be finite")
-
-    def rhs(self, x):
-        return self.A @ x + self.b
 
     @cached_property
     def eigensystem(self) -> Eigensystem:
@@ -188,11 +183,20 @@ class AffineGenerator:
 
     @cached_property
     def fixed_point(self) -> np.ndarray:
-        """Solution of A x = -b by np.linalg.solve (LAPACK gesv: LU with
-        partial pivoting) plus up to two steps of iterative refinement.
+        """The steady state: the solution of A x = -b by np.linalg.solve
+        (LAPACK gesv: LU with partial pivoting) plus up to two steps of
+        iterative refinement, certified by its residual and by the sign of
+        the spectral abscissa.
 
         Raises SingularGenerator when cond(A) exceeds COND_LIMIT or the
-        refined residual max|A x + b| is not below RESIDUAL_TOL.
+        refined residual max|A x + b| is above both RESIDUAL_TOL and the
+        rounding floor of A x + b (RESIDUAL_FLOOR (max|A| max|x| +
+        max|b|), a normwise backward error of a few ulps; Higham, Accuracy
+        and Stability of Numerical Algorithms, 2nd ed., sec. 7.1).  The
+        floor matters at large drives: b[im rho12] = omega1, so from
+        omega1 = 8192 one ulp of it exceeds 1e-12.  Then raises
+        UnstableGenerator when A has an eigenvalue with positive real part,
+        since such a fixed point repels.
         """
         if np.linalg.cond(self.A) > COND_LIMIT:
             raise SingularGenerator(
@@ -206,9 +210,18 @@ class AffineGenerator:
                 break
             x = x + np.linalg.solve(self.A, r)
         residual = np.max(np.abs(self.A @ x + self.b))
-        if not residual <= RESIDUAL_TOL:
+        # the floor is computed only past RESIDUAL_TOL (nan fails both tests)
+        if not (residual <= RESIDUAL_TOL or residual <= RESIDUAL_FLOOR * (
+                np.max(np.abs(self.A)) * np.max(np.abs(x)) + np.max(np.abs(self.b)))):
             raise SingularGenerator(
-                f"steady-state residual {residual:.2e} above {RESIDUAL_TOL:g}")
+                f"steady-state residual {residual:.2e} above {RESIDUAL_TOL:g} "
+                "and the rounding floor of A x + b")
+        abscissa = self.eigensystem.abscissa
+        if abscissa > 0.0:
+            raise UnstableGenerator(
+                f"spectral abscissa {abscissa:.3g} > 0, so the fixed point repels; "
+                "transfer rates above the decays that feed them (gamma23 > gamma3, "
+                "gamma34 + gamma24 > gamma4) can cause this")
         x.setflags(write=False)
         return x
 
@@ -303,7 +316,7 @@ def build_generator(params: SystemParams) -> AffineGenerator:
     A, b = Ab[:DIM * DIM].reshape(DIM, DIM), Ab[DIM * DIM:]
     A.setflags(write=False)
     b.setflags(write=False)
-    return AffineGenerator(A=A, b=b, params=params)
+    return AffineGenerator(A=A, b=b)
 
 
 def prepare_state(level: int) -> np.ndarray:

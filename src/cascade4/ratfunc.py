@@ -400,18 +400,28 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     return ExponentialSum(terms=tuple(terms))
 
 
+def _talbot_time(t):
+    """t as a float, refused with InvalidArgument unless it is one finite
+    real number > 0 (a str, None or an array is refused, not converted)."""
+    array = _real_array(t, "t")
+    if array.ndim or not 0 < array < np.inf:
+        raise InvalidArgument(f"Talbot inversion needs one finite t > 0, got {t!r:.40}")
+    return float(array)
+
+
 def talbot_nodes_required(t, poles):
     """Node count keeping the fixed-Talbot contour outside the (pole,
     multiplicity) list's poles of large imaginary part at time t, with
     enough surplus to resolve the resulting oscillation of the integrand;
-    32 without such poles, or for a t that talbot_invert refuses.
+    32 without such poles.  t is refused as talbot_invert refuses it.
 
     The count 32 + ceil(3 t max|Im p| 5 / 2 pi) is rounded up to a multiple
     of 16, so that parameter sets with nearby t max|Im p| share one rung of
     this ladder, and with it one cached node table (see _talbot_rule).
     """
+    t = _talbot_time(t)
     max_imag = max((abs(p.imag) for p, _m in poles), default=0.0)
-    if not 0 < t < np.inf or max_imag <= 0:
+    if max_imag <= 0:
         return 32
     nodes = int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
     return 16 * -(-nodes // 16)
@@ -517,10 +527,10 @@ def talbot_invert(F, t, nodes=32):
     a table cached per (nodes, dps) for the life of the process (see
     _talbot_rule), so a call costs one array call, and one division
     z_k / t, one F evaluation and one product per heavy node.  `nodes` must
-    be an integer of at least 32, the rule's documented floor.
+    be an integer of at least 32, the rule's documented floor, and t one
+    finite real number > 0 (InvalidArgument otherwise).
     """
-    if not 0 < t < np.inf:
-        raise InvalidArgument(f"talbot_invert requires finite t > 0, got {t}")
+    t = _talbot_time(t)
     try:
         nodes = operator.index(nodes)
     except TypeError:
@@ -531,7 +541,7 @@ def talbot_invert(F, t, nodes=32):
     dps = 20 + int(np.ceil(0.19 * nodes))
     z, w, zd, wd = _talbot_rule(nodes, dps)
     zh = np.array([complex(zk) for zk in z])
-    values = np.asarray(F(np.concatenate([zh, zd]) / float(t)), dtype=complex)
+    values = np.asarray(F(np.concatenate([zh, zd]) / t), dtype=complex)
     heavy, values = values[:len(z)], values[len(z):]
     if not np.all(np.isfinite(values)):
         raise NonFiniteTransform(
@@ -556,7 +566,7 @@ def talbot_invert(F, t, nodes=32):
     # f(t) = 2 (total / 2^2P + light) / (5 t), rounded once
     p2 = 2 * kind.prec
     num, den = light.as_integer_ratio()
-    tn, td = float(t).as_integer_ratio()
+    tn, td = t.as_integer_ratio()
     return 2 * td * (total * den + (num << p2)) / (5 * tn * den << p2)
 
 

@@ -42,7 +42,6 @@ class Check:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    params: SystemParams
     checks: tuple
     elapsed: float
 
@@ -243,8 +242,7 @@ def run_validation(params: SystemParams = None) -> ValidationReport:
     checks.extend(_printed_form_report())
 
     elapsed = time.perf_counter() - t0
-    return ValidationReport(params=params, checks=tuple(checks),
-                            elapsed=elapsed)
+    return ValidationReport(checks=tuple(checks), elapsed=elapsed)
 
 
 def _printed_form_report():

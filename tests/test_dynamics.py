@@ -62,6 +62,28 @@ def test_fixed_point_matches_scipy_lu_oracle(p, deltas):
     assert np.max(np.abs(gen.A @ x + gen.b)) < RESIDUAL_TOL
 
 
+def test_fixed_point_refinement_step(fig2_unit):
+    # The first solve's residual is one ulp of b[im rho12] = 9000, above
+    # RESIDUAL_TOL, so one refinement step runs and brings it below.
+    gen = build_generator(fig2_unit.with_drives(omega1=9000.0, omega_rf=1000.0))
+    first = np.linalg.solve(gen.A, -gen.b)
+    assert np.max(np.abs(gen.A @ first + gen.b)) > RESIDUAL_TOL
+    x, ref = gen.fixed_point, lu_fixed_point(gen)
+    assert np.max(np.abs(x - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.max(np.abs(gen.A @ x + gen.b)) < RESIDUAL_TOL
+
+
+def test_large_drive_steady_state_at_rounding_floor(fig2_unit):
+    # At omega1 = 1e4 one ulp of b[im rho12] is 1.8e-12 and refinement
+    # cannot go below it; cond(A) is only 6e4, so the residual certificate
+    # accepts the rounding floor of A x + b instead of refusing the point
+    # as SingularGenerator.
+    gen = build_generator(fig2_unit.with_drives(omega1=1e4))
+    x, ref = steady_state(gen), lu_fixed_point(gen)
+    assert np.max(np.abs(gen.A @ x + gen.b)) > RESIDUAL_TOL
+    assert np.max(np.abs(x - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_steady_state_matches_long_time_limit(fig2_unit):
     gen = build_generator(fig2_unit)
     x_ss = steady_state(gen)
@@ -70,8 +92,7 @@ def test_steady_state_matches_long_time_limit(fig2_unit):
 
 
 def test_singular_generator_raises():
-    gen = AffineGenerator(A=np.zeros((DIM, DIM)), b=np.zeros(DIM),
-                          params=SystemParams())
+    gen = AffineGenerator(A=np.zeros((DIM, DIM)), b=np.zeros(DIM))
     with pytest.raises(SingularGenerator):
         steady_state(gen)
 
@@ -159,8 +180,9 @@ def test_steady_state_cached_read_only(fig2_unit):
     assert not gen.eigensystem.V.flags.writeable
 
 
-def _max_error_vs_taylor(gen, level, n=120):
-    taus = default_tau_grid(gen.params, n=n)
+def _max_error_vs_taylor(p, level, n=120):
+    gen = build_generator(p)
+    taus = default_tau_grid(p, n=n)
     x0 = prepare_state(level)
     x = evolve(gen, x0, taus)
     ref = np.array([brute_force_evolve(gen, x0, t) for t in taus])
@@ -170,31 +192,30 @@ def _max_error_vs_taylor(gen, level, n=120):
 def test_evolve_defective_zero_drive_takes_fallback():
     # Gamma2 = Gamma3 with gamma23 != 0 and no drive: the rho22/rho33 block
     # is a Jordan block, so the eigen-expansion alone is off by O(0.1).
-    gen = build_generator(closed_cascade())
-    assert gen.eigensystem.cond > SPECTRAL_COND_LIMIT
+    p = closed_cascade()
+    assert build_generator(p).eigensystem.cond > SPECTRAL_COND_LIMIT
     for level in (3, 4):
-        assert _max_error_vs_taylor(gen, level) < 1e-10
+        assert _max_error_vs_taylor(p, level) < 1e-10
 
 
 def test_evolve_weak_drive_spectral():
-    gen = build_generator(closed_cascade(omega1=1e-6, omega_rf=1e-6,
-                                         omega3=1e-6))
-    assert 1e3 < gen.eigensystem.cond < SPECTRAL_COND_LIMIT
+    p = closed_cascade(omega1=1e-6, omega_rf=1e-6, omega3=1e-6)
+    assert 1e3 < build_generator(p).eigensystem.cond < SPECTRAL_COND_LIMIT
     for level in (1, 3, 4):
-        assert _max_error_vs_taylor(gen, level) < 1e-10
+        assert _max_error_vs_taylor(p, level) < 1e-10
 
 
 def test_evolve_near_defective_weak_drive_takes_fallback():
     # Weak drives with Gamma2 = Gamma3 put cond V near 1.3e5, where the
     # eigen-expansion was 3.8e-12 from the oracle; the stepped expm is at
     # rounding level.
-    gen = build_generator(SystemParams(
+    p = SystemParams(
         omega1=1.35e-6, omega_rf=3.8e-8, omega3=2.6e-7,
         gamma2=0.681, gamma3=0.681, gamma4=1.354,
-        gamma23=0.681, gamma34=1.354, gamma24=0.0))
-    assert gen.eigensystem.cond > SPECTRAL_COND_LIMIT
+        gamma23=0.681, gamma34=1.354, gamma24=0.0)
+    assert build_generator(p).eigensystem.cond > SPECTRAL_COND_LIMIT
     for level in (3, 4):
-        assert _max_error_vs_taylor(gen, level) < 1e-13
+        assert _max_error_vs_taylor(p, level) < 1e-13
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -219,6 +240,14 @@ def test_unstable_generator_refused():
         steady_state(gen)
     with pytest.raises(UnstableGenerator):
         g2(gen, (3, 1), np.array([0.0, 1.0]))
+
+
+def test_fixed_point_refuses_unstable_generator():
+    # The generator's cached fixed point is the one checked steady state: it
+    # refuses a repelling fixed point as steady_state does.
+    gen = build_generator(SystemParams(omega1=4.0, omega3=4.0, omega_rf=20.0))
+    with pytest.raises(UnstableGenerator):
+        gen.fixed_point
 
 
 # Imported only inside the functions that need them: scipy by the expm

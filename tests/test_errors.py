@@ -18,7 +18,7 @@ from cascade4.perturbation import (
     talbot_g2_value,
 )
 from cascade4.ratfunc import (ExponentialSum, RationalFunction, talbot_invert,
-                              talbot_invert_rf)
+                              talbot_invert_rf, talbot_nodes_required)
 from cascade4.validation import brute_force_evolve, rk_evolve
 
 from conftest import closed_cascade
@@ -46,7 +46,7 @@ def _steady_state_with(entry, value):
     gen = _fig2_generator()
     A, b = gen.A.copy(), gen.b.copy()
     {"A": A, "b": b}[entry].flat[1] = value
-    return steady_state(AffineGenerator(A=A, b=b, params=gen.params))
+    return steady_state(AffineGenerator(A=A, b=b))
 
 
 def _brute_force_to(t, x0=None):
@@ -141,6 +141,16 @@ BAD_CALLS = {
     "ratfunc.talbot_invert: nodes 2.5": lambda: _invert_with_nodes(2.5),
     "ratfunc.talbot_invert: nodes 31": lambda: _invert_with_nodes(31),
     "ratfunc.talbot_invert: nodes 48.0": lambda: _invert_with_nodes(48.0),
+    # a str, None or 1-element array time raised bare TypeErrors
+    "perturbation.talbot_g2_value: tau '0.3'": lambda: talbot_g2_value(
+        _strong_rf_point(), "strong", (3, 1), "0.3"),
+    "perturbation.talbot_g2_value: tau None": lambda: talbot_g2_value(
+        _strong_rf_point(), "strong", (3, 1), None),
+    "perturbation.talbot_g2_value: tau [0.3]": lambda: talbot_g2_value(
+        _strong_rf_point(), "strong", (3, 1), np.array([0.3])),
+    "ratfunc.talbot_invert: t '1'": lambda: talbot_invert(lambda s: 1 / s, "1"),
+    "ratfunc.talbot_nodes_required: t '1'": lambda: talbot_nodes_required(
+        "1", [(-1 + 2j, 1), (-1 - 2j, 1)]),
     "ratfunc.ExponentialSum: str t": lambda: ExponentialSum(((1.0, -1.0, 0),))("x"),
     "ratfunc.talbot_invert_rf: t inf": lambda: talbot_invert_rf(
         RationalFunction.from_factors([1.0], [(-1 + 2j, 1), (-1 - 2j, 1)]),

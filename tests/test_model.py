@@ -42,7 +42,7 @@ def test_generator_matches_complex_form_evaluation():
         gen = build_generator(p)
         for _ in range(20):
             x = rng.standard_normal(DIM)
-            assert np.max(np.abs(gen.rhs(x) - complex_rhs(p, x))) < 1e-13
+            assert np.max(np.abs(gen.A @ x + gen.b - complex_rhs(p, x))) < 1e-13
 
 
 def test_generator_dimensions(fig2_unit):
