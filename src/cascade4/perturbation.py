@@ -24,10 +24,13 @@ polynomials in u = 2^E s, with E the most fractional bits of any of those
 values: the same chain on integer characteristic polynomials and
 adjugates of the scaled blocks (Faddeev-LeVerrier).  D is monic, of degree
 the pole inventory's multiplicity sum.  The heavy fixed-Talbot nodes, at
-ratfunc.Fixed s, are answered from it by integer Horner.
+ratfunc.Fixed s, are answered from it by ratfunc._poly_at.
 
-Each public function builds one _Dyson per call, which coerces the regime,
-refuses detuning and holds the parameters' split.  The pole
+A _Dyson coerces the regime, refuses detuning and holds the parameters'
+split.  The g2 paths take theirs from _dyson, a small cache keyed by
+(params, regime, observable), so that a parameter set's analytic sums and
+Talbot values share one chain per observable, and one exact form per
+preparation (see _Dyson.transform).  The pole
 inventory is read off its chain: each block of A0 contributes its
 eigenvalues once per term that solves it, and b/s adds the pole 0.  For a
 population that gives the population block twice (order 0 and again
@@ -84,7 +87,7 @@ from .ratfunc import (
     Fixed,
     RationalFunction,
     cluster_poles,
-    principal_part,
+    principal_parts,
     talbot_invert,
     talbot_nodes_required,
 )
@@ -215,6 +218,13 @@ def _char_adj(m, size):
     return det, adj
 
 
+def _observable(name):
+    """name, refused with InvalidArgument unless it labels a population."""
+    if name not in STATE_LABELS[P22:]:
+        raise InvalidArgument(f"observable must be one of {list(STATE_LABELS[P22:])}")
+    return name
+
+
 class _Dyson:
     """The Dyson chain of one parameter set in one regime: its terms y0, y1,
     ... (one per drive of _split) at any s, the transform of one population,
@@ -239,11 +249,9 @@ class _Dyson:
         if params.detuned:
             raise NonzeroDetuning("perturbative solutions assume all detunings zero")
         link, masks, blocks = _structure(regime)
+        self.transforms = {}
         if observable is not None:
-            if observable not in STATE_LABELS[P22:]:
-                raise InvalidArgument(
-                    f"observable must be one of {list(STATE_LABELS[P22:])}")
-            self.idx = STATE_LABELS.index(observable)
+            self.idx = STATE_LABELS.index(_observable(observable))
             masks = masks[:-1] + (link[self.idx],)
             self.held = [k for k, mask in enumerate(masks) if mask[self.idx]]
         self.masks = masks
@@ -271,8 +279,11 @@ class _Dyson:
         the terms that hold it (`held`; populations have no odd-order part),
         started from the first of them, not from 0, so that a -0.0 keeps its
         sign.  At a Fixed s it is _exact's N(u) / D(u), built on the first
-        such call."""
+        such call.  One closure per preparation is kept in `transforms`, so
+        that every caller of this instance shares its exact form."""
         x0, idx = prepare_state(init_level), self.idx
+        if init_level in self.transforms:
+            return self.transforms[init_level]
         exact = functools.cache(lambda: _fixed_ratio(*self._exact(x0)))
 
         def F(s):
@@ -281,6 +292,7 @@ class _Dyson:
             ys = self(s, x0)
             return functools.reduce(np.add, (ys[k][idx] for k in self.held))
 
+        self.transforms[init_level] = F
         return F
 
     def _exact(self, x0):
@@ -362,6 +374,15 @@ class _Dyson:
             ys.append(y)
             rhs = [0] * DIM
         return ys
+
+
+@functools.lru_cache(maxsize=4)
+def _dyson(params, regime, observable):
+    """_Dyson(params, regime, observable) for a coerced regime and a checked
+    observable, kept for the last four such keys: one op of the g2 paths
+    reads two observables of one parameter set.  Unbounded, every parameter
+    set's chain and exact forms would stay alive."""
+    return _Dyson(params, regime, observable)
 
 
 @dataclass(frozen=True)
@@ -551,20 +572,18 @@ def hierarchy_poles(params: SystemParams, regime):
     terms); the blocks that A1 couples it to are solved once; the drive
     constant b/s adds the pole at 0.
     """
-    return _Dyson(params, regime, "rho22").poles()
+    return _dyson(params, Regime.coerce(regime), "rho22").poles()
 
 
 def assembled_exponential_sum(params: SystemParams, regime, init_level,
                               observable) -> ExponentialSum:
     """Time-domain form of one population transform, by contour residues at
-    the chain's pole inventory (unnormalized), each taken by
-    ratfunc.principal_part."""
-    dyson = _Dyson(params, regime, observable)
+    the chain's pole inventory (unnormalized), all taken by one
+    ratfunc.principal_parts call."""
+    dyson = _dyson(params, Regime.coerce(regime), _observable(observable))
     F = dyson.transform(init_level)
-    clusters = cluster_poles(dyson.poles())
-    terms = [t for cluster in clusters
-             for t in principal_part(F, cluster, clusters)]
-    return ExponentialSum(terms=tuple(terms))
+    parts = principal_parts(F, cluster_poles(dyson.poles()))
+    return ExponentialSum([t for part in parts for t in part])
 
 
 ANALYTIC_PAIRS = ((1, 1), (3, 3), (3, 1))
@@ -576,15 +595,20 @@ def _g2_source(params, pair, ss=None):
 
     The denominator is the observable's steady state under the full
     generator, refused like correlations.g2's, unless one is passed in; a
-    passed one must be finite and at least correlations.DENOMINATOR_FLOOR.
+    passed one must be one finite real number of at least
+    correlations.DENOMINATOR_FLOOR (a str or an array is refused, not
+    converted).
     """
     pair = _validate_pair(pair, ANALYTIC_PAIRS)
     init_level, idx = PAIR_TABLE[pair]
     if ss is None:
         ss = float(_steady_norm(build_generator(params), pair))
-    elif not DENOMINATOR_FLOOR <= ss < np.inf:
-        raise InvalidArgument(
-            f"denominator ss must be finite and >= {DENOMINATOR_FLOOR:g}, got {ss!r}")
+    else:
+        value = _real_array(ss, "denominator ss")
+        if value.ndim or not DENOMINATOR_FLOOR <= value < np.inf:
+            raise InvalidArgument(
+                f"denominator ss must be finite and >= {DENOMINATOR_FLOOR:g}, got {ss!r:.40}")
+        ss = float(value)
     return init_level, STATE_LABELS[idx], ss
 
 
@@ -621,12 +645,13 @@ def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None):
     """g2 at one delay via Talbot inversion of the hierarchy (no residues).
 
     The light Talbot nodes evaluate the Dyson chain on one complex128 array;
-    each heavy node evaluates the transform's exact integer N(u) / D(u) by
-    Horner in fixed point (see _Dyson._exact).  The node count comes from
-    the chain's pole inventory.
+    each heavy node evaluates the transform's exact integer N(u) / D(u) in
+    fixed point (see _Dyson._exact).  The node count comes from the chain's
+    pole inventory.  The chain and its exact form are shared with the
+    parameter set's other g2 calls (see _dyson).
     """
     init_level, observable, ss = _g2_source(params, pair, ss)
-    dyson = _Dyson(params, regime, observable)
+    dyson = _dyson(params, Regime.coerce(regime), observable)
     nodes = talbot_nodes_required(tau, dyson.poles())
     return talbot_invert(dyson.transform(init_level), tau, nodes=nodes) / ss
 

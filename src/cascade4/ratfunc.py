@@ -132,30 +132,51 @@ def fixed_type(prec):
                 {"__slots__": (), "prec": prec, "one": 1 << prec})
 
 
-def _horner(coeffs, s):
-    """sum_k c_k s^(n-k) for a Fixed s, where coeffs lists the (re, im) ints
-    of each c_k on the grid of s, highest power first."""
+def _poly_at(coeffs, s):
+    """p(s) for a Fixed s, where coeffs = (re, im) from _grid_coeffs.
+
+    A real polynomial p is alpha s + beta at s, with alpha x + beta its
+    remainder mod x^2 - 2 Re(s) x + |s|^2, whose quotient vanishes at s.
+    The remainder comes from b_k = c_k + 2 Re(s) b_(k+1) - |s|^2 b_(k+2),
+    two integer products per coefficient against complex Horner's four
+    (Knuth, TAOCP vol. 2, 4.6.4); a complex p is re(s) + i im(s).  Each
+    step rounds down once, as a Horner step does, and |s|^2 is rounded once:
+    that puts one ulp times the quotient at s into the value, and near the
+    real axis, where s and conj(s) nearly coincide, the quotient grows to
+    about degree^2 times the largest term.  At the heavy Talbot nodes this
+    spends at most 5 of the GUARD_BITS, 1 to 5 bits more than Horner.
+    """
     p, sr, si = s.prec, s.re, s.im
-    ar, ai = coeffs[0]
-    for cr, ci in coeffs[1:]:
-        ar, ai = ((ar * sr - ai * si) >> p) + cr, ((ar * si + ai * sr) >> p) + ci
-    return _make(type(s), ar, ai)
+    t, q = sr << 1, (sr * sr + si * si) >> p
+
+    def remainder(c):
+        b1 = b2 = 0
+        for ck in c[:-1]:
+            b1, b2 = ck + ((t * b1 - q * b2) >> p), b1
+        return b1, c[-1] - ((q * b2) >> p)
+
+    ar, br = remainder(coeffs[0])
+    ai, bi = remainder(coeffs[1]) if coeffs[1] else (0, 0)
+    return _make(type(s), ((ar * sr - ai * si) >> p) + br,
+                 ((ar * si + ai * sr) >> p) + bi)
 
 
 def _grid_coeffs(kind, c):
-    """(re, im) ints of ascending coefficients c on the grid of `kind`,
-    highest power first, for _horner."""
-    return [(v.re, v.im) for v in map(kind, c[::-1])]
+    """(re, im): the real and imaginary parts of ascending coefficients c as
+    ints on the grid of `kind`, highest power first, for _poly_at; im is
+    None when every imaginary part is 0."""
+    values = [kind(v) for v in c[::-1]]
+    im = [v.im for v in values]
+    return [v.re for v in values], im if any(im) else None
 
 
 def _fixed_ratio(num, den, shift=0):
     """Closure s -> N(u) / D(u) at u = 2**shift s, for a Fixed s.
 
     num and den are ascending coefficients (ints, floats or complex); each
-    Fixed class gets Horner copies of them on its grid once (see
-    _grid_coeffs).  u is exact, and so is every product and sum up to the
-    rounding of each Horner step; a D(u) that comes out exactly 0 raises
-    NearPole.
+    Fixed class gets copies of them on its grid once (see _grid_coeffs).
+    u is exact, and so is every product and sum up to the rounding of each
+    step of _poly_at; a D(u) that comes out exactly 0 raises NearPole.
     """
     copies = {}
 
@@ -165,10 +186,10 @@ def _fixed_ratio(num, den, shift=0):
             copies[kind] = [_grid_coeffs(kind, c) for c in (num, den)]
         n, d = copies[kind]
         u = _make(kind, s.re << shift, s.im << shift)
-        value = _horner(d, u)
+        value = _poly_at(d, u)
         if not value:
             raise NearPole("the rational function's denominator vanishes at this s")
-        return _horner(n, u) / value
+        return _poly_at(n, u) / value
 
     return F
 
@@ -230,6 +251,12 @@ class RationalFunction:
     def degree(self):
         return len(self.numerator) - 1, len(self.denominator) - 1
 
+    @functools.cached_property
+    def _exact(self):
+        """N(s) / D(s) at a Fixed s (_fixed_ratio), one closure per function,
+        so that its Talbot inversions share each Fixed class's copies."""
+        return _fixed_ratio(self.numerator, self.denominator)
+
     def initial_value(self):
         """lim s->inf of s F(s) = f(0+)."""
         dn, dd = self.degree()
@@ -280,13 +307,37 @@ def cluster_poles(factors):
     return clusters
 
 
-@dataclass(frozen=True)
 class ExponentialSum:
-    """f(t) = sum_k  coeff_k * t^power_k * exp(rate_k t), real-valued on t>=0."""
+    """f(t) = sum_k  coeff_k * t^power_k * exp(rate_k t), real-valued on t>=0.
 
-    terms: tuple  # of (coeff complex, rate complex, power int)
+    Built from (coeff, rate, power) terms and held as three read-only
+    arrays, `coeffs` and `rates` (complex) and `powers` (int); `terms`
+    reads them back as a tuple of (complex, complex, int).
+    """
+
+    __slots__ = ("coeffs", "rates", "powers")
 
     IMAG_TOL = 1e-10
+
+    def __init__(self, terms):
+        coeffs, rates, powers = tuple(zip(*terms)) or ((), (), ())
+        self._hold(np.array(coeffs, dtype=complex), np.array(rates, dtype=complex),
+                   np.array(powers, dtype=int))
+
+    def _hold(self, *arrays):
+        for name, array in zip(self.__slots__, arrays):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExponentialSum is immutable; cannot set {name}")
+
+    @property
+    def terms(self):
+        return tuple(zip(self.coeffs.tolist(), self.rates.tolist(), self.powers.tolist()))
+
+    def __repr__(self):
+        return f"ExponentialSum(terms={self.terms!r})"
 
     def eval_complex(self, ts):
         ts = _real_array(ts, "t")
@@ -312,92 +363,100 @@ class ExponentialSum:
         return vals.real
 
     def scaled(self, factor):
-        return ExponentialSum(
-            terms=tuple((c * factor, r, p) for c, r, p in self.terms))
+        out = object.__new__(ExponentialSum)
+        out._hold(self.coeffs * factor, self.rates, self.powers)
+        return out
 
     def value_at_zero(self):
         return sum(c for c, _r, p in self.terms if p == 0)
 
 
-# Trapezoid nodes on each Laurent-coefficient circle.
+# Trapezoid nodes on each Laurent-coefficient circle, and the unit circle
+# they sit on.
 CONTOUR_POINTS = 64
+_RING = np.exp(1j * (2.0 * np.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS))
+_RING.setflags(write=False)
 
 
-def laurent_coefficients(F, pole, order, radius):
-    """Principal-part coefficients a_{-1} .. a_{-order} of F about `pole`.
+def laurent_coefficients(samples, radius, order):
+    """Principal-part coefficients a_{-1} .. a_{-order} of F about a pole,
+    from its CONTOUR_POINTS samples F(pole + radius * ring) on the unit
+    circle's trapezoid nodes.
 
-    Trapezoid rule on a circle of `radius` with CONTOUR_POINTS nodes;
-    spectrally accurate while the nearest other singularity stays well
-    outside the contour.  F must accept a complex array and return its
-    values elementwise: the whole ring is sampled in one call.
+    Spectrally accurate while the nearest other singularity stays well
+    outside the contour.
     """
-    theta = 2.0 * np.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS
-    ring = np.exp(1j * theta)
-    samples = np.asarray(F(pole + radius * ring), dtype=complex)
-    coeffs = []
-    for l in range(1, order + 1):
-        coeffs.append(radius ** l * np.mean(samples * ring ** l))
-    return coeffs
+    return [radius ** l * np.mean(samples * _RING ** l) for l in range(1, order + 1)]
 
 
-def principal_part(F, cluster, clusters):
-    """Time-domain terms of F's principal part at one pole cluster.
+def principal_parts(F, clusters, targets=None):
+    """Time-domain terms of F's principal part at each pole cluster of
+    `targets` (by default every one of `clusters`), one term list per target.
 
-    `cluster` is one (centroid, order, spread) of `clusters`, as returned by
-    cluster_poles.  The Laurent coefficients a_{-1} .. a_{-order} come from
-    a circle of radius 0.3 times the distance to the nearest other centroid
-    (or 0.3 with none), widened to 10 times the spread; a circle that then
-    reaches half that distance would integrate across the neighbour, so it
-    is refused with IllConditionedPoles.  Each a_{-l} / (s - p)^l inverts
-    to a_{-l} t^{l-1} e^{pt} / (l-1)!, returned as (coeff, rate, power) for
-    ExponentialSum.
+    `clusters` is the whole (centroid, order, spread) list of cluster_poles,
+    and `targets` some of its entries.  The Laurent coefficients a_{-1} ..
+    a_{-order} of a cluster come from a circle of radius 0.3 times the
+    distance to the nearest other centroid (or 0.3 with none), widened to
+    10 times the spread; a circle that then reaches half that distance
+    would integrate across the neighbour, so it is refused with
+    IllConditionedPoles, before F is called.  Then every circle's samples
+    come from one call of F on a complex array (one value per element).
+    Each a_{-l} / (s - p)^l inverts to a_{-l} t^{l-1} e^{pt} / (l-1)!,
+    returned as (coeff, rate, power) for ExponentialSum.
     """
-    centroid, order, spread = cluster
-    dists = [abs(centroid - c) for c, _o, _s in clusters if c != centroid]
-    dist = min(dists, default=1.0)
-    radius = max(0.3 * dist, 10.0 * spread)
-    if dists and radius >= 0.5 * dist:
-        raise IllConditionedPoles(
-            f"cluster spread {spread:.2e} too close to neighbour at "
-            f"distance {dist:.2e}")
-    coeffs = laurent_coefficients(F, centroid, order, radius)
-    return [(a / math.factorial(l - 1), centroid, l - 1)
-            for l, a in enumerate(coeffs, start=1)]
+    targets = clusters if targets is None else targets
+    radii = []
+    for centroid, _order, spread in targets:
+        dists = [abs(centroid - c) for c, _o, _s in clusters if c != centroid]
+        dist = min(dists, default=1.0)
+        radii.append(max(0.3 * dist, 10.0 * spread))
+        if dists and radii[-1] >= 0.5 * dist:
+            raise IllConditionedPoles(
+                f"cluster spread {spread:.2e} too close to neighbour at "
+                f"distance {dist:.2e}")
+    if not targets:
+        return []
+    rings = [centroid + radius * _RING for (centroid, *_), radius in zip(targets, radii)]
+    samples = np.asarray(F(np.concatenate(rings)), dtype=complex)
+    return [[(a / math.factorial(l - 1), centroid, l - 1)
+             for l, a in enumerate(laurent_coefficients(row, radius, order), start=1)]
+            for (centroid, order, _s), radius, row
+            in zip(targets, radii, samples.reshape(len(targets), CONTOUR_POINTS))]
 
 
 def invert_rational(rf: RationalFunction) -> ExponentialSum:
     """Partial-fraction inversion of a strictly proper rational function.
 
     The poles are rf.den_factors; poles within 1e-8 relative distance are
-    treated as one pole of higher multiplicity, whose principal part comes
-    from principal_part.  An isolated simple pole p takes the residue
-    N(p) / prod_j (p - r_j)^{m_j} over the other roots: the product form of
-    D'(p), which keeps the digits that expanding D and differentiating it
-    loses when poles sit far off the real axis.  N(p) is evaluated exactly
-    from the same double coefficients, by Horner in Fixed arithmetic with as
-    many fractional bits as its terms carry, and rounded to complex128 once:
-    a pole next to a root of N makes double-precision Horner cancel (1.6e-8
-    relative was seen).
+    treated as one pole of higher multiplicity, and the principal parts of
+    all such clusters come from one principal_parts call.  An isolated
+    simple pole p takes the residue N(p) / prod_j (p - r_j)^{m_j} over the
+    other roots: the product form of D'(p), which keeps the digits that
+    expanding D and differentiating it loses when poles sit far off the
+    real axis.  N(p) is evaluated exactly from the same double coefficients,
+    by _poly_at in Fixed arithmetic with as many fractional bits as its
+    terms carry, and rounded to complex128 once: a pole next to a root of N
+    makes double-precision Horner cancel (1.6e-8 relative was seen).
     """
     clusters = cluster_poles(rf.den_factors)
     degree = len(rf.numerator) - 1
     num_bits = max(map(_frac_bits, rf.numerator))
 
+    multiple = [c for c in clusters if c[1] > 1 or c[2]]
+    parts = iter(principal_parts(rf, clusters, multiple))
     terms = []
-    for cluster in clusters:
-        centroid, order, spread = cluster
-        if order == 1 and spread == 0.0:
-            dprime = math.prod((centroid - r) ** m for r, m in rf.den_factors
-                               if r != centroid)
-            # a multiple of 64 bits, so that few Fixed classes are made
-            bits = num_bits + degree * _frac_bits(centroid)
-            kind = fixed_type(-(-bits // 64) * 64)
-            num = complex(_horner(_grid_coeffs(kind, rf.numerator),
-                                  kind(centroid)))
-            terms.append((num / dprime, centroid, 0))
-        else:
-            terms += principal_part(rf, cluster, clusters)
-    return ExponentialSum(terms=tuple(terms))
+    for centroid, order, spread in clusters:
+        if order > 1 or spread:
+            terms += next(parts)
+            continue
+        dprime = math.prod((centroid - r) ** m for r, m in rf.den_factors
+                           if r != centroid)
+        # a multiple of 64 bits, so that few Fixed classes are made
+        bits = num_bits + degree * _frac_bits(centroid)
+        kind = fixed_type(-(-bits // 64) * 64)
+        num = complex(_poly_at(_grid_coeffs(kind, rf.numerator), kind(centroid)))
+        terms.append((num / dprime, centroid, 0))
+    return ExponentialSum(terms)
 
 
 def _talbot_time(t):
@@ -450,10 +509,11 @@ def _talbot_rule(nodes, dps):
     upper contour half are z_k = r theta_k (cot theta_k + i) (z_0 = r), with
     weights w_k = e^{z_k} (1 + i(theta_k (1 + cot^2 theta_k) - cot theta_k))
     (w_0 = e^r / 2).  All weights are first computed in double precision to
-    split the rule: returns (z, w, zd, wd), the nodes with |w_k| >
+    split the rule: returns (z, w, zd, wd, zh), the nodes with |w_k| >
     DOUBLE_WEIGHT as tuples of Fixed (computed by mpmath at `dps` digits and
     put on a grid of ceil(dps log2 10) + GUARD_BITS fractional bits in the
-    same pass) and the rest as read-only complex128 arrays.  Double nodes
+    same pass), the rest as read-only complex128 arrays, and z rounded to
+    a read-only complex128 array for talbot_invert's array call.  Double nodes
     whose weight underflows to 0 are dropped.  32 tables are kept for the
     life of the process: every rung of talbot_nodes_required's ladder from
     32 to 528 nodes, so the tables are built once and shared by every
@@ -494,7 +554,9 @@ def _talbot_rule(nodes, dps):
             zk = r * theta * mpmath.mpc(cot, 1)
             z.append(kind(zk))
             w.append(kind(mpmath.exp(zk) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot)))
-    return tuple(z), tuple(w), zd, wd
+    zh = np.array([complex(zk) for zk in z])
+    zh.setflags(write=False)
+    return tuple(z), tuple(w), zd, wd, zh
 
 
 def talbot_invert(F, t, nodes=32):
@@ -526,7 +588,9 @@ def talbot_invert(F, t, nodes=32):
     The nodes z_k = s_k t and weights w_k do not depend on t; they come from
     a table cached per (nodes, dps) for the life of the process (see
     _talbot_rule), so a call costs one array call, and one division
-    z_k / t, one F evaluation and one product per heavy node.  `nodes` must
+    z_k / t, one F evaluation and one product per heavy node.  The weights
+    stay on the table's grid: the sum of their products with values on a
+    finer grid is exact at the sum of both precisions.  `nodes` must
     be an integer of at least 32, the rule's documented floor, and t one
     finite real number > 0 (InvalidArgument otherwise).
     """
@@ -539,8 +603,7 @@ def talbot_invert(F, t, nodes=32):
     if nodes < 32:
         raise InvalidArgument(f"talbot_invert requires at least 32 nodes, got {nodes}")
     dps = 20 + int(np.ceil(0.19 * nodes))
-    z, w, zd, wd = _talbot_rule(nodes, dps)
-    zh = np.array([complex(zk) for zk in z])
+    z, w, zd, wd, zh = _talbot_rule(nodes, dps)
     values = np.asarray(F(np.concatenate([zh, zd]) / t), dtype=complex)
     heavy, values = values[:len(z)], values[len(z):]
     if not np.all(np.isfinite(values)):
@@ -553,18 +616,20 @@ def talbot_invert(F, t, nodes=32):
     scale = np.max(np.abs(heavy[np.isfinite(heavy)]), initial=0.0)
     extra = max(0, -math.frexp(scale)[1])
     kind = fixed_type(z[0].prec + 32 * -(-extra // 32))
-    total, tk = 0, kind(t)
+    # s_k = z_k / t on the finer grid, as kind(z_k) / kind(t) rounds it
+    tk, shift = kind(t).re, 2 * kind.prec - z[0].prec
+    total = 0
     for zk, wk in zip(z, w):
-        value = F(kind(zk) / tk)
-        try:
-            value = kind(value)
-        except (OverflowError, ValueError) as exc:
-            raise NonFiniteTransform(
-                f"transform is not finite at a Talbot node (t = {t:g})") from exc
-        wk = kind(wk)
+        value = F(_make(kind, (zk.re << shift) // tk, (zk.im << shift) // tk))
+        if type(value) is not kind:
+            try:
+                value = kind(value)
+            except (OverflowError, ValueError) as exc:
+                raise NonFiniteTransform(
+                    f"transform is not finite at a Talbot node (t = {t:g})") from exc
         total += wk.re * value.re - wk.im * value.im
-    # f(t) = 2 (total / 2^2P + light) / (5 t), rounded once
-    p2 = 2 * kind.prec
+    # f(t) = 2 (total / 2^p2 + light) / (5 t), rounded once
+    p2 = z[0].prec + kind.prec
     num, den = light.as_integer_ratio()
     tn, td = t.as_integer_ratio()
     return 2 * td * (total * den + (num << p2)) / (5 * tn * den << p2)
@@ -573,14 +638,12 @@ def talbot_invert(F, t, nodes=32):
 def talbot_invert_rf(rf: RationalFunction, t):
     """Talbot inversion of a rational function, choosing nodes from its poles.
 
-    The heavy nodes run _fixed_ratio's Horner on Fixed copies of the double
-    coefficients, made once per call (exact unless a coefficient has more
-    fractional bits than the grid); the array of all nodes goes through
-    RationalFunction.__call__ at complex128.
+    The heavy nodes run _fixed_ratio's _poly_at on Fixed copies of the
+    double coefficients, made once per function and Fixed class (exact
+    unless a coefficient has more fractional bits than the grid); the array
+    of all nodes goes through RationalFunction.__call__ at complex128.
     """
-    exact = _fixed_ratio(rf.numerator, rf.denominator)
-
     def F(s):
-        return rf(s) if isinstance(s, np.ndarray) else exact(s)
+        return rf(s) if isinstance(s, np.ndarray) else rf._exact(s)
 
     return talbot_invert(F, t, nodes=talbot_nodes_required(t, rf.den_factors))

@@ -121,6 +121,9 @@ BAD_CALLS = {
     "perturbation.talbot_g2_value: ss nan": lambda: _talbot_g31_with_denominator(math.nan),
     "perturbation.talbot_g2_value: ss inf": lambda: _talbot_g31_with_denominator(math.inf),
     "perturbation.talbot_g2_value: ss 1e-13": lambda: _talbot_g31_with_denominator(1e-13),
+    # a str or one-element list denominator raised a bare TypeError
+    "perturbation.talbot_g2_value: ss '1'": lambda: _talbot_g31_with_denominator("1"),
+    "perturbation.talbot_g2_value: ss [0.5]": lambda: _talbot_g31_with_denominator([0.5]),
     # b/s made the hierarchy nan+nanj at s = 0, with a RuntimeWarning
     "perturbation.laplace_solve: s 0": lambda: laplace_solve(
         _strong_rf_point(), "strong", 1, 0j),

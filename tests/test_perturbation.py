@@ -294,9 +294,11 @@ def order_4(monkeypatch):
         return a0, a1, (b0, b1, zero, zero, zero)
 
     perturbation._structure.cache_clear()
+    perturbation._dyson.cache_clear()
     monkeypatch.setattr(perturbation, "_split", split_4)
     yield
     perturbation._structure.cache_clear()
+    perturbation._dyson.cache_clear()
 
 
 @pytest.mark.parametrize("regime", ["strong", "weak"])
@@ -514,14 +516,26 @@ def test_hierarchy_poles_match_hand_rule(regime, data):
 @pytest.mark.parametrize("regime", ["strong", "weak"])
 def test_one_split_per_g2_call(monkeypatch, regime, strong_weakdrive,
                                weak_rf_point):
+    # the (1,1) and (3,1) sums and the Talbot g31 values read one rho22
+    # chain, split once, and one exact form
     p = strong_weakdrive if regime == "strong" else weak_rf_point
-    _es, ss = analytic_g2_sum(p, regime, (3, 1))   # builds _structure
+    perturbation._structure(Regime.coerce(regime))       # built once per regime
+    perturbation._dyson.cache_clear()
     split, calls = perturbation._split, []
     monkeypatch.setattr(perturbation, "_split",
                         lambda *args: calls.append(args) or split(*args))
-    analytic_g2_sum(p, regime, (3, 1))
+    exact, forms = perturbation._Dyson._exact, []
+    monkeypatch.setattr(perturbation._Dyson, "_exact",
+                        lambda *args: forms.append(args) or exact(*args))
+    _es, ss = analytic_g2_sum(p, regime, (3, 1))
+    analytic_g2_sum(p, regime, (1, 1))
     assert len(calls) == 1
-    talbot_g2_value(p, regime, (3, 1), 0.5, ss=ss)
+    for tau in (0.5, 1.5, 0.5):
+        talbot_g2_value(p, regime, (3, 1), tau, ss=ss)
+    assert len(calls) == 1 and len(forms) == 1
+    analytic_g2_sum(p, regime, (3, 3))                  # the rho44 chain
+    assert len(calls) == 2
+    analytic_g2_sum(p, regime, (3, 1))
     assert len(calls) == 2
 
 

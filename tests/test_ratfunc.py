@@ -20,6 +20,8 @@ from cascade4.perturbation import (
     talbot_g2_value,
 )
 from cascade4.ratfunc import (
+    _grid_coeffs,
+    _poly_at,
     _talbot_rule,
     DOUBLE_WEIGHT,
     ExponentialSum,
@@ -27,7 +29,7 @@ from cascade4.ratfunc import (
     cluster_poles,
     fixed_type,
     invert_rational,
-    principal_part,
+    principal_parts,
     talbot_invert,
     talbot_invert_rf,
     talbot_nodes_required,
@@ -120,8 +122,9 @@ def test_talbot_rule_cache_holds_every_rung_in_3_mb():
 def test_talbot_rule_splits_every_node_once():
     for nodes in (32, 61, 176, 390):
         dps = 20 + int(np.ceil(0.19 * nodes))
-        z, w, zd, wd = _talbot_rule(nodes, dps)
+        z, w, zd, wd, zh = _talbot_rule(nodes, dps)
         assert not zd.flags.writeable and not wd.flags.writeable
+        assert not zh.flags.writeable and zh.tolist() == [complex(zk) for zk in z]
         # Im z_k = 2 pi k / 5 identifies the node
         k_mp = [int(round(complex(zk).imag * 5 / (2 * np.pi))) for zk in z]
         k_d = np.rint(zd.imag * 5 / (2 * np.pi)).astype(int).tolist()
@@ -213,7 +216,7 @@ def light_error(rf, t):
     e^{z_k} and a few from F, so this part of the error is absolute: it does
     not shrink with f(t)."""
     nodes = talbot_nodes_required(t, rf.den_factors)
-    _z, _w, zd, wd = _talbot_rule(nodes, 20 + int(np.ceil(0.19 * nodes)))
+    _z, _w, zd, wd, _zh = _talbot_rule(nodes, 20 + int(np.ceil(0.19 * nodes)))
     light = 2 / (5 * t) * np.sum(np.abs(wd * rf(zd / t)) * (1 + np.abs(zd.real)))
     return 1e-14 * light
 
@@ -489,10 +492,113 @@ def test_principal_part_refuses_contour_reaching_a_neighbour():
         return 1.0 / ((s + 1.0) ** 2 * (s + 1.1))
 
     with pytest.raises(IllConditionedPoles):
-        principal_part(F, clusters[0], clusters)
-    ((coeff, rate, power),) = principal_part(F, clusters[1], clusters)
+        principal_parts(F, clusters)
+    (((coeff, rate, power),),) = principal_parts(F, clusters, clusters[1:])
     assert (rate, power) == (-1.1, 0)
     assert abs(coeff - 100.0) < 1e-9
+
+
+def test_principal_parts_sample_every_contour_in_one_call():
+    # one array call of F for all clusters, and the same terms, bit for
+    # bit, as one call per cluster
+    rf = appendix_rational(closed_cascade(4.0, 0.2, 4.0), "weak", 2, "rho22")
+    factors = list(rf.den_factors) + [(-0.4, 2), (-0.3 + 0.1j, 3)]
+    clusters = cluster_poles(factors)
+    shapes = []
+
+    def F(s):
+        shapes.append(s.shape)
+        return rf(s) / ((s + 0.4) ** 2 * (s + 0.3 - 0.1j) ** 3)
+
+    parts = principal_parts(F, clusters)
+    assert shapes == [(64 * len(clusters),)]
+    assert [len(part) for part in parts] == [order for _c, order, _s in clusters]
+    for cluster, part in zip(clusters, parts):
+        (alone,) = principal_parts(F, clusters, [cluster])
+        assert alone == part
+    assert principal_parts(F, clusters, []) == [] and len(shapes) == 1 + len(clusters)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_at_matches_complex_horner(seed):
+    # the remainder recurrence against complex Horner, both on the grid,
+    # for random real (even seeds) and complex (odd seeds) coefficients, at
+    # s off the real axis, on it and just above it.  The rounding of each
+    # step costs either evaluator under one ulp times the largest term's
+    # size max(1, |s|)^n; the recurrence also rounds |s|^2 once, which puts
+    # one ulp times the quotient Q(s) into the value, and |Q(s)| reaches
+    # about n^2 terms' size where s and conj(s) nearly coincide (seen: 223
+    # ulps at degree 24 against Horner's 7)
+    rng = np.random.default_rng(seed)
+    kind = fixed_type(128)
+    for degree in (0, 1, 2, 7, 15, 24):
+        c = rng.uniform(-1, 1, degree + 1)
+        if seed % 2:
+            c = c + 1j * rng.uniform(-1, 1, degree + 1)
+        coeffs = _grid_coeffs(kind, c)
+        assert (coeffs[1] is None) == (seed % 2 == 0)
+        re, im = coeffs[0], coeffs[1] or [0] * (degree + 1)
+        x = float(rng.uniform(-1.5, 1.5))
+        for y in (0.0, 1e-12 * x, -3e-9, float(rng.uniform(-1.5, 1.5))):
+            s = kind(complex(x, y))
+            ar, ai = re[0], im[0]
+            for cr, ci in zip(re[1:], im[1:]):
+                ar, ai = (((ar * s.re - ai * s.im) >> 128) + cr,
+                          ((ar * s.im + ai * s.re) >> 128) + ci)
+            got = _poly_at(coeffs, s)
+            ulps = (degree + 1) ** 2 * max(1.0, abs(complex(s))) ** degree
+            assert abs(got.re - ar) <= ulps and abs(got.im - ai) <= ulps
+
+
+def exact_value(coeffs, s):
+    """p(s) 2^(P (n + 1)) as exact ints (re, im), for _grid_coeffs lists
+    of degree n and a Fixed s of precision P."""
+    p, n = s.prec, len(coeffs[0]) - 1
+    im_c = coeffs[1] or [0] * (n + 1)
+    re = im = 0
+    pr, pi = 1 << (p * n), 0          # s^k 2^(P (n - k)), from k = 0
+    for cr, ci in zip(coeffs[0][::-1], im_c[::-1]):
+        re, im = re + cr * pr - ci * pi, im + cr * pi + ci * pr
+        pr, pi = (pr * s.re - pi * s.im) >> p, (pr * s.im + pi * s.re) >> p
+    return re, im
+
+
+@pytest.mark.parametrize("regime,drives", [
+    ("strong", {"omega1": 0.2, "omega_rf": 20.0, "omega3": 0.2}),
+    ("weak", {"omega1": 4.0, "omega_rf": 0.1, "omega3": 3.0}),
+])
+def test_poly_at_keeps_the_guard_bits_at_heavy_talbot_nodes(regime, drives):
+    # at every heavy node of a catalogue entry (s = z_k / t, real at k = 0
+    # and with |Im s| << |Re s| at the next few), N and D come out within
+    # 2^(5 - P) of their exact values, relative: the recurrence spends at
+    # most 5 of the GUARD_BITS beyond the working precision (1 to 5 bits
+    # more than Horner was seen)
+    rf = appendix_rational(preset("fig2", "unit").with_drives(**drives), regime, 2, "rho22")
+    for t in (0.07, 1.8):
+        nodes = talbot_nodes_required(t, rf.den_factors)
+        z, *_ = _talbot_rule(nodes, 20 + int(np.ceil(0.19 * nodes)))
+        kind = type(z[0])
+        for zk in z:
+            s = zk / kind(t)
+            for c in (rf.numerator, rf.denominator):
+                coeffs = _grid_coeffs(kind, c)
+                got, n = _poly_at(coeffs, s), len(c) - 1
+                re, im = exact_value(coeffs, s)
+                err = abs((got.re << (kind.prec * n)) - re) + abs((got.im << (kind.prec * n)) - im)
+                assert err << kind.prec <= 32 * (abs(re) + abs(im))
+
+
+def test_poly_at_is_exact_when_the_grid_holds_every_term():
+    # invert_rational's residue numerators: with as many fractional bits
+    # as the terms carry, the value is the exact one
+    kind = fixed_type(320)
+    s = kind(-0.3 + 0.7j)
+    c = np.array([0.1, -2.5, 3.25, 1e-3, 0.7])
+    got = _poly_at(_grid_coeffs(kind, c), s)
+    with mpmath.workdps(120):
+        want = sum(mpmath.mpf(v) * mpmath.mpc(-0.3, 0.7) ** k for k, v in enumerate(c))
+        assert got.re == int(mpmath.re(want) * kind.one)
+        assert got.im == int(mpmath.im(want) * kind.one)
 
 
 def test_strictly_proper_enforced():
@@ -567,6 +673,24 @@ def test_exponential_sum_empty_inputs():
     es = ExponentialSum(terms=((1.0 + 0j, -1.0 + 2j, 0), (1.0 - 0j, -1.0 - 2j, 0)))
     out = es(np.array([]))
     assert out.shape == (0,) and out.dtype == float
+
+
+def test_exponential_sum_holds_read_only_arrays():
+    terms = ((1.5 - 2j, -1.0 + 2j, 0), (1.5 + 2j, -1.0 - 2j, 0), (0.25 + 0j, -3 + 0j, 2))
+    es = ExponentialSum(terms)
+    assert es.terms == terms
+    assert [type(v) for v in es.terms[0]] == [complex, complex, int]
+    assert es.coeffs.dtype == es.rates.dtype == complex and es.powers.tolist() == [0, 0, 2]
+    for array in (es.coeffs, es.rates, es.powers):
+        assert not array.flags.writeable
+    with pytest.raises(AttributeError):
+        es.coeffs = es.rates
+    half = es.scaled(0.5)
+    assert half.terms == tuple((c * 0.5, r, p) for c, r, p in terms)
+    assert not half.coeffs.flags.writeable and es.terms == terms
+    ts = np.array([0.0, 0.3, 2.0])
+    assert np.array_equal(half(ts), 0.5 * es(ts))
+    assert ExponentialSum(()).terms == () and ExponentialSum(())(ts).tolist() == [0.0] * 3
 
 
 def test_exponential_sum_value_at_zero():
