@@ -42,7 +42,6 @@ from .errors import (
 )
 from .model import (
     AffineGenerator,
-    DensityMatrix,
     SystemParams,
     build_generator,
     populations,
@@ -52,11 +51,9 @@ from .model import (
 from .perturbation import (
     Regime,
     RootSet,
-    analytic_g2,
     analytic_g2_sum,
     appendix_rational,
     coefficient_identities,
-    laplace_solve,
     root_set,
 )
 from .ratfunc import ExponentialSum, RationalFunction, invert_rational, talbot_invert

@@ -333,30 +333,3 @@ def populations(x):
     """(rho11, rho22, rho33, rho44) of a packed state, rho11 from the trace."""
     p22, p33, p44 = x[..., P22], x[..., P33], x[..., P44]
     return 1.0 - p22 - p33 - p44, p22, p33, p44
-
-
-class DensityMatrix:
-    """Full 4x4 complex density matrix, convertible to/from the packed state.
-
-    Construction checks hermiticity and unit trace to 1e-12.
-    """
-
-    HERM_TOL = 1e-12
-    TRACE_TOL = 1e-12
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise InvalidParams(f"density matrix must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > self.HERM_TOL:
-            raise InvalidParams("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > self.TRACE_TOL or abs(np.trace(m).imag) > self.TRACE_TOL:
-            raise InvalidParams("density matrix trace differs from 1 by more than 1e-12")
-        self.matrix = m
-
-    @classmethod
-    def from_state(cls, x):
-        return cls(_unpack(x))
-
-    def to_state(self):
-        return _pack(self.matrix)

@@ -53,14 +53,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .correlations import (DENOMINATOR_FLOOR, PAIR_TABLE, CorrelationSeries,
-                           _steady_norm, _validate_pair)
+from .correlations import DENOMINATOR_FLOOR, PAIR_TABLE, _steady_norm, _validate_pair
 from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued, _real_array
 from .model import (
     DIM,
-    IM_R12,
     IM_R13,
-    IM_R14,
     IM_R23,
     IM_R24,
     IM_R34,
@@ -68,11 +65,8 @@ from .model import (
     P33,
     P44,
     RE_R12,
-    RE_R13,
     RE_R14,
     RE_R23,
-    RE_R24,
-    RE_R34,
     STATE_LABELS,
     SystemParams,
     build_generator,
@@ -113,15 +107,6 @@ class Regime(enum.Enum):
 # _factor accepts; on these blocks of at most 5x5 it is within a factor 5
 # of the 2-norm condition number.
 COND_LIMIT = 1e12
-
-PSI_NAMES = ("psi1", "psi2", "psi3", "psi4", "psi5", "psi6",
-             "psi7", "psi8", "psi9")
-
-# Packed components of each psi = L[Re rho] + i L[Im rho]: the coherences
-# rho12, rho23, rho34, rho13, rho14, rho24, then the populations.
-_PSI_INDEX = dict(zip(PSI_NAMES, (
-    (RE_R12, IM_R12), (RE_R23, IM_R23), (RE_R34, IM_R34), (RE_R13, IM_R13),
-    (RE_R14, IM_R14), (RE_R24, IM_R24), (P22,), (P33,), (P44,))))
 
 
 def _bars(params):
@@ -254,7 +239,6 @@ class _Dyson:
             self.idx = STATE_LABELS.index(_observable(observable))
             masks = masks[:-1] + (link[self.idx],)
             self.held = [k for k, mask in enumerate(masks) if mask[self.idx]]
-        self.masks = masks
         self.a0, a1, drives = _split(params, regime)
         blocks = [b for b in blocks if any(mask[b[0]] for mask in masks)]
         self.terms = [[b for b in blocks if mask[b[0]]] for mask in masks]
@@ -383,45 +367,6 @@ def _dyson(params, regime, observable):
     reads two observables of one parameter set.  Unbounded, every parameter
     set's chain and exact forms would stay alive."""
     return _Dyson(params, regime, observable)
-
-
-@dataclass(frozen=True)
-class HierarchySolution:
-    """All transformed components at one s: per-order values and totals."""
-
-    orders: dict  # name -> {order: value}
-    totals: dict  # name -> value
-
-
-def laplace_solve(params: SystemParams, regime, init_level, s) -> HierarchySolution:
-    """Solve the perturbative hierarchy at one Laplace variable s.
-
-    Returns every transformed component psi1..psi9 with its perturbative
-    order decomposition (the Dyson terms it appears in) and their sum.
-    """
-    dyson = _Dyson(params, regime)
-    ys = dyson(s, prepare_state(init_level))
-    orders = {}
-    totals = {}
-    for name, idx in _PSI_INDEX.items():
-        parts = {k: y[idx[0]] + 1j * y[idx[1]] if len(idx) == 2 else y[idx[0]]
-                 for k, (y, mask) in enumerate(zip(ys, dyson.masks))
-                 if mask[list(idx)].any()}
-        orders[name] = parts
-        totals[name] = sum(parts.values())
-    return HierarchySolution(orders=orders, totals=totals)
-
-
-def laplace_observable(params: SystemParams, regime, init_level, observable):
-    """Closure F(s) for one population transform.
-
-    F accepts a complex scalar, a complex array (one value per element, as
-    the contour residues and talbot_invert's array call use it) or a
-    ratfunc.Fixed (the heavy fixed-Talbot nodes, answered in the same Fixed
-    type from the exact N(u) / D(u), built on the first such call); any
-    other s raises InvalidArgument.
-    """
-    return _Dyson(params, regime, observable).transform(init_level)
 
 
 # ---------------------------------------------------------------------------
@@ -562,19 +507,6 @@ def root_set(params: SystemParams, regime) -> RootSet:
 # Assembled exponential sums (contour residues of the chained solution).
 # ---------------------------------------------------------------------------
 
-def hierarchy_poles(params: SystemParams, regime):
-    """(pole, multiplicity) inventory of every population transform, read
-    off the chain by _Dyson.poles.
-
-    The populations share one block of A0, so rho22's chain stands for all
-    three.  That block is solved at order zero and again around the loop
-    R0 A1 R0 A1 R0, so its eigenvalues can be double poles (secular t e^{pt}
-    terms); the blocks that A1 couples it to are solved once; the drive
-    constant b/s adds the pole at 0.
-    """
-    return _dyson(params, Regime.coerce(regime), "rho22").poles()
-
-
 def assembled_exponential_sum(params: SystemParams, regime, init_level,
                               observable) -> ExponentialSum:
     """Time-domain form of one population transform, by contour residues at
@@ -625,14 +557,6 @@ def analytic_g2_sum(params: SystemParams, regime, pair):
     init_level, observable, ss = _g2_source(params, pair)
     es = assembled_exponential_sum(params, regime, init_level, observable)
     return es.scaled(1.0 / ss), ss
-
-
-def analytic_g2(params: SystemParams, regime, pair, taus) -> CorrelationSeries:
-    """Closed-form g2 from the perturbative hierarchy (exponential sums)."""
-    es, ss = analytic_g2_sum(params, regime, pair)
-    taus = _real_array(taus, "taus")
-    return CorrelationSeries(pair=tuple(pair), taus=taus, values=es(taus),
-                             norm=ss)
 
 
 def coefficient_identities(es: ExponentialSum) -> float:

@@ -17,7 +17,6 @@ from cascade4.model import build_generator, prepare_state, preset
 from cascade4.perturbation import (
     APPENDIX_CATALOGUE,
     Regime,
-    analytic_g2,
     analytic_g2_sum,
     appendix_rational,
     coefficient_identities,
@@ -143,9 +142,8 @@ def _criterion6_errors(pair):
     gen = build_generator(p)
     exact = g2(gen, pair, CRIT6_TAUS).values
     scale = np.max(np.abs(exact))
-    residue = analytic_g2(p, "strong", pair, CRIT6_TAUS).values
-    res_err = np.max(np.abs(exact - residue)) / scale
-    _es, ss = analytic_g2_sum(p, "strong", pair)
+    es, ss = analytic_g2_sum(p, "strong", pair)
+    res_err = np.max(np.abs(exact - es(CRIT6_TAUS))) / scale
     exact_sub = g2(gen, pair, CRIT6_TALBOT_TAUS).values
     talbot = np.array([talbot_g2_value(p, "strong", pair, t, ss=ss)
                        for t in CRIT6_TALBOT_TAUS])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade4.correlations import (
+    CLIP_TOL,
     PAIR_TABLE,
     PEAK_GRID_POINTS,
     CorrelationSeries,
@@ -15,9 +16,9 @@ from cascade4.correlations import (
     g31_peak_delay,
     scan_tau_d,
 )
-from cascade4.dynamics import SPECTRAL_COND_LIMIT
+from cascade4.dynamics import SPECTRAL_COND_LIMIT, evolve
 from cascade4.errors import GridMismatch, NoPeak, ZeroSteadyState
-from cascade4.model import SystemParams, build_generator, prepare_state, preset
+from cascade4.model import P44, SystemParams, build_generator, prepare_state, preset
 from cascade4.validation import rk_evolve
 
 from conftest import (
@@ -86,6 +87,21 @@ def test_g2_long_time_normalization(fig2_unit):
     taus = np.array([0.0, T])
     for pair in ((1, 1), (3, 3), (3, 1), (2, 1), (3, 2)):
         assert abs(g2(gen, pair, taus).values[-1] - 1.0) < 1e-4
+
+
+def test_g2_clips_rounding_undershoot(fig2_unit):
+    # rho44 from |3> starts at exactly 0 and rises like tau^2, so on a fine
+    # head of the grid the propagator's rounding takes it a few ulps below 0;
+    # g2 returns those values as 0.0 and every other value unchanged
+    gen = build_generator(fig2_unit)
+    taus = np.concatenate([[0.0], np.geomspace(1e-10, 1e-2, 400)])
+    series = g2(gen, (3, 3), taus)
+    raw = evolve(gen, prepare_state(3), taus)[:, P44] / series.norm
+    under = raw < 0.0
+    assert np.any(under) and np.all(raw[under] > -CLIP_TOL)
+    assert np.all(series.values >= 0.0)
+    assert np.all(series.values[under] == 0.0)
+    assert np.array_equal(series.values[~under], raw[~under])
 
 
 def test_g2_zero_steady_state():

@@ -9,14 +9,7 @@ from cascade4.correlations import default_tau_grid, g2, scan_tau_d
 from cascade4.dynamics import evolve, steady_state
 from cascade4.errors import Cascade4Error, InvalidArgument
 from cascade4.model import AffineGenerator, build_generator, prepare_state, preset
-from cascade4.perturbation import (
-    Regime,
-    analytic_g2,
-    analytic_g2_sum,
-    laplace_observable,
-    laplace_solve,
-    talbot_g2_value,
-)
+from cascade4.perturbation import Regime, _Dyson, analytic_g2_sum, talbot_g2_value
 from cascade4.ratfunc import (ExponentialSum, RationalFunction, talbot_invert,
                               talbot_invert_rf, talbot_nodes_required)
 from cascade4.validation import brute_force_evolve, rk_evolve
@@ -99,8 +92,9 @@ BAD_CALLS = {
     "dynamics.evolve: str x0": lambda: _evolve_from("abc"),
     "dynamics.evolve: str grid": lambda: evolve(_fig2_generator(),
                                                 prepare_state(1), "abc"),
-    "perturbation.analytic_g2: str grid": lambda: analytic_g2(
-        _strong_rf_point(), "strong", (3, 1), "x"),
+    # the analytic sum's ExponentialSum checks the grid it is called on
+    "perturbation.analytic_g2_sum: str grid": lambda: analytic_g2_sum(
+        _strong_rf_point(), "strong", (3, 1))[0]("x"),
     "dynamics.evolve: nan time": lambda: _evolve_to(math.nan),
     "dynamics.evolve: inf time": lambda: _evolve_to(math.inf),
     "dynamics.evolve: x0 of 14 components": lambda: _evolve_from(
@@ -112,8 +106,8 @@ BAD_CALLS = {
     "model.AffineGenerator: nan in A": lambda: _steady_state_with("A", np.nan),
     "model.AffineGenerator: inf in A": lambda: _steady_state_with("A", np.inf),
     "model.prepare_state: level 2.0": lambda: prepare_state(2.0),
-    "perturbation.analytic_g2: tau -1": lambda: analytic_g2(
-        _strong_rf_point(), "strong", (3, 1), [-1.0]),
+    "perturbation.analytic_g2_sum: tau -1": lambda: analytic_g2_sum(
+        _strong_rf_point(), "strong", (3, 1))[0]([-1.0]),
     "perturbation.talbot_g2_value: tau nan": lambda: talbot_g2_value(
         _strong_rf_point(), "strong", (3, 1), math.nan),
     "perturbation.talbot_g2_value: ss 0": lambda: _talbot_g31_with_denominator(0.0),
@@ -125,10 +119,10 @@ BAD_CALLS = {
     "perturbation.talbot_g2_value: ss '1'": lambda: _talbot_g31_with_denominator("1"),
     "perturbation.talbot_g2_value: ss [0.5]": lambda: _talbot_g31_with_denominator([0.5]),
     # b/s made the hierarchy nan+nanj at s = 0, with a RuntimeWarning
-    "perturbation.laplace_solve: s 0": lambda: laplace_solve(
-        _strong_rf_point(), "strong", 1, 0j),
-    "perturbation.laplace_observable: s 0": lambda: laplace_observable(
-        _strong_rf_point(), "strong", 3, "rho22")(0),
+    "perturbation._Dyson: s 0": lambda: _Dyson(_strong_rf_point(), "strong")(
+        0j, prepare_state(1)),
+    "perturbation._Dyson.transform: s 0": lambda: _Dyson(
+        _strong_rf_point(), "strong", "rho22").transform(3)(0),
     "perturbation.Regime.coerce": lambda: Regime.coerce("moderate"),
     "perturbation.analytic_g2_sum: pair 31": lambda: analytic_g2_sum(
         _strong_rf_point(), "strong", 31),

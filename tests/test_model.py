@@ -8,10 +8,11 @@ from cascade4.correlations import default_tau_grid
 from cascade4.dynamics import evolve
 from cascade4.errors import InvalidLevel, InvalidParams
 from cascade4.model import (
+    _pack,
+    _unpack,
     DIM,
     P33,
     P44,
-    DensityMatrix,
     SystemParams,
     build_generator,
     populations,
@@ -136,10 +137,8 @@ def test_density_matrix_roundtrip():
     # build a legitimate density matrix from a random pure state
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    dm = DensityMatrix(np.outer(v, v.conj()))
-    x = dm.to_state()
-    back = DensityMatrix.from_state(x)
-    assert np.max(np.abs(back.matrix - dm.matrix)) < 1e-14
+    m = np.outer(v, v.conj())
+    assert np.max(np.abs(_unpack(_pack(m)) - m)) < 1e-14
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -154,18 +153,9 @@ def test_evolved_states_are_density_matrices(p, level):
     gen = build_generator(p)
     states = evolve(gen, prepare_state(level), default_tau_grid(p, n=200))
     for x in states:
-        dm = DensityMatrix.from_state(x)
-        assert np.linalg.eigvalsh(dm.matrix)[0] >= -1e-12
-        assert dm.to_state().tobytes() == x.tobytes()
-
-
-def test_density_matrix_validation():
-    bad = np.eye(4, dtype=complex)
-    bad[0, 1] = 0.5  # not Hermitian
-    with pytest.raises(InvalidParams):
-        DensityMatrix(bad)
-    with pytest.raises(InvalidParams):
-        DensityMatrix(0.5 * np.eye(4))  # trace 2
+        m = _unpack(x)
+        assert np.linalg.eigvalsh(m)[0] >= -1e-12
+        assert _pack(m).tobytes() == x.tobytes()
 
 
 def test_preset_spellings():

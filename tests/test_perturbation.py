@@ -34,17 +34,12 @@ from cascade4.model import (
     preset,
 )
 from cascade4.perturbation import (
-    _PSI_INDEX,
     APPENDIX_CATALOGUE,
     Regime,
-    analytic_g2,
     analytic_g2_sum,
     appendix_rational,
     assembled_exponential_sum,
     coefficient_identities,
-    hierarchy_poles,
-    laplace_observable,
-    laplace_solve,
     root_set,
     talbot_g2_value,
 )
@@ -65,12 +60,12 @@ def test_initial_value_theorem(strong_weakdrive, weak_rf_point):
     for params, regime in ((strong_weakdrive, "strong"),
                            (weak_rf_point, "weak")):
         for init in (1, 2, 3):
-            sol = laplace_solve(params, regime, init, s)
-            expectations = {"psi7": 1.0 if init == 2 else 0.0,
-                            "psi8": 1.0 if init == 3 else 0.0,
-                            "psi9": 0.0}
-            for name, want in expectations.items():
-                assert abs(s * sol.totals[name] - want) < 1e-2
+            ys = perturbation._Dyson(params, regime)(s, prepare_state(init))
+            expectations = {P22: 1.0 if init == 2 else 0.0,
+                            P33: 1.0 if init == 3 else 0.0,
+                            P44: 0.0}
+            for idx, want in expectations.items():
+                assert abs(s * sum(y[idx] for y in ys) - want) < 1e-2
 
 
 def test_hierarchy_tracks_exact_resolvent(strong_weakdrive, weak_rf_point):
@@ -79,17 +74,18 @@ def test_hierarchy_tracks_exact_resolvent(strong_weakdrive, weak_rf_point):
                                 (weak_rf_point, "weak", 5e-4)):
         for s in (0.5 + 0.3j, 2.0 + 0.0j, 0.05 + 1.0j):
             xb = exact_laplace(params, 3, s)
-            sol = laplace_solve(params, regime, 3, s)
-            assert abs(sol.totals["psi7"] - xb[P22]) < tol
+            ys = perturbation._Dyson(params, regime)(s, prepare_state(3))
+            assert abs(sum(y[P22] for y in ys) - xb[P22]) < tol
 
 
 def test_strong_no_optical_drive_kills_sources():
     p = closed_cascade(omega_rf=20.0)  # omega1 = omega3 = 0
-    sol = laplace_solve(p, "strong", 1, 0.7 + 0.2j)
-    assert sol.orders["psi9"][2] == 0.0
-    assert sol.totals["psi7"] == 0.0  # nothing pumps out of |1>
-    sol3 = laplace_solve(p, "strong", 3, 0.7 + 0.2j)
-    assert abs(sol3.totals["psi9"]) == 0.0  # 2nd-order source needs omega3
+    dyson = perturbation._Dyson(p, "strong")
+    ys = dyson(0.7 + 0.2j, prepare_state(1))
+    assert ys[2][P44] == 0.0
+    assert sum(y[P22] for y in ys) == 0.0  # nothing pumps out of |1>
+    ys3 = dyson(0.7 + 0.2j, prepare_state(3))
+    assert abs(sum(y[P44] for y in ys3)) == 0.0  # 2nd-order source needs omega3
 
 
 def test_orders_scale_with_perturbative_drive(strong_weakdrive,
@@ -104,34 +100,34 @@ def test_orders_scale_with_perturbative_drive(strong_weakdrive,
             (weak_rf_point, "weak",
              dict(omega_rf=weak_rf_point.omega_rf / 2))):
         for init in (1, 2, 3):
-            full = laplace_solve(params, regime, init, s)
-            halved = laplace_solve(replace(params, **half), regime, init, s)
-            for name, parts in full.orders.items():
-                assert set(halved.orders[name]) == set(parts)
-                for k, value in parts.items():
-                    want = value * 0.5 ** k
-                    assert abs(halved.orders[name][k] - want) <= 1e-9 * abs(value)
-                total = full.totals[name]
-                assert abs(sum(parts.values()) - total) <= 1e-14 * abs(total)
+            x0 = prepare_state(init)
+            full = perturbation._Dyson(params, regime)(s, x0)
+            halved = perturbation._Dyson(replace(params, **half), regime)(s, x0)
+            for k, (y, y_half) in enumerate(zip(full, halved)):
+                y, y_half = np.array(y, dtype=complex), np.array(y_half, dtype=complex)
+                assert np.all(abs(y_half - y * 0.5 ** k) <= 1e-9 * abs(y))
 
 
 def test_nonzero_detuning_rejected(strong_weakdrive):
     p = replace(strong_weakdrive, delta1=0.5)
-    with pytest.raises(NonzeroDetuning):
-        laplace_solve(p, "strong", 1, 1.0 + 0.0j)
+    for observable in (None, "rho22"):
+        with pytest.raises(NonzeroDetuning):
+            perturbation._Dyson(p, "strong", observable)
     with pytest.raises(NonzeroDetuning):
         root_set(p, "strong")
     with pytest.raises(NonzeroDetuning):
-        hierarchy_poles(p, "strong")
+        analytic_g2_sum(p, "strong", (3, 1))
 
 
 def test_near_pole_rejected(strong_weakdrive):
     rs = root_set(strong_weakdrive, "strong")
     pole = complex(rs.cubic[np.argmin(np.abs(rs.cubic.imag))])  # real root
+    chain, x0 = perturbation._Dyson(strong_weakdrive, "strong"), prepare_state(3)
     with pytest.raises(NearPole):
-        laplace_solve(strong_weakdrive, "strong", 3, pole)
+        chain(pole, x0)
     # one point of a contour ring on the pole spoils the whole batch
-    F = laplace_observable(strong_weakdrive, "strong", 3, "rho22")
+    dyson = perturbation._Dyson(strong_weakdrive, "strong", "rho22")
+    F = dyson.transform(3)
     ring = pole + 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
     assert np.all(np.isfinite(F(ring)))
     ring[5] = pole
@@ -144,8 +140,7 @@ def test_near_pole_rejected(strong_weakdrive):
     # -1/2 + 20i is exactly a root of A0's (Im rho12, Re rho13) block here:
     # the exact form's denominator vanishes
     block_pole = -0.5 + 20j
-    assert min(abs(z - block_pole)
-               for z, _m in hierarchy_poles(strong_weakdrive, "strong")) < 1e-12
+    assert min(abs(z - block_pole) for z, _m in dyson.poles()) < 1e-12
     for s in (block_pole, fixed_type(128)(block_pole)):
         with pytest.raises(NearPole):
             F(s)
@@ -157,7 +152,7 @@ def test_near_pole_rejected(strong_weakdrive):
             F(s)
     for s in (mpmath.mpc(0.3, 0.7), fixed_type(128)(0.3 + 0.7j)):
         with pytest.raises(InvalidArgument, match=refused):
-            laplace_solve(strong_weakdrive, "strong", 3, s)
+            chain(s, x0)
 
 
 def dyson_reference(params, regime, init, s):
@@ -182,16 +177,17 @@ def test_laplace_solve_scalar_matches_full_dyson(gammas):
     points = ((closed_cascade(0.2, 20.0, 0.2, gammas), "strong"),
               (closed_cascade(4.0, 0.2, 4.0, gammas), "weak"))
     for params, regime in points:
+        dyson = perturbation._Dyson(params, regime)
         for init in (1, 2, 3):
             for s in (0.7 + 0.3j, 2.0 + 0.0j, -0.2 + 3.7j, 1e-3 + 0.01j):
-                sol = laplace_solve(params, regime, init, s)
-                ys = dyson_reference(params, regime, init, s)
-                for name, parts in sol.orders.items():
-                    re, *im = _PSI_INDEX[name]
-                    for k, value in parts.items():
-                        want = ys[k][re] + (1j * ys[k][im[0]] if im else 0.0)
-                        assert np.ndim(value) == 0
-                        assert abs(value - want) <= 1e-13 * abs(sol.totals[name])
+                ys = dyson(s, prepare_state(init))
+                want = dyson_reference(params, regime, init, s)
+                # every packed component of every term, against the
+                # component's sum over the terms
+                assert all(np.ndim(v) == 0 for y in ys for v in y)
+                got = np.array(ys, dtype=complex)
+                total = abs(got.sum(axis=0))
+                assert np.all(abs(got - np.array(want)) <= 1e-13 * total)
 
 
 @pytest.mark.parametrize("gammas", ["unit", "physical"])
@@ -204,7 +200,7 @@ def test_observable_closure_broadcasts(gammas):
     for params, regime in points:
         for init, observable in ((1, "rho22"), (2, "rho33"), (3, "rho22"),
                                  (3, "rho33"), (3, "rho44")):
-            F = laplace_observable(params, regime, init, observable)
+            F = perturbation._Dyson(params, regime, observable).transform(init)
             batch = F(s)
             assert batch.shape == s.shape
             for z, value in zip(s, batch):
@@ -221,7 +217,7 @@ def test_observable_closure_same_at_mpc_and_complex(gammas):
     assert len(pairs) == 5
     for params, regime in points:
         for init, observable in pairs:
-            F = laplace_observable(params, regime, init, observable)
+            F = perturbation._Dyson(params, regime, observable).transform(init)
             F_mp = mp_observable(params, regime, init, observable)
             for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 1 + 30j, 5 + 40j,
                       1e-3 + 0.01j):
@@ -251,7 +247,7 @@ def test_observable_closure_same_at_fixed_and_mpc(gammas):
     pairs = sorted({(init, obs) for _reg, init, obs in APPENDIX_CATALOGUE})
     for params, regime in points:
         for init, observable in pairs:
-            F = laplace_observable(params, regime, init, observable)
+            F = perturbation._Dyson(params, regime, observable).transform(init)
             F_mp = mp_observable(params, regime, init, observable)
             for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 5 + 40j, 1e-3 + 0.01j):
                 got = F(kind(z))
@@ -329,9 +325,10 @@ def test_talbot_inversion_of_hierarchy_matches_exact(strong_weakdrive):
     gen = build_generator(p)
     ts = np.array([0.1, 0.5, 1.2, 2.8, 5.0])
     exact = evolve(gen, prepare_state(3), ts)[:, P22]
-    F = laplace_observable(p, "strong", 3, "rho22")
+    dyson = perturbation._Dyson(p, "strong", "rho22")
+    F = dyson.transform(3)
     from cascade4.ratfunc import talbot_invert, talbot_nodes_required
-    poles = hierarchy_poles(p, "strong")
+    poles = dyson.poles()
     got = np.array([talbot_invert(F, t, nodes=talbot_nodes_required(t, poles))
                     for t in ts])
     assert np.max(np.abs(got - exact) / np.abs(exact)) < 0.03
@@ -476,7 +473,7 @@ def test_root_groups_match_hand_block_matrices(regime, data):
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, group
 
 
-# Independent oracle for hierarchy_poles: the inventory as once restated by
+# Independent oracle for _Dyson.poles: the inventory as once restated by
 # hand, with A0's blocks named from the equations of motion.  The population
 # block is solved at order zero and again around the loop R0 A1 R0 A1 R0
 # (double poles), the blocks that A1 couples it to once, and b/s adds 0.
@@ -508,7 +505,7 @@ def test_hierarchy_poles_match_hand_rule(regime, data):
     p = data.draw(regime_params(regime))
     if data.draw(st.booleans()):
         p = replace(p, omega1=0.0, omega3=0.0)
-    got = hierarchy_poles(p, regime)
+    got = perturbation._Dyson(p, regime, "rho22").poles()
     # exactly the same values, multiplicities and order
     assert got == hand_hierarchy_poles(p, regime)
 
@@ -560,7 +557,7 @@ def test_catalogue_shares_one_root_computation(monkeypatch, regime,
 def test_hierarchy_pole_inventory_nonpositive(strong_weakdrive, weak_rf_point):
     for params, regime in ((strong_weakdrive, "strong"),
                            (weak_rf_point, "weak")):
-        for z, m in hierarchy_poles(params, regime):
+        for z, m in perturbation._Dyson(params, regime, "rho22").poles():
             assert z.real <= 1e-12
             assert m in (1, 2)
 
@@ -739,11 +736,12 @@ def test_dual_engine_on_catalogue_subset(strong_weakdrive, weak_rf_point):
 
 def test_analytic_g2_zero_delay(strong_weakdrive, weak_rf_point):
     taus = np.array([0.0, 0.4, 2.0])
-    s31 = analytic_g2(strong_weakdrive, "strong", (3, 1), taus)
-    assert abs(s31.values[0]) < 1e-8 * np.max(np.abs(s31.values))
-    w11 = analytic_g2(weak_rf_point, "weak", (1, 1), taus)
-    assert abs(w11.values[0]) < 1e-8 * max(np.max(np.abs(w11.values)), 1.0)
-    assert analytic_g2(weak_rf_point, "weak", (1, 1), []).values.shape == (0,)
+    s31 = analytic_g2_sum(strong_weakdrive, "strong", (3, 1))[0](taus)
+    assert abs(s31[0]) < 1e-8 * np.max(np.abs(s31))
+    w11 = analytic_g2_sum(weak_rf_point, "weak", (1, 1))[0]
+    values = w11(taus)
+    assert abs(values[0]) < 1e-8 * max(np.max(np.abs(values)), 1.0)
+    assert w11([]).shape == (0,)
 
 
 def test_analytic_g31_matches_exact(strong_weakdrive):
@@ -751,7 +749,7 @@ def test_analytic_g31_matches_exact(strong_weakdrive):
     gen = build_generator(p)
     taus = np.linspace(0.1, 5.0, 30)
     exact = g2(gen, (3, 1), taus).values
-    approx = analytic_g2(p, "strong", (3, 1), taus).values
+    approx = analytic_g2_sum(p, "strong", (3, 1))[0](taus)
     assert np.max(np.abs(exact - approx)) / np.max(np.abs(exact)) < 0.05
 
 
@@ -766,7 +764,7 @@ def test_analytic_g33_matches_exact(strong_weakdrive):
     gen = build_generator(p)
     taus = np.linspace(0.1, 5.0, 30)
     exact = g2(gen, (3, 3), taus).values
-    approx = analytic_g2(p, "strong", (3, 3), taus).values
+    approx = analytic_g2_sum(p, "strong", (3, 3))[0](taus)
     assert np.max(np.abs(exact - approx)) / np.max(np.abs(exact)) < 0.05
 
 
@@ -777,7 +775,7 @@ def test_regime_validity_error_growth():
         p = closed_cascade(omega1=20 * frac, omega_rf=20.0, omega3=20 * frac)
         gen = build_generator(p)
         exact = g2(gen, (3, 1), taus).values
-        approx = analytic_g2(p, "strong", (3, 1), taus).values
+        approx = analytic_g2_sum(p, "strong", (3, 1))[0](taus)
         errs.append(np.max(np.abs(exact - approx)) / np.max(np.abs(exact)))
     assert errs[0] < errs[1] < errs[2]
     assert errs[1] < 0.05  # within the stated validity ratio
@@ -841,7 +839,7 @@ def test_assembled_transform_consistency(strong_weakdrive):
     # the extracted exponential sum must reproduce the transform it came from
     from math import factorial
     es = assembled_exponential_sum(strong_weakdrive, "strong", 3, "rho22")
-    F = laplace_observable(strong_weakdrive, "strong", 3, "rho22")
+    F = perturbation._Dyson(strong_weakdrive, "strong", "rho22").transform(3)
     for s0 in (0.7 + 0.4j, 2.5 + 0.0j, 0.3 + 5.0j):
         recon = sum(c * factorial(k) / (s0 - p) ** (k + 1)
                     for c, p, k in es.terms)

@@ -15,8 +15,8 @@ from cascade4.errors import (
 )
 from cascade4.model import preset
 from cascade4.perturbation import (
+    _Dyson,
     appendix_rational,
-    hierarchy_poles,
     talbot_g2_value,
 )
 from cascade4.ratfunc import (
@@ -160,7 +160,7 @@ def test_talbot_g2_value_matches_all_mp_sum(gammas, regime, drives):
     F = mp_observable(p, regime, 3, "rho22")
     ss = 0.25
     for tau in (0.3, 1.5):
-        nodes = talbot_nodes_required(tau, hierarchy_poles(p, regime))
+        nodes = talbot_nodes_required(tau, _Dyson(p, regime, "rho22").poles())
         want = talbot_direct(F, tau, nodes,
                              dps=30 + int(np.ceil(0.19 * nodes))) / ss
         got = talbot_g2_value(p, regime, (3, 1), tau, ss=ss)
@@ -187,7 +187,7 @@ def perturbative_point(draw):
 def test_talbot_g2_value_matches_all_mp_sum_property(point, tau):
     regime, p = point
     F = mp_observable(p, regime, 3, "rho22")
-    nodes = talbot_nodes_required(tau, hierarchy_poles(p, regime))
+    nodes = talbot_nodes_required(tau, _Dyson(p, regime, "rho22").poles())
     want = talbot_direct(F, tau, nodes, dps=30 + int(np.ceil(0.19 * nodes)))
     got = talbot_g2_value(p, regime, (3, 1), tau, ss=1.0)
     assert abs(got - want) <= 1e-15 * abs(want)
@@ -292,7 +292,7 @@ def test_talbot_g2_values_on_one_rung_share_a_table():
     tau = 0.3
     p1 = closed_cascade(0.2, 20.0, 0.2, gammas="unit")
     p2 = closed_cascade(0.2, 20.5, 0.2, gammas="unit")
-    poles1, poles2 = hierarchy_poles(p1, "strong"), hierarchy_poles(p2, "strong")
+    poles1, poles2 = (_Dyson(p, "strong", "rho22").poles() for p in (p1, p2))
     assert continuous_nodes(tau, poles1) != continuous_nodes(tau, poles2)
     assert talbot_nodes_required(tau, poles1) == talbot_nodes_required(tau, poles2)
     talbot_g2_value(p1, "strong", (3, 1), tau, ss=1.0)
@@ -662,7 +662,7 @@ def test_exponential_sum_realness_guard():
 
 
 def test_non_real_sum_is_a_named_error():
-    # analytic_g2 reaches this guard, so it raises a Cascade4Error
+    # analytic_g2_sum's sums reach this guard, so it raises a Cascade4Error
     es = ExponentialSum(terms=((1.0 + 0j, -1.0 + 2j, 0),))
     with pytest.raises(NonRealSum) as info:
         es(np.array([1.0]))

@@ -1,8 +1,11 @@
-"""The README's documented config parses and its library example runs."""
+"""The README's documented config parses, its library example runs and its
+list of the perturbation layer's public functions is complete."""
 
+import inspect
 import pathlib
 import re
 
+from cascade4 import perturbation
 from cascade4.cli import parse_config
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
@@ -25,3 +28,13 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     r_max, tau_at_max = map(float, capsys.readouterr().out.split())
     assert 1e2 <= r_max <= 1e7 and tau_at_max > 0.0
+
+
+def test_readme_lists_the_public_perturbation_functions():
+    # every backticked name in the sentence, and no other public function
+    sentence = re.search(r"The public\s+functions are (.*?)\.\s", README, flags=re.S)[1]
+    documented = set(re.findall(r"`([^`]+)`", sentence))
+    defined = {name for name, value in vars(perturbation).items()
+               if inspect.isfunction(value) and not name.startswith("_")
+               and value.__module__ == perturbation.__name__}
+    assert documented == defined
