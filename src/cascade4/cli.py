@@ -6,13 +6,14 @@ quantities are in units of gamma = 2*pi MHz.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import perturbation
+from . import correlations, perturbation
 from .correlations import PAIR_TABLE, cs_ratio, default_tau_grid, g2, scan_tau_d
 from .dynamics import evolve, steady_state
 from .errors import (
@@ -128,21 +129,16 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _fmt(value, precision):
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return format(value, f".{precision}g")
-
-
 def _write_csv(cfg, header, rows, title, *comments, path=None):
     """Write rows under '# cascade4 <title>', the units line and `comments`,
     to `path` or else cfg.path, with cfg.precision significant digits."""
+    spec = f".{cfg.precision}g"
     lines = [f"# {c}" for c in (f"cascade4 {title}", UNITS_COMMENT, *comments)]
     lines.append(",".join(header))
     for row in rows:
+        # + 0.0 turns -0.0 into 0.0
         lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell, cfg.precision)
+            cell if isinstance(cell, str) else format(cell + 0.0, spec)
             for cell in row))
     try:
         with open(path or cfg.path, "w", newline="") as fh:
@@ -212,8 +208,8 @@ def _cmd_cs(cfg, args):
     rows = list(zip(taus, *columns))
     _write_csv(cfg, ("tau", "g11", "g33", "g31", "R"), rows,
                f"cs ({result.definition})", _param_comment(cfg.system))
-    print(f"r_max = {_fmt(result.r_max, cfg.precision)} at "
-          f"tau = {_fmt(result.tau_at_max, cfg.precision)}")
+    spec = f".{cfg.precision}g"  # as _write_csv formats a cell
+    print(f"r_max = {result.r_max + 0.0:{spec}} at tau = {result.tau_at_max + 0.0:{spec}}")
     return 0
 
 
@@ -242,16 +238,9 @@ def _cmd_taud_scan(cfg, args):
 
 def _cmd_roots(cfg, args):
     rs = perturbation.root_set(cfg.system, args.regime)
-    rows = []
-    for group in ("quadratic", "cubic", "quartic"):
-        printed = rs.printed.get(group)
-        for i, z in enumerate(getattr(rs, group)):
-            row = [group, str(i), z.real, z.imag]
-            if printed is not None:
-                row += [printed[i].real, printed[i].imag, abs(printed[i] - z)]
-            else:
-                row += ["", "", ""]
-            rows.append(row)
+    rows = [[group, str(i), z.real, z.imag, q.real, q.imag, abs(q - z)]
+            for group, printed in rs.printed.items()
+            for i, (z, q) in enumerate(zip(getattr(rs, group), printed))]
     _write_csv(cfg, ("group", "index", "re", "im",
                      "printed_re", "printed_im", "printed_mismatch"),
                rows, f"roots ({args.regime})", _param_comment(cfg.system))
@@ -319,7 +308,10 @@ def _cmd_validate(cfg, args):
     return 1 if report.failed else 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parse_args keeps no state
+    between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="path to a key=value config file")
@@ -344,8 +336,7 @@ def build_parser():
     p.add_argument("--pair", required=True, choices=sorted(PAIR_FLAGS))
     command("cs", _cmd_cs, "Cauchy-Schwarz ratio R(tau)")
     p = command("taud-scan", _cmd_taud_scan, "peak delay vs drive strength")
-    p.add_argument("--sweep", required=True,
-                   choices=("omega1", "omega2", "omega_rf", "omega3"))
+    p.add_argument("--sweep", required=True, choices=correlations.SWEEPABLE)
     p.add_argument("--start", type=float, default=4.0)
     p.add_argument("--stop", type=float, default=20.0)
     p.add_argument("--points", type=int, default=9)
@@ -358,8 +349,7 @@ def build_parser():
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     config_path = getattr(args, "config", None)
     out_path = getattr(args, "out", None)
     try:

@@ -155,7 +155,8 @@ def cs_ratio(g31: CorrelationSeries, g11: CorrelationSeries,
                          tau_at_max=float(g31.taus[k]), definition=definition)
 
 
-SWEEPABLE = {"omega1", "omega2", "omega_rf", "omega3"}
+# The drive fields scan_tau_d sweeps, in the order `taud-scan --sweep` lists them.
+SWEEPABLE = ("omega1", "omega2", "omega_rf", "omega3")
 
 # The slope search evaluates the grid in chunks of doubling length, starting
 # here.  On the fig3 sweeps the first crest lies 241-340 points into the

@@ -353,14 +353,14 @@ class ExponentialSum:
 
     def __call__(self, ts):
         vals = self.eval_complex(ts)
-        if not vals.size:
-            return vals.real
-        scale = max(1.0, np.max(np.abs(vals)))
-        if np.max(np.abs(vals.imag)) > self.IMAG_TOL * scale:
-            raise NonRealSum(
-                "exponential sum is not real on t >= 0 "
-                f"(imag defect {np.max(np.abs(vals.imag)):.2e})")
-        return vals.real
+        if vals.size:
+            scale = max(1.0, np.max(np.abs(vals)))
+            if np.max(np.abs(vals.imag)) > self.IMAG_TOL * scale:
+                raise NonRealSum(
+                    "exponential sum is not real on t >= 0 "
+                    f"(imag defect {np.max(np.abs(vals.imag)):.2e})")
+        # a contiguous copy, so the complex result is not kept alive
+        return vals.real.copy()
 
     def scaled(self, factor):
         out = object.__new__(ExponentialSum)

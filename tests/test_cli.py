@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade4
+from cascade4 import cli
 from cascade4.cli import parse_config, run
+from cascade4.correlations import cs_ratio, default_tau_grid, g2
 from cascade4.errors import ConfigError, ParseError, RangeError, UnknownKey
-from cascade4.model import preset
+from cascade4.model import build_generator, preset
 
 FIG2_CFG = """\
 # published drive set, rounded decay rates
@@ -172,6 +174,22 @@ def test_run_cs_summary_consistent(tmp_path, capsys):
     assert 1e2 <= r_max <= 1e7
 
 
+def test_cs_literal_definition(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, FIG2_CFG + "\n[options]\ncs_definition = literal\n")
+    out = tmp_path / "cs.csv"
+    assert run(["--config", cfg, "cs", "--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert out.read_text().splitlines()[0] == "# cascade4 cs (literal)"
+    p = preset("fig2", "unit")
+    gen, taus = build_generator(p), default_tau_grid(p, tau_max=40.0, n=400)
+    want = cs_ratio(*(g2(gen, pair, taus) for pair in ((3, 1), (1, 1), (3, 3))),
+                    definition="literal")
+    cells = [ln.split(",")[4] for ln in _csv_body(out)[1:]]
+    np.testing.assert_allclose([float(c) for c in cells], want.R, rtol=1e-8, atol=0)
+    # the r_max line prints the CSV's largest R with the same format
+    assert summary.split()[2] == max(cells, key=float)
+
+
 def test_csv_roundtrip_precision(tmp_path):
     cfg = _write_cfg(tmp_path, FIG2_CFG.replace("precision = 9",
                                                 "precision = 9"))
@@ -234,16 +252,21 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["--config", zero, "g2", "--pair", "11", "--out", str(out)]) == 1
 
 
+FIG2_PARAMS = ("# params: omega1=4, omega_rf=20, omega3=4, delta1=0, "
+               "delta2=0, delta3=0, gamma2=1, gamma3=1, gamma4=0.16, "
+               "gamma23=1, gamma34=0.16, gamma24=0")
+
+
+def _params_lines(path):
+    return [ln for ln in path.read_text().splitlines() if ln.startswith("# params:")]
+
+
 @pytest.mark.parametrize("command", ["validate", "cs"])
 def test_no_config_runs_fig2(tmp_path, capsys, command):
     # without --config the system is preset("fig2", "unit")
     out = tmp_path / "out.csv"
     assert run([command, "--out", str(out)]) == 0
-    params = [ln for ln in out.read_text().splitlines()
-              if ln.startswith("# params:")]
-    assert params == ["# params: omega1=4, omega_rf=20, omega3=4, delta1=0, "
-                      "delta2=0, delta3=0, gamma2=1, gamma3=1, gamma4=0.16, "
-                      "gamma23=1, gamma34=0.16, gamma24=0"]
+    assert _params_lines(out) == [FIG2_PARAMS]
 
 
 @pytest.mark.parametrize("command", ["steady", "cs"])
@@ -374,3 +397,22 @@ def test_non_finite_config_refused(tmp_path, capsys, old, new):
     key = new.split(" = ")[0]
     assert "config error" in err and f"{key} must be finite" in err
     assert not out.exists()
+
+
+def test_runs_in_one_process_share_only_the_parser(tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.chdir(tmp_path)
+    # a flag of one call is not the default of the next
+    assert run(["taud-scan", "--sweep", "omega1", "--points", "4",
+                "--out", "a.csv"]) == 0
+    assert run(["taud-scan", "--sweep", "omega1", "--out", "b.csv"]) == 0
+    assert len(_csv_body(tmp_path / "b.csv")) == 1 + 9
+    # nor is a config: without one the system is fig2 again
+    zero = _write_cfg(tmp_path, ZERO_DRIVES_CFG, name="zero.cfg")
+    assert run(["--config", zero, "steady", "--out", "c.csv"]) == 0
+    assert run(["steady", "--out", "d.csv"]) == 0
+    assert _params_lines(tmp_path / "d.csv") == [FIG2_PARAMS]
+    # nor an --out: without one the [output] default path is written
+    (tmp_path / "d.csv").unlink()
+    assert run(["steady"]) == 0
+    assert (tmp_path / "out.csv").exists() and not (tmp_path / "d.csv").exists()

@@ -6,12 +6,14 @@ each command in a fresh interpreter.
                                                  # validate left out
 
 `figures` writes fig2, fig3 and fig4; every other command writes one file,
-named in COMMANDS.  The package comes from the src/ directory next to this
-script's tools/, so a copy of the script placed in another checkout runs
-that checkout's code.  Comparing two output directories byte for byte
-(`diff -r A B`, or `cmp` per file) checks that the CSVs are deterministic
-across runs, without scipy, or across revisions.  Exits with the first
-failing command's exit code, after printing its stderr.
+named in COMMANDS; the stdout of `cs` (its `r_max = ... at tau = ...`
+line) is saved as cs.stdout.  The package comes from the src/ directory
+next to this script's tools/, so a copy of the script placed in another
+checkout runs that checkout's code.  Comparing two output directories
+byte for byte (`diff -r A B`, or `cmp` per file) checks that the CSVs and
+cs.stdout are deterministic across runs, without scipy, or across
+revisions.  Exits with the first failing command's exit code, after
+printing its stderr.
 """
 
 import argparse
@@ -78,6 +80,8 @@ def main(argv=None):
                 print(f"{' '.join(command)} exited {done.returncode}:\n"
                       f"{done.stderr}", file=sys.stderr)
                 return done.returncode
+            if command == ["cs"]:
+                (args.outdir / "cs.stdout").write_text(done.stdout)
     for path in sorted(args.outdir.glob("*.csv")):
         print(path.name)
     return 0
