@@ -53,7 +53,6 @@ from .perturbation import (
     RootSet,
     analytic_g2_sum,
     appendix_rational,
-    coefficient_identities,
     root_set,
 )
 from .ratfunc import ExponentialSum, RationalFunction, invert_rational, talbot_invert

@@ -360,7 +360,7 @@ def run(argv) -> int:
             cfg = RunConfig()
         if out_path:
             cfg.path = out_path
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cascade4: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

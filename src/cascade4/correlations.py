@@ -78,7 +78,8 @@ def default_tau_grid(params: SystemParams, tau_max=None, n=2000, spacing="log_li
     log run to tau_max/20, then linear.
 
     The log section resolves the rise near tau = 0 (first point at
-    1e-4 tau_max); the linear section carries the slow tails.
+    1e-4 tau_max, so a tau_max for which that underflows to 0 is refused);
+    the linear section carries the slow tails.
     """
     if tau_max is None:
         if params is None:
@@ -96,6 +97,8 @@ def default_tau_grid(params: SystemParams, tau_max=None, n=2000, spacing="log_li
         return np.linspace(0.0, tau_max, n)
     if spacing != "log_linear":
         raise InvalidArgument(f"unknown spacing {spacing!r}")
+    if 1e-4 * tau_max == 0.0:
+        raise InvalidArgument(f"tau_max {tau_max!r} is too small for the log grid")
     n_log = n // 3
     knee = tau_max / 20.0
     head = np.geomspace(1e-4 * tau_max, knee, n_log)
@@ -113,10 +116,7 @@ def g2(gen: AffineGenerator, pair, taus) -> CorrelationSeries:
     norm = _steady_norm(gen, pair)
     values = evolve(gen, prepare_state(level), taus)[:, obs] / norm
     # Populations can undershoot by rounding; clip only within tolerance.
-    tiny = (values < 0.0) & (values > -CLIP_TOL)
-    if np.any(tiny):
-        values = values.copy()
-        values[tiny] = 0.0
+    values[(values < 0.0) & (values > -CLIP_TOL)] = 0.0
     return CorrelationSeries(pair=pair, taus=taus, values=values, norm=norm)
 
 

@@ -26,17 +26,16 @@ adjugates of the scaled blocks (Faddeev-LeVerrier).  D is monic, of degree
 the pole inventory's multiplicity sum.  The heavy fixed-Talbot nodes, at
 ratfunc.Fixed s, are answered from it by ratfunc._poly_at.
 
-A _Dyson coerces the regime, refuses detuning and holds the parameters'
-split.  The g2 paths take theirs from _dyson, a small cache keyed by
-(params, regime, observable), so that a parameter set's analytic sums and
-Talbot values share one chain per observable, and one exact form per
-preparation (see _Dyson.transform).  The pole
-inventory is read off its chain: each block of A0 contributes its
-eigenvalues once per term that solves it, and b/s adds the pole 0.  For a
-population that gives the population block twice (order 0 and again
-around the loop) and the blocks that A1 couples to it once.  The
-transcribed catalogue's denominator roots are eigenvalues of principal
-sub-blocks of the same A0 (root_set).
+A _Dyson coerces the regime and holds the parameters' split (_split
+refuses detuning).  The g2 paths take theirs from _dyson, a small cache
+keyed by (params, regime, observable), so that a parameter set's analytic
+sums and Talbot values share one chain per observable, and one exact form
+per preparation (see _Dyson.transform).  The pole inventory is read off its
+chain: each block of A0 contributes its eigenvalues once per term that
+solves it, and b/s adds the pole 0.  For a population that gives the
+population block twice (order 0 and again around the loop) and the blocks
+that A1 couples to it once.  The transcribed catalogue's denominator roots
+are eigenvalues of principal sub-blocks of the same A0 (root_set).
 
 The population rates entering these systems are the ones of the exact master
 equation.  The published versions of the same systems halve the population
@@ -121,7 +120,10 @@ def _split(params, regime):
     """(A0, A1, drives): the generator without its perturbative drives, the
     part those drives add, and the drive constant b_k of each Dyson term:
     b0, then b1 = b - b0, then zero.  The list's length is the number of
-    terms, so it is the one place that sets the chain's order."""
+    terms, so it is the one place that sets the chain's order.  A detuned
+    parameter set is refused with NonzeroDetuning."""
+    if params.detuned:
+        raise NonzeroDetuning("perturbative solutions assume all detunings zero")
     off = ({"omega1": 0.0, "omega3": 0.0} if regime is Regime.STRONG_RF
            else {"omega_rf": 0.0})
     full = build_generator(params)
@@ -203,22 +205,16 @@ def _char_adj(m, size):
     return det, adj
 
 
-def _observable(name):
-    """name, refused with InvalidArgument unless it labels a population."""
-    if name not in STATE_LABELS[P22:]:
-        raise InvalidArgument(f"observable must be one of {list(STATE_LABELS[P22:])}")
-    return name
-
-
 class _Dyson:
     """The Dyson chain of one parameter set in one regime: its terms y0, y1,
     ... (one per drive of _split) at any s, the transform of one population,
     and their pole inventory.
 
-    Building one coerces the regime, refuses detuning, splits the generator
-    and picks each term's support from _structure: `masks[k]` selects which
-    of A0's `blocks` term k solves.  The last term covers every component
-    it reaches, or with an `observable` only the block of that population,
+    Building one coerces the regime, splits the generator (which refuses
+    detuning) and picks each term's support from _structure: `masks[k]`
+    selects which of A0's `blocks` term k solves.  The last term covers
+    every component it reaches, or with an `observable` (a population's
+    label, InvalidArgument otherwise) only the block of that population,
     which is all its transform reads; `held` lists the terms whose support
     holds that population.
 
@@ -231,15 +227,15 @@ class _Dyson:
 
     def __init__(self, params, regime, observable=None):
         self.regime = regime = Regime.coerce(regime)
-        if params.detuned:
-            raise NonzeroDetuning("perturbative solutions assume all detunings zero")
+        a0, a1, drives = _split(params, regime)
         link, masks, blocks = _structure(regime)
         self.transforms = {}
         if observable is not None:
-            self.idx = STATE_LABELS.index(_observable(observable))
+            if observable not in STATE_LABELS[P22:]:
+                raise InvalidArgument(f"observable must be one of {list(STATE_LABELS[P22:])}")
+            self.idx = STATE_LABELS.index(observable)
             masks = masks[:-1] + (link[self.idx],)
             self.held = [k for k, mask in enumerate(masks) if mask[self.idx]]
-        self.a0, a1, drives = _split(params, regime)
         blocks = [b for b in blocks if any(mask[b[0]] for mask in masks)]
         self.terms = [[b for b in blocks if mask[b[0]]] for mask in masks]
         # Per term k: the A1 entries (i, j, a) from term k-1's support into
@@ -248,7 +244,7 @@ class _Dyson:
         couplings = [[(int(i), int(j), a1[i, j]) for i, j in zip(*np.nonzero(a1))
                       if mask[i] and prev[j]] for prev, mask in zip(prevs, masks)]
         drives = [[(int(i), b[i]) for i in np.flatnonzero(b)] for b in drives]
-        self.data = ({b[0]: self.a0[np.ix_(b, b)] for b in blocks}, couplings, drives)
+        self.data = ({b[0]: a0[np.ix_(b, b)] for b in blocks}, couplings, drives)
 
     def poles(self):
         """(pole, multiplicity) inventory of the terms: each block of A0
@@ -362,10 +358,10 @@ class _Dyson:
 
 @functools.lru_cache(maxsize=4)
 def _dyson(params, regime, observable):
-    """_Dyson(params, regime, observable) for a coerced regime and a checked
-    observable, kept for the last four such keys: one op of the g2 paths
-    reads two observables of one parameter set.  Unbounded, every parameter
-    set's chain and exact forms would stay alive."""
+    """_Dyson(params, regime, observable) for a coerced regime, kept for the
+    last four such keys: one op of the g2 paths reads two observables of one
+    parameter set.  Unbounded, every parameter set's chain and exact forms
+    would stay alive."""
     return _Dyson(params, regime, observable)
 
 
@@ -443,8 +439,8 @@ def _root_groups(params, regime):
     """(quadratic, cubic, quartic): root_set's numeric roots of one
     parameter set in one coerced regime, as read-only arrays.  Cached, so
     that the catalogue entries of one parameter set share one computation
-    (a _Dyson split and the block eigenvalue problems)."""
-    a0 = _Dyson(params, regime).a0
+    (a _split and the block eigenvalue problems)."""
+    a0 = _split(params, regime)[0]
     b2 = _bars(params)[0]
 
     def block_roots(*idx):
@@ -507,17 +503,6 @@ def root_set(params: SystemParams, regime) -> RootSet:
 # Assembled exponential sums (contour residues of the chained solution).
 # ---------------------------------------------------------------------------
 
-def assembled_exponential_sum(params: SystemParams, regime, init_level,
-                              observable) -> ExponentialSum:
-    """Time-domain form of one population transform, by contour residues at
-    the chain's pole inventory (unnormalized), all taken by one
-    ratfunc.principal_parts call."""
-    dyson = _dyson(params, Regime.coerce(regime), _observable(observable))
-    F = dyson.transform(init_level)
-    parts = principal_parts(F, cluster_poles(dyson.poles()))
-    return ExponentialSum([t for part in parts for t in part])
-
-
 ANALYTIC_PAIRS = ((1, 1), (3, 3), (3, 1))
 
 
@@ -547,7 +532,9 @@ def _g2_source(params, pair, ss=None):
 def analytic_g2_sum(params: SystemParams, regime, pair):
     """Exponential sum for g2, scaled by the correlation denominator.
 
-    The numerator transient comes from the second-order hierarchy; the
+    The numerator transient comes from the second-order hierarchy: the
+    contour residues of the observable's transform at the chain's pole
+    inventory, all taken by one ratfunc.principal_parts call.  The
     steady-state denominator is taken from the full generator.  The
     populations' own perturbative limits truncate at different orders
     (rho44's steady state is fourth order in the weak drives and vanishes
@@ -555,14 +542,9 @@ def analytic_g2_sum(params: SystemParams, regime, pair):
     definition is the one quantity the analytic form must import.
     """
     init_level, observable, ss = _g2_source(params, pair)
-    es = assembled_exponential_sum(params, regime, init_level, observable)
-    return es.scaled(1.0 / ss), ss
-
-
-def coefficient_identities(es: ExponentialSum) -> float:
-    """|value at t=0| of a normalized sum: zero certifies that the constant
-    term cancels against the transient coefficients (antibunching)."""
-    return abs(es.value_at_zero())
+    dyson = _dyson(params, Regime.coerce(regime), observable)
+    parts = principal_parts(dyson.transform(init_level), cluster_poles(dyson.poles()))
+    return ExponentialSum([t for part in parts for t in part]).scaled(1.0 / ss), ss
 
 
 def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None):

@@ -53,8 +53,6 @@ class Fixed:
     one = 1
 
     def __new__(cls, value=0):
-        if type(value) is cls:
-            return value
         p = cls.prec
         if isinstance(value, Fixed):
             return _make(cls, _shift(value.re, p - value.prec),
@@ -76,15 +74,8 @@ class Fixed:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         p = cls.prec
-        v = _new(cls)
-        if d:
-            den = c * c + d * d
-            v.re = ((a * c + b * d) << p) // den
-            v.im = ((b * c - a * d) << p) // den
-        else:
-            v.re = (a << p) // c
-            v.im = (b << p) // c
-        return v
+        den = c * c + d * d
+        return _make(cls, ((a * c + b * d) << p) // den, ((b * c - a * d) << p) // den)
 
     def __bool__(self):
         return bool(self.re or self.im)
@@ -339,20 +330,13 @@ class ExponentialSum:
     def __repr__(self):
         return f"ExponentialSum(terms={self.terms!r})"
 
-    def eval_complex(self, ts):
+    def __call__(self, ts):
         ts = _real_array(ts, "t")
         if not np.all((ts >= 0) & (ts < np.inf)):
             raise InvalidArgument("exponential sums are evaluated at finite t >= 0")
-        out = np.zeros(ts.shape, dtype=complex)
+        vals = np.zeros(ts.shape, dtype=complex)
         for coeff, rate, power in self.terms:
-            term = coeff * np.exp(rate * ts)
-            if power:
-                term = term * ts ** power
-            out += term
-        return out
-
-    def __call__(self, ts):
-        vals = self.eval_complex(ts)
+            vals += coeff * np.exp(rate * ts) * ts ** power
         if vals.size:
             scale = max(1.0, np.max(np.abs(vals)))
             if np.max(np.abs(vals.imag)) > self.IMAG_TOL * scale:
@@ -378,17 +362,6 @@ _RING = np.exp(1j * (2.0 * np.pi * np.arange(CONTOUR_POINTS) / CONTOUR_POINTS))
 _RING.setflags(write=False)
 
 
-def laurent_coefficients(samples, radius, order):
-    """Principal-part coefficients a_{-1} .. a_{-order} of F about a pole,
-    from its CONTOUR_POINTS samples F(pole + radius * ring) on the unit
-    circle's trapezoid nodes.
-
-    Spectrally accurate while the nearest other singularity stays well
-    outside the contour.
-    """
-    return [radius ** l * np.mean(samples * _RING ** l) for l in range(1, order + 1)]
-
-
 def principal_parts(F, clusters, targets=None):
     """Time-domain terms of F's principal part at each pole cluster of
     `targets` (by default every one of `clusters`), one term list per target.
@@ -400,9 +373,12 @@ def principal_parts(F, clusters, targets=None):
     10 times the spread; a circle that then reaches half that distance
     would integrate across the neighbour, so it is refused with
     IllConditionedPoles, before F is called.  Then every circle's samples
-    come from one call of F on a complex array (one value per element).
-    Each a_{-l} / (s - p)^l inverts to a_{-l} t^{l-1} e^{pt} / (l-1)!,
-    returned as (coeff, rate, power) for ExponentialSum.
+    come from one call of F on a complex array (one value per element), and
+    a_{-l} = radius^l mean(samples ring^l) is the trapezoid rule on the
+    CONTOUR_POINTS nodes: spectrally accurate while the nearest other
+    singularity stays well outside the circle.  Each a_{-l} / (s - p)^l
+    inverts to a_{-l} t^{l-1} e^{pt} / (l-1)!, returned as (coeff, rate,
+    power) for ExponentialSum.
     """
     targets = clusters if targets is None else targets
     radii = []
@@ -418,8 +394,8 @@ def principal_parts(F, clusters, targets=None):
         return []
     rings = [centroid + radius * _RING for (centroid, *_), radius in zip(targets, radii)]
     samples = np.asarray(F(np.concatenate(rings)), dtype=complex)
-    return [[(a / math.factorial(l - 1), centroid, l - 1)
-             for l, a in enumerate(laurent_coefficients(row, radius, order), start=1)]
+    return [[(radius ** l * np.mean(row * _RING ** l) / math.factorial(l - 1), centroid, l - 1)
+             for l in range(1, order + 1)]
             for (centroid, order, _s), radius, row
             in zip(targets, radii, samples.reshape(len(targets), CONTOUR_POINTS))]
 
@@ -480,8 +456,6 @@ def talbot_nodes_required(t, poles):
     """
     t = _talbot_time(t)
     max_imag = max((abs(p.imag) for p, _m in poles), default=0.0)
-    if max_imag <= 0:
-        return 32
     nodes = int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
     return 16 * -(-nodes // 16)
 

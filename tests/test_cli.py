@@ -261,6 +261,23 @@ def _params_lines(path):
     return [ln for ln in path.read_text().splitlines() if ln.startswith("# params:")]
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# d\xe9tuning\n[system]\nomega1 = 4\n")
+    assert run(["--config", str(path), "steady"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cascade4: cannot read config: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["cs", "g2 --pair 31", "evolve --init 3"])
+def test_underflowing_tau_max_is_named(tmp_path, capsys, command):
+    cfg = _write_cfg(tmp_path, FIG2_CFG.replace("tau_max = 40", "tau_max = 1e-321"))
+    out = tmp_path / "out.csv"
+    assert run(["--config", cfg, *command.split(), "--out", str(out)]) == 1
+    assert "InvalidArgument: tau_max 1e-321 is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "cs"])
 def test_no_config_runs_fig2(tmp_path, capsys, command):
     # without --config the system is preset("fig2", "unit")

@@ -17,7 +17,7 @@ from cascade4.correlations import (
     scan_tau_d,
 )
 from cascade4.dynamics import SPECTRAL_COND_LIMIT, evolve
-from cascade4.errors import GridMismatch, NoPeak, ZeroSteadyState
+from cascade4.errors import GridMismatch, InvalidArgument, NoPeak, ZeroSteadyState
 from cascade4.model import P44, SystemParams, build_generator, prepare_state, preset
 from cascade4.validation import rk_evolve
 
@@ -37,6 +37,14 @@ def test_default_tau_grid_shape(fig2_unit):
     assert abs(taus[-1] - 10.0 / fig2_unit.min_gamma) < 1e-12
     lin = default_tau_grid(fig2_unit, tau_max=5.0, n=100, spacing="linear")
     assert np.allclose(np.diff(lin), lin[1] - lin[0])
+
+
+def test_default_tau_grid_refuses_underflowing_tau_max(fig2_unit):
+    # the log head starts at 1e-4 tau_max, which underflows to 0 here
+    with pytest.raises(InvalidArgument, match="too small"):
+        default_tau_grid(fig2_unit, tau_max=1e-321)
+    taus = default_tau_grid(fig2_unit, tau_max=1e-300)
+    assert taus[0] == 0.0 and taus[1] > 0.0 and taus[-1] == 1e-300
 
 
 def test_peak_grid_cached_read_only(fig2_unit):

@@ -254,6 +254,9 @@ def test_talbot_nodes_required_is_a_16_node_ladder(ts, ims):
     # non-decreasing in t and in max|Im p|
     assert nodes(t1, im1) <= nodes(t2, im1) and nodes(t1, im2) <= nodes(t2, im2)
     assert nodes(t1, im1) <= nodes(t1, im2) and nodes(t2, im1) <= nodes(t2, im2)
+    # no pole off the real axis: the floor of 32, from the same formula
+    for poles in ([], [(-1.0 + 0j, 2), (-4.0, 1)]):
+        assert talbot_nodes_required(t1, poles) == talbot_nodes_required(t2, poles) == 32
 
 
 def test_talbot_ladder_matches_continuous_count_on_oscillatory_rf():
