@@ -19,11 +19,14 @@ from .dynamics import evolve, steady_state
 from .errors import (
     Cascade4Error,
     ConfigError,
+    InvalidArgument,
     InvalidParams,
     OutputError,
     ParseError,
     RangeError,
     UnknownKey,
+    _count,
+    _real_scalar,
 )
 from .model import (
     GAMMA_PRESETS,
@@ -116,14 +119,10 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(**settings)
     try:
         cfg.system = SystemParams(**system_kw)
-    except InvalidParams as exc:
+        _real_scalar(cfg.tau_max, "tau_max", 0.0)
+        _count(cfg.tau_points, "tau_points", 16)
+    except (InvalidParams, InvalidArgument) as exc:
         raise RangeError(str(exc)) from exc
-    if not np.isfinite(cfg.tau_max):
-        raise RangeError(f"tau_max must be finite, got {cfg.tau_max}")
-    if cfg.tau_max <= 0.0:
-        raise RangeError(f"tau_max must be positive, got {cfg.tau_max}")
-    if cfg.tau_points < 16:
-        raise RangeError(f"tau_points must be >= 16, got {cfg.tau_points}")
     if not 6 <= cfg.precision <= 17:
         raise RangeError(f"precision must be in [6, 17], got {cfg.precision}")
     return cfg

@@ -7,27 +7,21 @@ by that population's steady-state value.
 """
 
 import functools
-import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
 from .dynamics import _projector, evolve, steady_state
-from .errors import GridMismatch, InvalidArgument, NoPeak, ZeroSteadyState, _real_array
+from .errors import (GridMismatch, InvalidArgument, NoPeak, ZeroSteadyState, _count, _grid,
+                     _real_array, _real_scalar)
 from .model import AffineGenerator, SystemParams, build_generator, prepare_state
 
-# pair -> (preparation level, observed population index)
+# pair (i, j) -> (preparation level, observed population index)
 # Mode i is the |i+1> -> |i> emission; detecting it projects onto |i>,
 # and the rate of mode j is proportional to rho_{j+1,j+1}.
-PAIR_TABLE = {
-    (1, 1): (1, model.P22),
-    (3, 3): (3, model.P44),
-    (3, 1): (3, model.P22),
-    (2, 1): (2, model.P22),
-    (3, 2): (3, model.P33),
-}
+PAIR_TABLE = {(i, j): (i, model.P22 + j - 1)
+              for i, j in ((1, 1), (3, 3), (3, 1), (2, 1), (3, 2))}
 
 DENOMINATOR_FLOOR = 1e-12
 CLIP_TOL = 1e-10
@@ -85,14 +79,8 @@ def default_tau_grid(params: SystemParams, tau_max=None, n=2000, spacing="log_li
         if params is None:
             raise InvalidArgument("default_tau_grid needs params or tau_max")
         tau_max = 10.0 / params.min_gamma
-    if not (isinstance(tau_max, numbers.Real) and 0.0 < tau_max < np.inf):
-        raise InvalidArgument(f"tau_max must be positive and finite, got {tau_max!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidArgument(f"n must be an integer, got {n!r}") from None
-    if n < 16:
-        raise InvalidArgument("need at least 16 grid points")
+    tau_max = _real_scalar(tau_max, "tau_max", 0.0)
+    n = _count(n, "n", 16)
     if spacing == "linear":
         return np.linspace(0.0, tau_max, n)
     if spacing != "log_linear":
@@ -252,12 +240,14 @@ def _slope_root(derivatives, lo, hi):
 
 
 def scan_tau_d(base: SystemParams, swept: str, grid) -> DelayScan:
-    """tau_d as a function of one drive strength; per-point errors recorded."""
+    """tau_d as a function of one drive strength; per-point errors recorded.
+
+    grid must be a nonempty, strictly increasing 1-d grid of finite drive
+    values > 0 (InvalidArgument otherwise, before any point is computed).
+    """
     if not isinstance(swept, str) or swept not in SWEEPABLE:
         raise InvalidArgument(f"swept field must be one of {sorted(SWEEPABLE)}")
-    grid = _real_array(grid, "sweep grid")
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid <= 0):
-        raise InvalidArgument("sweep grid must be 1-d, ascending and positive")
+    grid = _grid(grid, "sweep grid", 0.0, closed=False)
     key = "omega_rf" if swept == "omega2" else swept
     tau_d = np.full(len(grid), np.nan)
     failures = []

@@ -24,7 +24,7 @@ import.
 
 import numpy as np
 
-from .errors import InvalidArgument, _real_array
+from .errors import InvalidArgument, _grid, _real_array
 from .model import AffineGenerator
 
 # Largest eigenbasis condition number the eigen-expansion is trusted at.
@@ -71,15 +71,7 @@ def _checked_start(gen, x0, times):
     # finite and shaped like gen.b and times is a finite ascending grid
     # from t >= 0; validation's rk_evolve and brute_force_evolve take their
     # arguments through here too.
-    times = _real_array(times, "times")
-    if times.ndim != 1 or len(times) == 0:
-        raise InvalidArgument("times must be a nonempty 1-d grid")
-    if not np.all(np.isfinite(times)):
-        raise InvalidArgument("times must be finite")
-    if len(times) > 1 and np.any(np.diff(times) <= 0):
-        raise InvalidArgument("times must be strictly increasing")
-    if times[0] < 0:
-        raise InvalidArgument("times must start at t >= 0")
+    times = _grid(times, "times", 0.0, closed=True)
     x0 = _real_array(x0, "x0")
     if x0.shape != gen.b.shape:
         raise InvalidArgument(f"x0 must have shape {gen.b.shape}, got {x0.shape}")

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the gate that turns a
-numeric argument into a float array or refuses it by name."""
+"""Exception types shared across the package, and the gates that turn a
+numeric argument from outside the library into a float array, a float, an
+int or a grid, or refuse it by name with InvalidArgument."""
+
+import operator
 
 import numpy as np
 
@@ -21,6 +24,43 @@ def _real_array(value, name):
     if array.dtype.kind not in "biuf":
         raise InvalidArgument(f"{name} must be real numbers, got {value!r:.60}")
     return array.astype(float, copy=False)
+
+
+def _real_scalar(value, name, low, closed=False):
+    """value as a float, refused unless it is one finite real number > low
+    (>= low when closed); a 0-d array is one number, any other array is
+    refused, not reduced."""
+    array = _real_array(value, name)
+    if array.ndim or not ((low <= array if closed else low < array) and array < np.inf):
+        raise InvalidArgument(f"{name} must be finite and {'>=' if closed else '>'} "
+                              f"{low:g}, got {value!r:.40}")
+    return float(array)
+
+
+def _count(value, name, minimum):
+    """value as an int, refused unless it is an integer (operator.index:
+    48.0 is refused, not truncated) of at least minimum."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise InvalidArgument(f"{name} must be an integer >= {minimum}, got {value!r:.40}")
+    return count
+
+
+def _grid(value, name, low, closed):
+    """value as a float array, refused unless it is a nonempty 1-d grid of
+    finite, strictly increasing numbers, the first > low (>= low when
+    closed)."""
+    grid = _real_array(value, name)
+    if (grid.ndim != 1 or not len(grid) or not np.all(np.isfinite(grid))
+            or np.any(np.diff(grid) <= 0)
+            or not (low <= grid[0] if closed else low < grid[0])):
+        raise InvalidArgument(
+            f"{name} must be a nonempty 1-d grid of finite, strictly increasing "
+            f"numbers, the first {'>=' if closed else '>'} {low:g}, got {value!r:.60}")
+    return grid
 
 
 class InvalidParams(Cascade4Error):

@@ -27,10 +27,12 @@ the pole inventory's multiplicity sum.  The heavy fixed-Talbot nodes, at
 ratfunc.Fixed s, are answered from it by ratfunc._poly_at.
 
 A _Dyson coerces the regime and holds the parameters' split (_split
-refuses detuning).  The g2 paths take theirs from _dyson, a small cache
+refuses detuning), including the full generator whose steady state gives
+the g2 denominator.  The g2 paths take theirs from _dyson, a small cache
 keyed by (params, regime, observable), so that a parameter set's analytic
-sums and Talbot values share one chain per observable, and one exact form
-per preparation (see _Dyson.transform).  The pole inventory is read off its
+sums and Talbot values share one chain, one steady state and one pole
+inventory per observable, and one exact form per preparation (see
+_Dyson.transform).  The pole inventory is read off its
 chain: each block of A0 contributes its eigenvalues once per term that
 solves it, and b/s adds the pole 0.  For a population that gives the
 population block twice (order 0 and again around the loop) and the blocks
@@ -53,7 +55,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .correlations import DENOMINATOR_FLOOR, PAIR_TABLE, _steady_norm, _validate_pair
-from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued, _real_array
+from .errors import InvalidArgument, NearPole, NonzeroDetuning, NotCatalogued, _real_scalar
 from .model import (
     DIM,
     IM_R13,
@@ -117,11 +119,12 @@ def _bars(params):
 # ---------------------------------------------------------------------------
 
 def _split(params, regime):
-    """(A0, A1, drives): the generator without its perturbative drives, the
-    part those drives add, and the drive constant b_k of each Dyson term:
-    b0, then b1 = b - b0, then zero.  The list's length is the number of
-    terms, so it is the one place that sets the chain's order.  A detuned
-    parameter set is refused with NonzeroDetuning."""
+    """(full, A0, A1, drives): the full generator, A0 of the generator
+    without its perturbative drives, the part A1 those drives add, and the
+    drive constant b_k of each Dyson term: b0, then b1 = b - b0, then zero.
+    The list's length is the number of terms, so it is the one place that
+    sets the chain's order.  A detuned parameter set is refused with
+    NonzeroDetuning."""
     if params.detuned:
         raise NonzeroDetuning("perturbative solutions assume all detunings zero")
     off = ({"omega1": 0.0, "omega3": 0.0} if regime is Regime.STRONG_RF
@@ -129,7 +132,7 @@ def _split(params, regime):
     full = build_generator(params)
     base = build_generator(replace(params, **off))
     b1 = full.b - base.b
-    return base.A, full.A - base.A, (base.b, b1, 0 * b1)
+    return full, base.A, full.A - base.A, (base.b, b1, 0 * b1)
 
 
 @functools.cache
@@ -144,7 +147,7 @@ def _structure(regime):
     so it is built once per regime; link and the masks are read-only.
     """
     probe = SystemParams(omega1=1.0, omega_rf=1.0, omega3=1.0, gamma24=1.0)
-    a0, a1, drives = _split(probe, regime)
+    _full, a0, a1, drives = _split(probe, regime)
     link, blocks = _closure((a0 != 0) | (a0 != 0).T | np.eye(DIM, dtype=bool))
     sources = np.isin(np.arange(DIM), (P22, P33, P44))
     masks = []
@@ -211,7 +214,8 @@ class _Dyson:
     and their pole inventory.
 
     Building one coerces the regime, splits the generator (which refuses
-    detuning) and picks each term's support from _structure: `masks[k]`
+    detuning; the full one is kept as `generator`), lists the pole
+    inventory and picks each term's support from _structure: `masks[k]`
     selects which of A0's `blocks` term k solves.  The last term covers
     every component it reaches, or with an `observable` (a population's
     label, InvalidArgument otherwise) only the block of that population,
@@ -227,7 +231,7 @@ class _Dyson:
 
     def __init__(self, params, regime, observable=None):
         self.regime = regime = Regime.coerce(regime)
-        a0, a1, drives = _split(params, regime)
+        self.generator, a0, a1, drives = _split(params, regime)
         link, masks, blocks = _structure(regime)
         self.transforms = {}
         if observable is not None:
@@ -245,14 +249,16 @@ class _Dyson:
                       if mask[i] and prev[j]] for prev, mask in zip(prevs, masks)]
         drives = [[(int(i), b[i]) for i in np.flatnonzero(b)] for b in drives]
         self.data = ({b[0]: a0[np.ix_(b, b)] for b in blocks}, couplings, drives)
+        solved = collections.Counter(b[0] for term in self.terms for b in term)
+        self._poles = [(0.0 + 0.0j, 1)] + [(z, m) for key, m in solved.items()
+                                           for z in np.linalg.eigvals(self.data[0][key])]
 
     def poles(self):
-        """(pole, multiplicity) inventory of the terms: each block of A0
-        contributes its eigenvalues once per term that solves it, listed at
-        the first such term, after the pole 0 of b/s."""
-        solved = collections.Counter(b[0] for term in self.terms for b in term)
-        return [(0.0 + 0.0j, 1)] + [(z, m) for key, m in solved.items()
-                                     for z in np.linalg.eigvals(self.data[0][key])]
+        """(pole, multiplicity) inventory of the terms, listed once when the
+        chain is built: each block of A0 contributes its eigenvalues once
+        per term that solves it, listed at the first such term, after the
+        pole 0 of b/s.  Each call returns a fresh list."""
+        return list(self._poles)
 
     def transform(self, init_level):
         """F(s) of the observable's population from |init_level>: the sum of
@@ -440,7 +446,7 @@ def _root_groups(params, regime):
     parameter set in one coerced regime, as read-only arrays.  Cached, so
     that the catalogue entries of one parameter set share one computation
     (a _split and the block eigenvalue problems)."""
-    a0 = _split(params, regime)[0]
+    a0 = _split(params, regime)[1]
     b2 = _bars(params)[0]
 
     def block_roots(*idx):
@@ -506,27 +512,22 @@ def root_set(params: SystemParams, regime) -> RootSet:
 ANALYTIC_PAIRS = ((1, 1), (3, 3), (3, 1))
 
 
-def _g2_source(params, pair, ss=None):
-    """(init level, observable, denominator) of one analytic g2 pair, read
-    from correlations.PAIR_TABLE.
+def _g2_source(params, regime, pair, ss=None):
+    """(init level, chain, denominator) of one analytic g2 pair: the
+    preparation read from correlations.PAIR_TABLE and the cached _dyson
+    chain of the pair's observable.
 
     The denominator is the observable's steady state under the full
-    generator, refused like correlations.g2's, unless one is passed in; a
-    passed one must be one finite real number of at least
-    correlations.DENOMINATOR_FLOOR (a str or an array is refused, not
-    converted).
+    generator of the chain's split, refused like correlations.g2's, unless
+    one is passed in; a passed one must be one finite real number of at
+    least correlations.DENOMINATOR_FLOOR.
     """
     pair = _validate_pair(pair, ANALYTIC_PAIRS)
     init_level, idx = PAIR_TABLE[pair]
+    dyson = _dyson(params, Regime.coerce(regime), STATE_LABELS[idx])
     if ss is None:
-        ss = float(_steady_norm(build_generator(params), pair))
-    else:
-        value = _real_array(ss, "denominator ss")
-        if value.ndim or not DENOMINATOR_FLOOR <= value < np.inf:
-            raise InvalidArgument(
-                f"denominator ss must be finite and >= {DENOMINATOR_FLOOR:g}, got {ss!r:.40}")
-        ss = float(value)
-    return init_level, STATE_LABELS[idx], ss
+        return init_level, dyson, float(_steady_norm(dyson.generator, pair))
+    return init_level, dyson, _real_scalar(ss, "denominator ss", DENOMINATOR_FLOOR, closed=True)
 
 
 def analytic_g2_sum(params: SystemParams, regime, pair):
@@ -541,8 +542,7 @@ def analytic_g2_sum(params: SystemParams, regime, pair):
     from the hierarchy entirely), so the denominator of the correlation
     definition is the one quantity the analytic form must import.
     """
-    init_level, observable, ss = _g2_source(params, pair)
-    dyson = _dyson(params, Regime.coerce(regime), observable)
+    init_level, dyson, ss = _g2_source(params, regime, pair)
     parts = principal_parts(dyson.transform(init_level), cluster_poles(dyson.poles()))
     return ExponentialSum([t for part in parts for t in part]).scaled(1.0 / ss), ss
 
@@ -556,8 +556,7 @@ def talbot_g2_value(params: SystemParams, regime, pair, tau, ss=None):
     pole inventory.  The chain and its exact form are shared with the
     parameter set's other g2 calls (see _dyson).
     """
-    init_level, observable, ss = _g2_source(params, pair, ss)
-    dyson = _dyson(params, Regime.coerce(regime), observable)
+    init_level, dyson, ss = _g2_source(params, regime, pair, ss)
     nodes = talbot_nodes_required(tau, dyson.poles())
     return talbot_invert(dyson.transform(init_level), tau, nodes=nodes) / ss
 

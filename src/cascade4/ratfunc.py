@@ -11,7 +11,6 @@ from the poles and polyval evaluates.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,9 @@ from .errors import (
     NearPole,
     NonFiniteTransform,
     NonRealSum,
+    _count,
     _real_array,
+    _real_scalar,
 )
 
 CLUSTER_TOL = 1e-8
@@ -435,15 +436,6 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
     return ExponentialSum(terms)
 
 
-def _talbot_time(t):
-    """t as a float, refused with InvalidArgument unless it is one finite
-    real number > 0 (a str, None or an array is refused, not converted)."""
-    array = _real_array(t, "t")
-    if array.ndim or not 0 < array < np.inf:
-        raise InvalidArgument(f"Talbot inversion needs one finite t > 0, got {t!r:.40}")
-    return float(array)
-
-
 def talbot_nodes_required(t, poles):
     """Node count keeping the fixed-Talbot contour outside the (pole,
     multiplicity) list's poles of large imaginary part at time t, with
@@ -454,7 +446,7 @@ def talbot_nodes_required(t, poles):
     of 16, so that parameter sets with nearby t max|Im p| share one rung of
     this ladder, and with it one cached node table (see _talbot_rule).
     """
-    t = _talbot_time(t)
+    t = _real_scalar(t, "t", 0.0)
     max_imag = max((abs(p.imag) for p, _m in poles), default=0.0)
     nodes = int(np.ceil(3.0 * t * max_imag * 5.0 / (2.0 * np.pi))) + 32
     return 16 * -(-nodes // 16)
@@ -568,14 +560,8 @@ def talbot_invert(F, t, nodes=32):
     be an integer of at least 32, the rule's documented floor, and t one
     finite real number > 0 (InvalidArgument otherwise).
     """
-    t = _talbot_time(t)
-    try:
-        nodes = operator.index(nodes)
-    except TypeError:
-        raise InvalidArgument(
-            f"talbot_invert requires an integer node count, got {nodes!r}") from None
-    if nodes < 32:
-        raise InvalidArgument(f"talbot_invert requires at least 32 nodes, got {nodes}")
+    t = _real_scalar(t, "t", 0.0)
+    nodes = _count(nodes, "nodes", 32)
     dps = 20 + int(np.ceil(0.19 * nodes))
     z, w, zd, wd, zh = _talbot_rule(nodes, dps)
     values = np.asarray(F(np.concatenate([zh, zd]) / t), dtype=complex)

@@ -47,6 +47,14 @@ def test_default_tau_grid_refuses_underflowing_tau_max(fig2_unit):
     assert taus[0] == 0.0 and taus[1] > 0.0 and taus[-1] == 1e-300
 
 
+def test_default_tau_grid_takes_a_0d_array_tau_max(fig2_unit):
+    # one number in a 0-d array is one number, as for every scalar argument
+    for spacing in ("log_linear", "linear"):
+        want = default_tau_grid(fig2_unit, tau_max=10.0, spacing=spacing)
+        got = default_tau_grid(fig2_unit, tau_max=np.array(10.0), spacing=spacing)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_peak_grid_cached_read_only(fig2_unit):
     # g31_peak_delay shares one read-only grid per min Gamma;
     # default_tau_grid still hands out a fresh writable array each call

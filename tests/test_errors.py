@@ -75,6 +75,14 @@ BAD_CALLS = {
     "correlations.g2: pair 31": lambda: g2(_fig2_generator(), 31, [0.0, 1.0]),
     "correlations.default_tau_grid: n 2000.0": lambda: default_tau_grid(
         preset("fig2", "unit"), n=2000.0),
+    # an empty sweep returned an empty scan, an inf or nan point escaped
+    # mid-sweep as InvalidParams
+    "correlations.scan_tau_d: empty grid": lambda: scan_tau_d(
+        preset("fig2", "unit"), "omega1", []),
+    "correlations.scan_tau_d: inf point": lambda: scan_tau_d(
+        preset("fig2", "unit"), "omega1", [4.0, math.inf]),
+    "correlations.scan_tau_d: nan point": lambda: scan_tau_d(
+        preset("fig2", "unit"), "omega1", [4.0, math.nan]),
     "correlations.scan_tau_d: 2-d grid": lambda: scan_tau_d(
         preset("fig2", "unit"), "omega1", [[4.0, 5.0]]),
     # no params and no tau_max raised AttributeError; a str tau_max a bare

@@ -284,8 +284,8 @@ def order_4(monkeypatch):
     split = perturbation._split
 
     def split_4(*args):
-        a0, a1, (b0, b1, zero) = split(*args)
-        return a0, a1, (b0, b1, zero, zero, zero)
+        full, a0, a1, (b0, b1, zero) = split(*args)
+        return full, a0, a1, (b0, b1, zero, zero, zero)
 
     perturbation._structure.cache_clear()
     perturbation._dyson.cache_clear()
@@ -532,6 +532,24 @@ def test_one_split_per_g2_call(monkeypatch, regime, strong_weakdrive,
     assert len(calls) == 2
     analytic_g2_sum(p, regime, (3, 1))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_sum_denominators_reuse_the_chains_generators(monkeypatch, regime,
+                                                      strong_weakdrive, weak_rf_point):
+    # two chains (rho22, rho44), each split into a full and a base
+    # generator; the steady-state denominators are read off the full ones
+    p = strong_weakdrive if regime == "strong" else weak_rf_point
+    perturbation._structure(Regime.coerce(regime))       # built once per regime
+    perturbation._dyson.cache_clear()
+    build, calls = perturbation.build_generator, []
+    monkeypatch.setattr(perturbation, "build_generator",
+                        lambda *args: calls.append(args) or build(*args))
+    for pair in ((3, 1), (1, 1), (3, 3)):
+        analytic_g2_sum(p, regime, pair)
+    assert len(calls) == 4
+    dyson = perturbation._dyson(p, Regime.coerce(regime), "rho22")
+    assert dyson.poles() == dyson.poles() and dyson.poles() is not dyson.poles()
 
 
 @pytest.mark.parametrize("regime", ["strong", "weak"])

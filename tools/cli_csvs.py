@@ -1,18 +1,18 @@
 """Write the CSVs of the CLI commands at their default configs into OUTDIR,
 each command in a fresh interpreter.
 
-    python tools/cli_csvs.py OUTDIR              # 13 CSVs
-    python tools/cli_csvs.py OUTDIR --no-scipy   # 12: scipy unimportable,
+    python tools/cli_csvs.py OUTDIR              # 14 CSVs
+    python tools/cli_csvs.py OUTDIR --no-scipy   # 13: scipy unimportable,
                                                  # validate left out
 
 `figures` writes fig2, fig3 and fig4; every other command writes one file,
-named in COMMANDS; the stdout of `cs` (its `r_max = ... at tau = ...`
-line) is saved as cs.stdout.  The package comes from the src/ directory
-next to this script's tools/, so a copy of the script placed in another
-checkout runs that checkout's code.  Comparing two output directories
-byte for byte (`diff -r A B`, or `cmp` per file) checks that the CSVs and
-cs.stdout are deterministic across runs, without scipy, or across
-revisions.  Exits with the first failing command's exit code, after
+named in COMMANDS; the stdout of each `cs` run (its `r_max = ... at tau =
+...` line) is saved next to its CSV, as cs.stdout for cs.csv.  The package
+comes from the src/ directory next to this script's tools/, so a copy of
+the script placed in another checkout runs that checkout's code.
+Comparing two output directories byte for byte (`diff -r A B`, or `cmp`
+per file) checks that the CSVs and the stdout files are deterministic
+across runs, without scipy, or across revisions.  Exits with the first failing command's exit code, after
 printing its stderr.
 """
 
@@ -31,8 +31,13 @@ NO_SCIPY = ("import sys, runpy; sys.modules['scipy'] = None; "
             "runpy.run_module('cascade4', run_name='__main__')")
 
 # roots where the published cubic is undefined, so its printed values are
-# nan: weak rf with omega3 = 0, strong rf with omega_rf = 0.
+# nan: weak rf with omega3 = 0, strong rf with omega_rf = 0; and cs on the
+# closed-cascade fig2 point with the two non-default grid and ratio settings.
 CONFIGS = {
+    "fig2_literal_linear": (
+        "[system]\nomega1 = 4\nomega3 = 4\nomega_rf = 20\ngamma2 = 1\n"
+        "gamma3 = 1\ngamma4 = 0.16\ngamma23 = 1\ngamma34 = 0.16\ngamma24 = 0\n"
+        "[grid]\nspacing = linear\n[options]\ncs_definition = literal\n"),
     "weak_omega3_0": "[system]\nomega1 = 4\nomega3 = 0\nomega_rf = 0.2\n",
     "strong_omega_rf_0": "[system]\nomega1 = 0.2\nomega3 = 0.2\nomega_rf = 0\n",
 }
@@ -41,6 +46,7 @@ CONFIGS = {
 COMMANDS = (
     (".", None, ["figures"]),
     ("cs.csv", None, ["cs"]),
+    ("cs_literal_linear.csv", "fig2_literal_linear", ["cs"]),
     ("taud.csv", None, ["taud-scan", "--sweep", "omega_rf"]),
     ("roots_strong.csv", None, ["roots", "--regime", "strong"]),
     ("roots_weak.csv", None, ["roots", "--regime", "weak"]),
@@ -81,7 +87,7 @@ def main(argv=None):
                       f"{done.stderr}", file=sys.stderr)
                 return done.returncode
             if command == ["cs"]:
-                (args.outdir / "cs.stdout").write_text(done.stdout)
+                (args.outdir / out).with_suffix(".stdout").write_text(done.stdout)
     for path in sorted(args.outdir.glob("*.csv")):
         print(path.name)
     return 0
