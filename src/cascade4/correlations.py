@@ -13,8 +13,8 @@ import numpy as np
 
 from . import model
 from .dynamics import _projector, evolve, steady_state
-from .errors import (GridMismatch, InvalidArgument, NoPeak, ZeroSteadyState, _count, _grid,
-                     _real_array, _real_scalar)
+from .errors import (GridMismatch, InvalidArgument, NoPeak, SingularGenerator, UnstableGenerator,
+                     ZeroSteadyState, _count, _grid, _real_array, _real_scalar)
 from .model import AffineGenerator, SystemParams, build_generator, prepare_state
 
 # pair (i, j) -> (preparation level, observed population index)
@@ -120,13 +120,16 @@ def _steady_norm(gen, pair):
 
 def cs_ratio(g31: CorrelationSeries, g11: CorrelationSeries,
              g33: CorrelationSeries, definition="equal_time") -> CSRatioResult:
-    """R(tau) = g31^2 / (g33 g11).
+    """R(tau) = g31^2 / (g33 g11), from the series of the pairs (3, 1),
+    (1, 1) and (3, 3) in that order (InvalidArgument otherwise).
 
     'equal_time' evaluates both denominators at tau (R set to 0 where the
     denominator underflows).  'literal' uses g33(0), floored at 1e-12: with
     the cascade's antibunching g33(0) = 0, so this variant is essentially a
     diagnostic of how singular the published expression is.
     """
+    if (g31.pair, g11.pair, g33.pair) != ((3, 1), (1, 1), (3, 3)):
+        raise InvalidArgument("cs_ratio takes the pairs (3, 1), (1, 1), (3, 3) in that order")
     for s in (g11, g33):
         if s.taus.shape != g31.taus.shape or np.any(s.taus != g31.taus):
             raise GridMismatch("correlation series use different tau grids")
@@ -242,7 +245,11 @@ def _slope_root(derivatives, lo, hi):
 def scan_tau_d(base: SystemParams, swept: str, grid) -> DelayScan:
     """tau_d as a function of one drive strength; per-point errors recorded.
 
-    grid must be a nonempty, strictly increasing 1-d grid of finite drive
+    A point whose generator is unstable or singular (UnstableGenerator,
+    SingularGenerator), whose rho22 vanishes in the steady state
+    (ZeroSteadyState) or whose g31 has no crest (NoPeak) gets tau_d = nan
+    and an (index, error name) entry in `failures`; the scan goes on.  grid
+    must be a nonempty, strictly increasing 1-d grid of finite drive
     values > 0 (InvalidArgument otherwise, before any point is computed).
     """
     if not isinstance(swept, str) or swept not in SWEEPABLE:
@@ -255,7 +262,7 @@ def scan_tau_d(base: SystemParams, swept: str, grid) -> DelayScan:
         params = base.with_drives(**{key: value})
         try:
             tau_d[i] = g31_peak_delay(params)
-        except (NoPeak, ZeroSteadyState) as exc:
+        except (NoPeak, ZeroSteadyState, UnstableGenerator, SingularGenerator) as exc:
             failures.append((i, type(exc).__name__))
     return DelayScan(swept_field=swept, field_values=grid, tau_d=tau_d,
                      failures=failures)

@@ -261,6 +261,12 @@ def _master_equation(rates, rho):
     D_jk = (Gamma_j + Gamma_k)/2 + i Delta_jk with Gamma_1 = 0 and
     Delta_kj = -Delta_jk; gamma23, gamma24 feed rho22 from rho33, rho44 and
     gamma34 feeds rho33 from rho44.  rho may carry leading axes.
+
+    The result is d rho/dt only off the (1, 1) entry: rho11's gain, the
+    decay into |1> (gamma2 rho22 + (gamma3 - gamma23) rho33 + (gamma4 -
+    gamma34 - gamma24) rho44), is left out, because the packed form drops
+    rho11 and recovers it from the trace (_unpack).  So this is not a full
+    Liouvillian.
     """
     o1, orf, o3, g2, g3, g4, g23, g34, g24 = rates[:9]
     H = np.zeros((4, 4))

@@ -36,63 +36,57 @@ CLUSTER_SCALE_FLOOR = 1e-2
 
 
 class Fixed:
-    """Complex fixed-point scalar (re + i im) / 2**prec with Python int re, im.
+    """Complex fixed-point scalar (re + i im) / 2**prec with Python int re,
+    im and int prec.
 
-    Each precision is its own subclass, made by fixed_type(prec); calling
-    one, as in fixed_type(200)(x), rounds x down onto its grid.  That is
-    exact for int, and for a float, complex or mpmath number with at most
-    prec fractional bits; a Fixed of another precision is shifted onto it.
-    The only arithmetic is / between two values of one class, which rounds
-    each component down once; complex() rounds to a complex double.  This
-    is CPython int arithmetic: against mpc arithmetic on mpmath's
-    pure-Python backend it makes a heavy Talbot node more than twice as
-    cheap.
+    Fixed(x, prec) rounds x down onto the grid of `prec` fractional bits.
+    That is exact for int, and for a float, complex or mpmath number with at
+    most prec fractional bits; a Fixed x is refused (TypeError), so that no
+    value changes precision.  The only arithmetic is / between two values of
+    one precision, which rounds each component down once; complex() rounds
+    to a complex double.  This is CPython int arithmetic: against mpc
+    arithmetic on mpmath's pure-Python backend it makes a heavy Talbot node
+    more than twice as cheap.
     """
 
-    __slots__ = ("re", "im")
-    prec = 0
-    one = 1
+    __slots__ = ("re", "im", "prec")
 
-    def __new__(cls, value=0):
-        p = cls.prec
-        if isinstance(value, Fixed):
-            return _make(cls, _shift(value.re, p - value.prec),
-                         _shift(value.im, p - value.prec))
+    def __new__(cls, value, prec):
         if isinstance(value, int):
-            return _make(cls, int(value) << p, 0)
+            return _make(prec, int(value) << prec, 0)
         if isinstance(value, (float, complex)):
-            return _make(cls, _on_grid(value.real, p), _on_grid(value.imag, p))
+            return _make(prec, _on_grid(value.real, prec), _on_grid(value.imag, prec))
         if hasattr(value, "_mpc_"):
             re, im = value._mpc_
-            return _make(cls, _mpf_on_grid(re, p), _mpf_on_grid(im, p))
+            return _make(prec, _mpf_on_grid(re, prec), _mpf_on_grid(im, prec))
         if hasattr(value, "_mpf_"):
-            return _make(cls, _mpf_on_grid(value._mpf_, p), 0)
+            return _make(prec, _mpf_on_grid(value._mpf_, prec), 0)
         raise TypeError(f"cannot convert {type(value).__name__} to Fixed")
 
     def __truediv__(self, other):
-        cls = type(self)
-        if type(other) is not cls:
+        p = self.prec
+        if type(other) is not Fixed or other.prec != p:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
-        p = cls.prec
         den = c * c + d * d
-        return _make(cls, ((a * c + b * d) << p) // den, ((b * c - a * d) << p) // den)
+        return _make(p, ((a * c + b * d) << p) // den, ((b * c - a * d) << p) // den)
 
     def __bool__(self):
         return bool(self.re or self.im)
 
     def __complex__(self):
-        one = type(self).one
+        one = 1 << self.prec
         return complex(self.re / one, self.im / one)
 
 
 _new = object.__new__
 
 
-def _make(cls, re, im):
-    v = _new(cls)
+def _make(prec, re, im):
+    v = _new(Fixed)
     v.re = re
     v.im = im
+    v.prec = prec
     return v
 
 
@@ -110,18 +104,6 @@ def _mpf_on_grid(mpf, p):
     if not man and (exp or bc):
         raise ValueError("cannot convert an infinite or nan mpmath value to Fixed")
     return _shift(-man if sign else man, exp + p)
-
-
-@functools.cache
-def fixed_type(prec):
-    """The Fixed subclass of `prec` fractional bits.
-
-    One class per precision, kept for the life of the process: the fast
-    paths compare classes, and the callers here round their precisions to
-    a few distinct values.
-    """
-    return type(f"Fixed{prec}", (Fixed,),
-                {"__slots__": (), "prec": prec, "one": 1 << prec})
 
 
 def _poly_at(coeffs, s):
@@ -149,15 +131,14 @@ def _poly_at(coeffs, s):
 
     ar, br = remainder(coeffs[0])
     ai, bi = remainder(coeffs[1]) if coeffs[1] else (0, 0)
-    return _make(type(s), ((ar * sr - ai * si) >> p) + br,
-                 ((ar * si + ai * sr) >> p) + bi)
+    return _make(p, ((ar * sr - ai * si) >> p) + br, ((ar * si + ai * sr) >> p) + bi)
 
 
-def _grid_coeffs(kind, c):
+def _grid_coeffs(prec, c):
     """(re, im): the real and imaginary parts of ascending coefficients c as
-    ints on the grid of `kind`, highest power first, for _poly_at; im is
-    None when every imaginary part is 0."""
-    values = [kind(v) for v in c[::-1]]
+    ints on the grid of `prec` fractional bits, highest power first, for
+    _poly_at; im is None when every imaginary part is 0."""
+    values = [Fixed(v, prec) for v in c[::-1]]
     im = [v.im for v in values]
     return [v.re for v in values], im if any(im) else None
 
@@ -166,18 +147,19 @@ def _fixed_ratio(num, den, shift=0):
     """Closure s -> N(u) / D(u) at u = 2**shift s, for a Fixed s.
 
     num and den are ascending coefficients (ints, floats or complex); each
-    Fixed class gets copies of them on its grid once (see _grid_coeffs).
-    u is exact, and so is every product and sum up to the rounding of each
-    step of _poly_at; a D(u) that comes out exactly 0 raises NearPole.
+    precision s.prec gets copies of them on its grid once (see
+    _grid_coeffs), and the value is a Fixed of that precision.  u is exact,
+    and so is every product and sum up to the rounding of each step of
+    _poly_at; a D(u) that comes out exactly 0 raises NearPole.
     """
     copies = {}
 
     def F(s):
-        kind = type(s)
-        if kind not in copies:
-            copies[kind] = [_grid_coeffs(kind, c) for c in (num, den)]
-        n, d = copies[kind]
-        u = _make(kind, s.re << shift, s.im << shift)
+        p = s.prec
+        if p not in copies:
+            copies[p] = [_grid_coeffs(p, c) for c in (num, den)]
+        n, d = copies[p]
+        u = _make(p, s.re << shift, s.im << shift)
         value = _poly_at(d, u)
         if not value:
             raise NearPole("the rational function's denominator vanishes at this s")
@@ -238,6 +220,10 @@ class RationalFunction:
                    den_factors=factors)
 
     def __call__(self, s):
+        """N(s) / D(s) at a complex scalar or array in complex128, and at a
+        Fixed s from _exact, as a Fixed of s's precision."""
+        if isinstance(s, Fixed):
+            return self._exact(s)
         return polyval(s, self.numerator) / polyval(s, self.denominator)
 
     def degree(self):
@@ -246,7 +232,8 @@ class RationalFunction:
     @functools.cached_property
     def _exact(self):
         """N(s) / D(s) at a Fixed s (_fixed_ratio), one closure per function,
-        so that its Talbot inversions share each Fixed class's copies."""
+        so that its Talbot inversions share each precision's copies of the
+        coefficients."""
         return _fixed_ratio(self.numerator, self.denominator)
 
     def initial_value(self):
@@ -428,10 +415,8 @@ def invert_rational(rf: RationalFunction) -> ExponentialSum:
             continue
         dprime = math.prod((centroid - r) ** m for r, m in rf.den_factors
                            if r != centroid)
-        # a multiple of 64 bits, so that few Fixed classes are made
         bits = num_bits + degree * _frac_bits(centroid)
-        kind = fixed_type(-(-bits // 64) * 64)
-        num = complex(_poly_at(_grid_coeffs(kind, rf.numerator), kind(centroid)))
+        num = complex(_poly_at(_grid_coeffs(bits, rf.numerator), Fixed(centroid, bits)))
         terms.append((num / dprime, centroid, 0))
     return ExponentialSum(terms)
 
@@ -508,18 +493,18 @@ def _talbot_rule(nodes, dps):
     zd, wd = zd[live], wd[live]
     zd.setflags(write=False)
     wd.setflags(write=False)
-    kind = fixed_type(math.ceil(dps * math.log2(10)) + GUARD_BITS)
+    prec = math.ceil(dps * math.log2(10)) + GUARD_BITS
     with mpmath.workdps(dps):
         r = mpmath.mpf(2 * nodes) / 5
-        z = [kind(r)]
-        w = [kind(mpmath.exp(r) / 2)]
+        z = [Fixed(r, prec)]
+        w = [Fixed(mpmath.exp(r) / 2, prec)]
         for k in np.flatnonzero(~double) + 1:
             theta = mpmath.pi * int(k) / nodes
             cos, sin = mpmath.cos_sin(theta)
             cot = cos / sin
             zk = r * theta * mpmath.mpc(cot, 1)
-            z.append(kind(zk))
-            w.append(kind(mpmath.exp(zk) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot)))
+            z.append(Fixed(zk, prec))
+            w.append(Fixed(mpmath.exp(zk) * mpmath.mpc(1, theta * (1 + cot ** 2) - cot), prec))
     zh = np.array([complex(zk) for zk in z])
     zh.setflags(write=False)
     return tuple(z), tuple(w), zd, wd, zh
@@ -544,11 +529,11 @@ def talbot_invert(F, t, nodes=32):
     double adds an absolute error near 1e-18 of |F| on the contour, which
     does not shrink with f(t) (see DOUBLE_WEIGHT).  A non-finite value there
     raises NonFiniteTransform rather than being summed.  Then once per heavy
-    node with a Fixed scalar s, returning a Fixed, or an int, float or
-    complex.  The Fixed grid has ceil(dps log2 10) + GUARD_BITS fractional
-    bits plus the bits that max |F| over the heavy nodes, read from the
-    array call, lacks of 1, so that scaling F scales f(t) without losing
-    digits.  The terms Re(w_k F(s_k)) are added as one exact integer and
+    node with a Fixed scalar s, returning a Fixed of s's precision; any
+    other value raises InvalidArgument.  The Fixed grid has ceil(dps log2
+    10) + GUARD_BITS fractional bits plus the bits that max |F| over the
+    heavy nodes, read from the array call, lacks of 1, so that scaling F
+    scales f(t) without losing digits.  The terms Re(w_k F(s_k)) are added as one exact integer and
     f(t) is rounded to a double once.
 
     The nodes z_k = s_k t and weights w_k do not depend on t; they come from
@@ -571,25 +556,23 @@ def talbot_invert(F, t, nodes=32):
             f"transform is not finite at {np.sum(~np.isfinite(values))} "
             f"of {len(zd)} double-precision Talbot nodes (t = {t:g})")
     light = float(np.sum((wd * values).real))
-    # the grid gains the bits that max |F| at the heavy nodes lacks of 1,
-    # in steps of 32 so that few Fixed classes are made
+    # the grid gains the bits that max |F| at the heavy nodes lacks of 1, in
+    # steps of 32 so that nearby calls share one set of _fixed_ratio's copies
     scale = np.max(np.abs(heavy[np.isfinite(heavy)]), initial=0.0)
     extra = max(0, -math.frexp(scale)[1])
-    kind = fixed_type(z[0].prec + 32 * -(-extra // 32))
-    # s_k = z_k / t on the finer grid, as kind(z_k) / kind(t) rounds it
-    tk, shift = kind(t).re, 2 * kind.prec - z[0].prec
+    prec = z[0].prec + 32 * -(-extra // 32)
+    # s_k = z_k / t on the finer grid, as Fixed(z_k, prec) / Fixed(t, prec) rounds it
+    tk, shift = Fixed(t, prec).re, 2 * prec - z[0].prec
     total = 0
     for zk, wk in zip(z, w):
-        value = F(_make(kind, (zk.re << shift) // tk, (zk.im << shift) // tk))
-        if type(value) is not kind:
-            try:
-                value = kind(value)
-            except (OverflowError, ValueError) as exc:
-                raise NonFiniteTransform(
-                    f"transform is not finite at a Talbot node (t = {t:g})") from exc
+        value = F(_make(prec, (zk.re << shift) // tk, (zk.im << shift) // tk))
+        if type(value) is not Fixed or value.prec != prec:
+            raise InvalidArgument(
+                f"the transform must answer a Fixed s of {prec} bits with a "
+                f"Fixed of {prec} bits, not {value!r}")
         total += wk.re * value.re - wk.im * value.im
     # f(t) = 2 (total / 2^p2 + light) / (5 t), rounded once
-    p2 = z[0].prec + kind.prec
+    p2 = z[0].prec + prec
     num, den = light.as_integer_ratio()
     tn, td = t.as_integer_ratio()
     return 2 * td * (total * den + (num << p2)) / (5 * tn * den << p2)
@@ -598,12 +581,10 @@ def talbot_invert(F, t, nodes=32):
 def talbot_invert_rf(rf: RationalFunction, t):
     """Talbot inversion of a rational function, choosing nodes from its poles.
 
-    The heavy nodes run _fixed_ratio's _poly_at on Fixed copies of the
-    double coefficients, made once per function and Fixed class (exact
-    unless a coefficient has more fractional bits than the grid); the array
-    of all nodes goes through RationalFunction.__call__ at complex128.
+    rf itself is the transform: RationalFunction.__call__ takes the array
+    of all nodes at complex128, and the heavy nodes through _exact, which
+    runs _fixed_ratio's _poly_at on Fixed copies of the double coefficients,
+    made once per function and precision (exact unless a coefficient has
+    more fractional bits than the grid).
     """
-    def F(s):
-        return rf(s) if isinstance(s, np.ndarray) else rf._exact(s)
-
-    return talbot_invert(F, t, nodes=talbot_nodes_required(t, rf.den_factors))
+    return talbot_invert(rf, t, nodes=talbot_nodes_required(t, rf.den_factors))

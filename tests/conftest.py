@@ -25,6 +25,7 @@ from cascade4.model import (
     preset,
 )
 from cascade4.perturbation import _Dyson
+from cascade4.ratfunc import Fixed
 from cascade4.validation import brute_force_evolve
 
 
@@ -162,7 +163,7 @@ def lu_fixed_point(gen):
 
 def mp_value(fixed):
     """A ratfunc.Fixed as the mpc of the same value, exactly."""
-    p = type(fixed).prec
+    p = fixed.prec
     return mpmath.mp.make_mpc((from_man_exp(fixed.re, -p), from_man_exp(fixed.im, -p)))
 
 
@@ -173,9 +174,8 @@ def via_mpmath(f):
     def F(s):
         if isinstance(s, np.ndarray):
             return f(s)
-        kind = type(s)
-        with mpmath.workprec(kind.prec):
-            return kind(f(mp_value(s)))
+        with mpmath.workprec(s.prec):
+            return Fixed(f(mp_value(s)), s.prec)
     return F
 
 

@@ -252,6 +252,20 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["--config", zero, "g2", "--pair", "11", "--out", str(out)]) == 1
 
 
+def test_taud_scan_records_unstable_points(tmp_path, capsys):
+    # a sweep that crosses into instability still writes every point: each
+    # unstable one as a nan row and one stderr line
+    cfg = _write_cfg(tmp_path, "[system]\nomega1 = 4\nomega3 = 4\nomega_rf = 20\n")
+    out = tmp_path / "taud.csv"
+    assert run(["--config", cfg, "taud-scan", "--sweep", "omega_rf", "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert len(rows) == 1 + 9
+    assert [row[2] for row in rows[7:]] == ["nan"] * 3
+    assert "nan" not in [row[2] for row in rows[1:7]]
+    assert capsys.readouterr().err.splitlines() == [
+        f"point {i} ({v}): UnstableGenerator" for i, v in ((6, 16), (7, 18), (8, 20))]
+
+
 FIG2_PARAMS = ("# params: omega1=4, omega_rf=20, omega3=4, delta1=0, "
                "delta2=0, delta3=0, gamma2=1, gamma3=1, gamma4=0.16, "
                "gamma23=1, gamma34=0.16, gamma24=0")

@@ -127,6 +127,21 @@ def test_g2_zero_steady_state():
         g2(gen, (1, 1), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("gamma2", [1.0, 6.0 / (2.0 * np.pi)])
+def test_two_level_limit_is_kimble_mandel(gamma2):
+    # at omega_rf = omega3 = 0 only |1> and |2> take part, and g11 is the
+    # resonance-fluorescence g2 of Kimble, Dagenais & Mandel, PRL 39, 691
+    # (1977): 1 - e^{-3 G tau/4} [cos mu tau + (3 G / 4 mu) sin mu tau] with
+    # mu^2 = 4 omega1^2 - G^2/16, imaginary below threshold
+    taus = np.linspace(0.0, 10.0, 401)
+    for omega1 in (0.1, 0.5, 1.0, 4.0, 20.0):
+        series = g2(build_generator(SystemParams(omega1=omega1, gamma2=gamma2)), (1, 1), taus)
+        mu = np.emath.sqrt(4.0 * omega1 ** 2 - gamma2 ** 2 / 16.0)
+        want = 1.0 - np.exp(-0.75 * gamma2 * taus) * (
+            np.cos(mu * taus) + 0.75 * gamma2 / mu * np.sin(mu * taus))
+        assert np.max(np.abs(series.values - want.real)) <= 1e-12
+
+
 def test_weak_drive_cross_correlation_shape():
     # two-pathway cancellation: transient is the difference of the two
     # cascade exponentials; compare baseline-subtracted, peak-normalized.
@@ -146,11 +161,23 @@ def test_weak_drive_cross_correlation_shape():
 
 def test_cs_ratio_constant_series():
     taus = np.linspace(0.0, 1.0, 11)
-    mk = lambda v: CorrelationSeries(pair=(3, 1), taus=taus,
-                                     values=np.full(11, v), norm=1.0)
-    res = cs_ratio(mk(2.0), mk(1.0), mk(1.0))
+    mk = lambda pair, v: CorrelationSeries(pair=pair, taus=taus,
+                                           values=np.full(11, v), norm=1.0)
+    res = cs_ratio(mk((3, 1), 2.0), mk((1, 1), 1.0), mk((3, 3), 1.0))
     assert np.all(res.R == 4.0)
     assert res.r_max == 4.0
+
+
+def test_cs_ratio_refuses_series_out_of_order(fig2_unit):
+    # R = g31^2 / (g11 g33) reads its series by position: the pairs must be
+    # (3, 1), (1, 1), (3, 3) in that order, or the ratio is of other curves
+    gen = build_generator(fig2_unit)
+    taus = default_tau_grid(fig2_unit, n=200)
+    s31, s11, s33 = (g2(gen, pair, taus) for pair in ((3, 1), (1, 1), (3, 3)))
+    for order in ((s11, s31, s33), (s31, s33, s11), (s33, s11, s31), (s31, s11, s11)):
+        with pytest.raises(InvalidArgument, match="in that order"):
+            cs_ratio(*order)
+    assert cs_ratio(s31, s11, s33).r_max > 1.0
 
 
 def test_cs_ratio_classical_bound():
@@ -295,6 +322,19 @@ def test_scan_tau_d_records_failures():
     scan = scan_tau_d(p, "omega3", np.array([4.0, 8.0]))
     assert [err for _i, err in scan.failures] == ["ZeroSteadyState"] * 2
     assert np.all(np.isnan(scan.tau_d))
+
+
+def test_scan_tau_d_records_unstable_points():
+    # with the literal transfer rates (gamma34 = 1, above gamma4 = 0.16) the
+    # generator turns unstable between omega_rf = 14 and 16: those points are recorded
+    # like the others, and the stable ones keep their tau_d
+    p = SystemParams(omega1=4.0, omega3=4.0, omega_rf=20.0)
+    grid = np.linspace(4.0, 20.0, 9)
+    scan = scan_tau_d(p, "omega_rf", grid)
+    assert scan.failures == [(i, "UnstableGenerator") for i in (6, 7, 8)]
+    assert np.all(np.isnan(scan.tau_d[6:]))
+    want = [g31_peak_delay(p.with_drives(omega_rf=v)) for v in grid[:6]]
+    assert scan.tau_d[:6].tolist() == want
 
 
 def test_scan_rejects_bad_grid(fig2_unit):

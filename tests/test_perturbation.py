@@ -41,7 +41,7 @@ from cascade4.perturbation import (
     root_set,
     talbot_g2_value,
 )
-from cascade4.ratfunc import fixed_type, invert_rational, talbot_invert_rf
+from cascade4.ratfunc import Fixed, invert_rational, talbot_invert_rf
 
 from conftest import closed_cascade, mp_observable, mp_value
 
@@ -132,14 +132,14 @@ def test_near_pole_rejected(strong_weakdrive):
     with pytest.raises(NearPole):
         F(ring)
     # b/s puts a pole at 0 whatever the arithmetic of s
-    for zero in (0j, np.array([1.0, 0.0]), fixed_type(128)(0)):
+    for zero in (0j, np.array([1.0, 0.0]), Fixed(0, 128)):
         with pytest.raises(NearPole):
             F(zero)
     # -1/2 + 20i is exactly a root of A0's (Im rho12, Re rho13) block here:
     # the exact form's denominator vanishes
     block_pole = -0.5 + 20j
     assert min(abs(z - block_pole) for z, _m in dyson.poles()) < 1e-12
-    for s in (block_pole, fixed_type(128)(block_pole)):
+    for s in (block_pole, Fixed(block_pole, 128)):
         with pytest.raises(NearPole):
             F(s)
     # the chain runs at complex scalars and arrays only; the closure answers
@@ -148,7 +148,7 @@ def test_near_pole_rejected(strong_weakdrive):
     for s in (mpmath.mpc(0.3, 0.7), mpmath.mpf(2)):
         with pytest.raises(InvalidArgument, match=refused):
             F(s)
-    for s in (mpmath.mpc(0.3, 0.7), fixed_type(128)(0.3 + 0.7j)):
+    for s in (mpmath.mpc(0.3, 0.7), Fixed(0.3 + 0.7j, 128)):
         with pytest.raises(InvalidArgument, match=refused):
             chain(s, x0)
 
@@ -235,7 +235,6 @@ def test_observable_closure_same_at_fixed_and_mpc(gammas):
     # the heavy fixed-Talbot nodes call the closure with Fixed scalars, which
     # it answers from the exact N(u)/D(u); the all-mpmath chain at 60 digits
     # is the reference
-    kind = fixed_type(240)
     if gammas == "large":
         points = [(preset("fig2", "unit").with_drives(**drives), regime)
                   for regime, drives in LARGE_DRIVES]
@@ -248,8 +247,8 @@ def test_observable_closure_same_at_fixed_and_mpc(gammas):
             F = perturbation._Dyson(params, regime, observable).transform(init)
             F_mp = mp_observable(params, regime, init, observable)
             for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 5 + 40j, 1e-3 + 0.01j):
-                got = F(kind(z))
-                assert type(got) is kind
+                got = F(Fixed(z, 240))
+                assert type(got) is Fixed and got.prec == 240
                 with mpmath.workdps(60):
                     want = F_mp(mpmath.mpc(z))
                     assert abs(mp_value(got) - want) <= 1e-50 * abs(want)
@@ -302,9 +301,8 @@ def test_order_set_by_split_drive_list(order_4, regime):
     dyson = perturbation._Dyson(params, regime, "rho22")
     assert len(dyson.terms) == 5
     F = dyson.transform(3)
-    kind = fixed_type(240)
     for z in (0.3 + 0.7j, 2.0, -0.3 + 2j, 5 + 40j):
-        assert abs(complex(F(kind(z))) - F(z)) <= 1e-12 * abs(F(z))
+        assert abs(complex(F(Fixed(z, 240))) - F(z)) <= 1e-12 * abs(F(z))
     _num, den, _shift = dyson._exact(prepare_state(3))
     poles = dyson.poles()
     degree = sum(m for _p, m in poles)

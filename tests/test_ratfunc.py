@@ -25,9 +25,9 @@ from cascade4.ratfunc import (
     _talbot_rule,
     DOUBLE_WEIGHT,
     ExponentialSum,
+    Fixed,
     RationalFunction,
     cluster_poles,
-    fixed_type,
     invert_rational,
     principal_parts,
     talbot_invert,
@@ -322,14 +322,34 @@ def test_talbot_non_finite_transform_raises():
         talbot_invert(via_mpmath(F), 0.25)
 
 
-def test_talbot_non_finite_heavy_value_raises():
-    # a transform that is finite on the array but not at a heavy node
-    def F(s):
-        if isinstance(s, np.ndarray):
-            return 1 / (s + 1)
-        return mpmath.inf
-    with pytest.raises(NonFiniteTransform):
-        talbot_invert(F, 1.0)
+def test_talbot_refuses_a_heavy_value_off_the_node_precision():
+    # a transform answers a heavy node's Fixed s with a Fixed of s's
+    # precision; any other value, finite or not, is refused, not converted
+    exact = RationalFunction.from_factors([1.0], [(-1.0, 1)])
+    for answer in (lambda s: mpmath.inf, lambda s: 0.5, lambda s: 1 + 2j, lambda s: 1,
+                   lambda s: mpmath.mpc(0.5), lambda s: Fixed(0.5, s.prec + 32)):
+        def F(s):
+            return exact(s) if isinstance(s, np.ndarray) else answer(s)
+        with pytest.raises(InvalidArgument, match="must answer a Fixed s"):
+            talbot_invert(F, 1.0)
+
+
+def test_rational_function_is_its_own_talbot_transform():
+    # rf answers a Fixed s from its exact form at s's precision, so
+    # talbot_invert_rf is talbot_invert of rf itself at the ladder's node
+    # count; a Fixed never changes precision by construction
+    rf = RationalFunction.from_factors([1.0, 0.3], [(-1.0, 1), (-0.5 + 8j, 1), (-0.5 - 8j, 1)])
+    for t in (0.3, 2.0):
+        nodes = talbot_nodes_required(t, rf.den_factors)
+        assert talbot_invert_rf(rf, t) == talbot_invert(rf, t, nodes=nodes)
+    assert nodes > 32
+    s = Fixed(0.3 + 0.7j, 192)
+    got = rf(s)
+    assert type(got) is Fixed and got.prec == 192
+    assert abs(complex(got) - rf(0.3 + 0.7j)) <= 1e-15 * abs(rf(0.3 + 0.7j))
+    for p in (192, 256):
+        with pytest.raises(TypeError):
+            Fixed(s, p)
 
 
 def fixed_operands():
@@ -347,21 +367,17 @@ def fixed_operands():
 
 @pytest.mark.parametrize("prec", [256, 320])
 def test_fixed_construction_and_division_match_mpmath(prec):
-    # construction is exact on the grid from int, float, complex, mpf, mpc
-    # and a Fixed of another precision; / is off by less than one grid step
-    # per component, rounded down, against mpmath at twice the precision
-    kind = fixed_type(prec)
+    # construction is exact on the grid from int, float, complex, mpf and
+    # mpc; / is off by less than one grid step per component, rounded down,
+    # against mpmath at twice the precision
     ulp = mpmath.ldexp(1, -prec)
-    values = [kind(v) for v in fixed_operands()]
-    pivot = kind(3e-30 - 7e-31j)          # a small pivot
+    values = [Fixed(v, prec) for v in fixed_operands()]
+    pivot = Fixed(3e-30 - 7e-31j, prec)  # a small pivot
     with mpmath.workprec(2 * prec):
-        third = mpmath.mpf(1) / 3         # 2 prec bits, rounded down onto each grid
         for x, want in ((7, 7), (-2.5, -2.5), (1.5 - 2.25j, mpmath.mpc(1.5, -2.25)),
                         (mpmath.mpf(2) ** -prec, mpmath.mpf(2) ** -prec),
-                        (mpmath.mpc(3, -4.5), mpmath.mpc(3, -4.5)),
-                        (fixed_type(prec // 2)(0.1 + 0.3j), mpmath.mpc(0.1, 0.3)),
-                        (fixed_type(2 * prec)(third), mpmath.floor(third / ulp) * ulp)):
-            assert mp_value(kind(x)) == want
+                        (mpmath.mpc(3, -4.5), mpmath.mpc(3, -4.5))):
+            assert mp_value(Fixed(x, prec)) == want
         exact = [mp_value(v) for v in values]
         assert all(complex(v) == complex(x) for v, x in zip(values, exact))
         pairs = [(i, j) for i in range(len(values)) for j in range(0, len(values), 5)]
@@ -369,14 +385,15 @@ def test_fixed_construction_and_division_match_mpmath(prec):
         for i, j in pairs:
             a, b = values[i], values[j] if j is not None else pivot
             got = a / b
-            assert type(got) is kind
+            assert type(got) is Fixed and got.prec == prec
             err = mp_value(got) - exact[i] / mp_value(b)
             assert -ulp < err.real <= 0 and -ulp < err.imag <= 0
-    assert not kind(0) and kind(1e-30j) and complex(kind(1.5 - 2.25j)) == 1.5 - 2.25j
+    assert not Fixed(0, prec) and Fixed(1e-30j, prec)
+    assert complex(Fixed(1.5 - 2.25j, prec)) == 1.5 - 2.25j
     with pytest.raises(ValueError):
-        kind(mpmath.inf)
+        Fixed(mpmath.inf, prec)
     with pytest.raises(TypeError):
-        kind(1) / fixed_type(prec + 64)(1)
+        Fixed(1, prec) / Fixed(1, prec + 64)
 
 
 @pytest.mark.parametrize("t", [0.3, 1.7])
@@ -533,17 +550,16 @@ def test_poly_at_matches_complex_horner(seed):
     # about n^2 terms' size where s and conj(s) nearly coincide (seen: 223
     # ulps at degree 24 against Horner's 7)
     rng = np.random.default_rng(seed)
-    kind = fixed_type(128)
     for degree in (0, 1, 2, 7, 15, 24):
         c = rng.uniform(-1, 1, degree + 1)
         if seed % 2:
             c = c + 1j * rng.uniform(-1, 1, degree + 1)
-        coeffs = _grid_coeffs(kind, c)
+        coeffs = _grid_coeffs(128, c)
         assert (coeffs[1] is None) == (seed % 2 == 0)
         re, im = coeffs[0], coeffs[1] or [0] * (degree + 1)
         x = float(rng.uniform(-1.5, 1.5))
         for y in (0.0, 1e-12 * x, -3e-9, float(rng.uniform(-1.5, 1.5))):
-            s = kind(complex(x, y))
+            s = Fixed(complex(x, y), 128)
             ar, ai = re[0], im[0]
             for cr, ci in zip(re[1:], im[1:]):
                 ar, ai = (((ar * s.re - ai * s.im) >> 128) + cr,
@@ -580,28 +596,27 @@ def test_poly_at_keeps_the_guard_bits_at_heavy_talbot_nodes(regime, drives):
     for t in (0.07, 1.8):
         nodes = talbot_nodes_required(t, rf.den_factors)
         z, *_ = _talbot_rule(nodes, 20 + int(np.ceil(0.19 * nodes)))
-        kind = type(z[0])
+        p = z[0].prec
         for zk in z:
-            s = zk / kind(t)
+            s = zk / Fixed(t, p)
             for c in (rf.numerator, rf.denominator):
-                coeffs = _grid_coeffs(kind, c)
+                coeffs = _grid_coeffs(p, c)
                 got, n = _poly_at(coeffs, s), len(c) - 1
                 re, im = exact_value(coeffs, s)
-                err = abs((got.re << (kind.prec * n)) - re) + abs((got.im << (kind.prec * n)) - im)
-                assert err << kind.prec <= 32 * (abs(re) + abs(im))
+                err = abs((got.re << (p * n)) - re) + abs((got.im << (p * n)) - im)
+                assert err << p <= 32 * (abs(re) + abs(im))
 
 
 def test_poly_at_is_exact_when_the_grid_holds_every_term():
     # invert_rational's residue numerators: with as many fractional bits
     # as the terms carry, the value is the exact one
-    kind = fixed_type(320)
-    s = kind(-0.3 + 0.7j)
+    s = Fixed(-0.3 + 0.7j, 320)
     c = np.array([0.1, -2.5, 3.25, 1e-3, 0.7])
-    got = _poly_at(_grid_coeffs(kind, c), s)
+    got = _poly_at(_grid_coeffs(320, c), s)
     with mpmath.workdps(120):
         want = sum(mpmath.mpf(v) * mpmath.mpc(-0.3, 0.7) ** k for k, v in enumerate(c))
-        assert got.re == int(mpmath.re(want) * kind.one)
-        assert got.im == int(mpmath.im(want) * kind.one)
+        assert got.re == int(mpmath.re(want) * (1 << 320))
+        assert got.im == int(mpmath.im(want) * (1 << 320))
 
 
 def test_strictly_proper_enforced():

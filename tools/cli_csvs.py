@@ -1,8 +1,8 @@
 """Write the CSVs of the CLI commands at their default configs into OUTDIR,
 each command in a fresh interpreter.
 
-    python tools/cli_csvs.py OUTDIR              # 14 CSVs
-    python tools/cli_csvs.py OUTDIR --no-scipy   # 13: scipy unimportable,
+    python tools/cli_csvs.py OUTDIR              # 15 CSVs
+    python tools/cli_csvs.py OUTDIR --no-scipy   # 14: scipy unimportable,
                                                  # validate left out
 
 `figures` writes fig2, fig3 and fig4; every other command writes one file,
@@ -31,8 +31,10 @@ NO_SCIPY = ("import sys, runpy; sys.modules['scipy'] = None; "
             "runpy.run_module('cascade4', run_name='__main__')")
 
 # roots where the published cubic is undefined, so its printed values are
-# nan: weak rf with omega3 = 0, strong rf with omega_rf = 0; and cs on the
-# closed-cascade fig2 point with the two non-default grid and ratio settings.
+# nan: weak rf with omega3 = 0, strong rf with omega_rf = 0; cs on the
+# closed-cascade fig2 point with the two non-default grid and ratio settings;
+# and a delay scan with the literal transfer rates, whose last three points
+# are unstable, so their rows are nan.
 CONFIGS = {
     "fig2_literal_linear": (
         "[system]\nomega1 = 4\nomega3 = 4\nomega_rf = 20\ngamma2 = 1\n"
@@ -40,6 +42,7 @@ CONFIGS = {
         "[grid]\nspacing = linear\n[options]\ncs_definition = literal\n"),
     "weak_omega3_0": "[system]\nomega1 = 4\nomega3 = 0\nomega_rf = 0.2\n",
     "strong_omega_rf_0": "[system]\nomega1 = 0.2\nomega3 = 0.2\nomega_rf = 0\n",
+    "literal_rates": "[system]\nomega1 = 4\nomega3 = 4\nomega_rf = 20\n",
 }
 
 # (--out relative to OUTDIR, a CONFIGS key or None, command arguments).
@@ -48,6 +51,7 @@ COMMANDS = (
     ("cs.csv", None, ["cs"]),
     ("cs_literal_linear.csv", "fig2_literal_linear", ["cs"]),
     ("taud.csv", None, ["taud-scan", "--sweep", "omega_rf"]),
+    ("taud_literal_rates.csv", "literal_rates", ["taud-scan", "--sweep", "omega_rf"]),
     ("roots_strong.csv", None, ["roots", "--regime", "strong"]),
     ("roots_weak.csv", None, ["roots", "--regime", "weak"]),
     ("validate.csv", None, ["validate"]),
